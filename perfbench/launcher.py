@@ -1,19 +1,18 @@
-"""Traced codec server: ``repro serve --workers 0`` with layer spans.
+"""Traced codec server: ``repro serve`` with layer spans.
 
 Usage::
 
-    python3 perfbench/launcher.py --spans FILE
+    python3 perfbench/launcher.py --spans FILE serve --port 0 --workers 0
 
-Builds the same single-process :class:`~repro.service.server.CodecServer`
-as ``repro serve --port 0`` (default batch policy, no stream deadline,
-an ephemeral port on 127.0.0.1), after
-wrapping the public entry points of each layer where their callers look
-them up.  Every wrapped call records a span: name, start, end, busy
+Wraps the public entry points of each layer where their callers look
+them up, then runs the ``repro`` command line in this process with the
+remaining arguments, so the traced server is the one ``repro serve``
+builds.  Every wrapped call records a span: name, start, end, busy
 time, parent span, request id and a size (frames, lines or bytes).  For
 a coroutine, busy time sums the steps it actually ran, so time spent
 suspended on a socket or a batch flush is not charged to it.  Spans
-stay in memory and are written to ``FILE`` (``numpy.savez``) when the
-server is interrupted.
+stay in memory and are written to ``FILE`` (``numpy.savez``) once the
+server has been interrupted and the command has returned.
 """
 
 from __future__ import annotations
@@ -188,8 +187,11 @@ def _replace_everywhere(original, replacement) -> None:
                 setattr(module, attr, replacement)
 
 
-def instrument(rec: Recorder) -> None:
-    """Wrap the layers' public entry points before the server is built."""
+def instrument(rec: Recorder, servers: list) -> None:
+    """Wrap the layers' public entry points before the server is built.
+
+    Every :class:`CodecServer` that starts is appended to ``servers``.
+    """
     import repro.coding.interleave  # noqa: F401  (registers composite decoders)
     from repro.backends import registry as backend_registry
     from repro.coding.decoders.base import Decoder
@@ -243,6 +245,14 @@ def instrument(rec: Recorder) -> None:
     writer.write = rec.traced_sync("writer.write", writer.write, before=frames_of(1))
     writer.drain = rec.traced_async("writer.drain", writer.drain)
 
+    start = server.CodecServer.start
+
+    @functools.wraps(start)
+    def keep_server(self, *args, **kwargs):
+        servers.append(self)
+        return start(self, *args, **kwargs)
+
+    server.CodecServer.start = keep_server
     server.CodecServer.dispatch = rec.traced_async(
         "server.dispatch", server.CodecServer.dispatch, before=request_info)
     workers.DispatchCore.dispatch = rec.traced_async(
@@ -308,34 +318,23 @@ def series_count(server) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="traced single-process codec server")
+    parser = argparse.ArgumentParser(description="traced codec server")
     parser.add_argument("--spans", required=True, help="file the spans are written to")
+    parser.add_argument("command", nargs=argparse.REMAINDER,
+                        help="the repro command line to run, e.g. serve --port 0")
     args = parser.parse_args(argv)
 
     rec = Recorder()
-    instrument(rec)
-    from repro.service import BatchPolicy, CodecServer
-
-    holder = {}
-
-    async def serve() -> None:
-        server = CodecServer(host="127.0.0.1", port=0, policy=BatchPolicy(), workers=0)
-        holder["server"] = server
-        await server.start()
-        print(f"serving codec sessions on 127.0.0.1:{server.port}", flush=True)
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
+    servers = []
+    instrument(rec, servers)
+    from repro import cli
 
     try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        pass
+        status = cli.main(args.command)
     finally:
-        series = series_count(holder["server"]) if "server" in holder else 0
+        series = series_count(servers[-1]) if servers else 0
         rec.save(args.spans, {"series": series})
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -1,37 +1,36 @@
 """Closed-loop load generation over the service's TCP protocol.
 
-One process drives every logical client over at most two connections.
-Replies are matched by request id and compared with the precomputed
-reference; a client sends its next request only when the reply its
-current step waits for has arrived.  Round trips are timed from the
-moment a request is handed to the socket to the moment its reply is
-read.
+One process drives every logical client over at most two connections,
+each a :class:`~repro.service.client.CodecClient`, whose
+``send_request`` pipelines requests and matches replies by request id.
+Every reply is compared with the precomputed reference; a client sends
+its next request only when the reply its current step waits for has
+arrived.  Round trips are timed from just before a request is handed to
+the client to the moment its reply is delivered.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
 import json
 import math
 import struct
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service import protocol
+from repro.service.client import CodecClient
 
 from workloads import Client, Request, Workload, open_check
 
-_LEN = struct.Struct("!I")
 OK = protocol.ST_OK
 
 
 class Tally:
-    """Operations attempted and failed, frames and round trips.
-
-    Per reply it keeps the time the reply arrived, the round trip and the
-    frames it answered correctly, so a phase can be cut into slices.
-    """
+    """Operations attempted and failed, frames and round trips."""
 
     def __init__(self):
         self.attempted = 0
@@ -40,11 +39,15 @@ class Tally:
         self.frames = 0
         self.rows_forced = 0
         self.latencies: List[float] = []
-        self.arrivals: List[float] = []
-        self.answered: List[int] = []
+        #: Flips one byte of the next non-empty reply body before it is
+        #: checked (benchmark self-test only).
+        self.corrupt_next = False
 
-    def judge(self, request: Request, reply: protocol.Response, latency: float,
-              arrival: float) -> bool:
+    def judge(self, request: Request, reply: protocol.Response, latency: float) -> bool:
+        if self.corrupt_next and reply.body:
+            self.corrupt_next = False
+            body = reply.body[:-1] + bytes([reply.body[-1] ^ 0x01])
+            reply = dataclasses.replace(reply, body=body)
         self.attempted += 1
         ok = reply.status == OK and reply.opcode == request.opcode
         if ok:
@@ -68,8 +71,6 @@ class Tally:
             self.failed += 1
         # A failed operation counts as slower than any limit.
         self.latencies.append(latency if ok else math.inf)
-        self.arrivals.append(arrival)
-        self.answered.append(request.frames if ok else 0)
         return ok
 
     def merge(self, other: "Tally") -> None:
@@ -77,175 +78,79 @@ class Tally:
         for name in ("attempted", "failed", "mismatched", "frames", "rows_forced"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.latencies += other.latencies
-        self.arrivals += other.arrivals
-        self.answered += other.answered
 
 
-class Connection(asyncio.Protocol):
-    """One TCP connection with pipelined, id-matched requests."""
-
-    def __init__(self):
-        self.transport: Optional[asyncio.Transport] = None
-        self.buffer = bytearray()
-        self.pending: Dict[int, list] = {}
-        self.outgoing: List[bytes] = []
-        self.unsent: List[list] = []
-        self.next_id = 1
-        self.lost = asyncio.get_running_loop().create_future()
-        #: Corrupts one reply byte when set (benchmark self-test only).
-        self.corrupt_next = False
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def connection_lost(self, exc) -> None:
-        if not self.lost.done():
-            self.lost.set_result(exc)
-
-    def send(self, opcode: int, body: bytes, on_reply: Callable) -> None:
-        request_id = self.next_id
-        self.next_id += 1
-        self.outgoing.append(
-            protocol.frame_bytes(protocol.build_request(opcode, request_id, body))
-        )
-        entry = [0.0, on_reply]
-        self.pending[request_id] = entry
-        self.unsent.append(entry)
-
-    def flush(self) -> None:
-        if self.outgoing:
-            now = time.perf_counter()
-            for entry in self.unsent:
-                entry[0] = now
-            self.transport.write(b"".join(self.outgoing))
-            self.outgoing.clear()
-            self.unsent.clear()
-
-    def data_received(self, data: bytes) -> None:
-        now = time.perf_counter()
-        buffer = self.buffer
-        buffer += data
-        pos, size = 0, len(buffer)
-        while size - pos >= 4:
-            (length,) = _LEN.unpack_from(buffer, pos)
-            end = pos + 4 + length
-            if end > size:
-                break
-            payload = bytes(buffer[pos + 4:end])
-            pos = end
-            if self.corrupt_next and length > 8:
-                self.corrupt_next = False
-                payload = payload[:-1] + bytes([payload[-1] ^ 0x01])
-            reply = protocol.parse_response(payload)
-            sent, on_reply = self.pending.pop(reply.request_id)
-            on_reply(reply, now - sent, now)
-        del buffer[:pos]
-        self.flush()
-
-    async def call(self, opcode: int, body: bytes):
-        """Send one request and await ``(reply, round_trip_s, arrival)``."""
-        future = asyncio.get_running_loop().create_future()
-        self.send(opcode, body, lambda *result: future.set_result(result))
-        self.flush()
-        done, _ = await asyncio.wait({future, self.lost}, return_when=asyncio.FIRST_COMPLETED)
-        if future not in done:
-            raise ConnectionError("server closed the connection")
-        return future.result()
+async def connect(port: int, count: int = 2) -> List[CodecClient]:
+    return [await CodecClient.connect("127.0.0.1", port) for _ in range(count)]
 
 
-async def connect(port: int, count: int = 2) -> List[Connection]:
-    loop = asyncio.get_running_loop()
-    conns = []
-    for _ in range(count):
-        _, conn = await loop.create_connection(Connection, "127.0.0.1", port)
-        conns.append(conn)
-    return conns
-
-
-def close(conns: List[Connection]) -> None:
+async def close(conns: List[CodecClient]) -> None:
     for conn in conns:
-        conn.transport.close()
+        await conn.close()
+
+
+async def call(conn: CodecClient, request: Request,
+               tally: Tally) -> Tuple[bool, protocol.Response]:
+    """Send one request, await its reply and judge it."""
+    sent = time.perf_counter()
+    reply = await (await conn.send_request(request.opcode, request.body))
+    return tally.judge(request, reply, time.perf_counter() - sent), reply
 
 
 class _Runner:
-    """Walks one client's steps between two step indices."""
+    """Walks one client's steps.
 
-    def __init__(self, client: Client, conn: Connection, tally: Tally, done: Callable):
+    A request sent in one step may be awaited in a later one, or in the
+    next phase (a stream push is sent one push ahead), so the runner
+    keeps the replies it still waits for.  Each reply is judged when it
+    is delivered, not when it is awaited.
+    """
+
+    def __init__(self, client: Client, conn: CodecClient, tally: Tally):
         self.client = client
         self.conn = conn
         self.tally = tally
-        self.done = done
-        self.replied = bytearray(len(client.requests))
-        self.step = 0
-        self.stop = 0
-        self.waiting: Optional[int] = None
+        self.inflight: Dict[int, asyncio.Future] = {}
 
-    def run(self, start: int, stop: int) -> None:
-        self.step, self.stop = start, stop
-        self._advance()
-
-    def _advance(self) -> None:
-        steps = self.client.steps
+    async def run(self, start: int, stop: int) -> None:
         requests = self.client.requests
-        while self.step < self.stop:
-            sends, wait = steps[self.step]
+        for sends, wait in self.client.steps[start:stop]:
             for index in sends:
                 request = requests[index]
-                self.conn.send(request.opcode, request.body, self._reply_handler(index))
-            self.step += 1
-            if wait is not None and not self.replied[wait]:
-                self.waiting = wait
-                return
-        self.done()
+                sent = time.perf_counter()
+                future = await self.conn.send_request(request.opcode, request.body)
+                future.add_done_callback(functools.partial(self._delivered, index, sent))
+                self.inflight[index] = future
+            if wait is not None:
+                await self.inflight.pop(wait)
 
-    def _reply_handler(self, index: int) -> Callable:
-        def on_reply(reply, latency, arrival):
-            self.tally.judge(self.client.requests[index], reply, latency, arrival)
-            self.replied[index] = 1
-            if self.waiting == index:
-                self.waiting = None
-                self._advance()
-        return on_reply
+    def _delivered(self, index: int, sent: float, future: asyncio.Future) -> None:
+        # A lost connection fails the future, and the step awaiting it raises.
+        if not future.cancelled() and future.exception() is None:
+            self.tally.judge(self.client.requests[index], future.result(),
+                             time.perf_counter() - sent)
 
 
-async def run_clients(conns: List[Connection], runners: List[_Runner], timed: bool) -> None:
+async def run_clients(runners: List[_Runner], timed: bool) -> None:
     """Run every client's warm-up (or timed) steps to the end."""
-    loop = asyncio.get_running_loop()
-    finished = loop.create_future()
-    remaining = [len(runners)]
-
-    def one_done():
-        remaining[0] -= 1
-        if remaining[0] == 0 and not finished.done():
-            finished.set_result(None)
-
-    for runner in runners:
-        runner.done = one_done
-        client = runner.client
-        if timed:
-            runner.run(client.warm_steps, len(client.steps))
-        else:
-            runner.run(0, client.warm_steps)
-    for conn in conns:
-        conn.flush()
-    if runners:
-        lost = [conn.lost for conn in conns]
-        await asyncio.wait([finished, *lost], return_when=asyncio.FIRST_COMPLETED)
-        if not finished.done():
-            raise ConnectionError("server closed a connection mid-phase")
+    await asyncio.gather(*(
+        runner.run(runner.client.warm_steps, len(runner.client.steps)) if timed
+        else runner.run(0, runner.client.warm_steps)
+        for runner in runners
+    ))
 
 
-def make_runners(workload: Workload, conns: List[Connection], tally: Tally) -> List[_Runner]:
-    return [_Runner(c, conns[c.conn], tally, None) for c in workload.clients]
+def make_runners(workload: Workload, conns: List[CodecClient], tally: Tally) -> List[_Runner]:
+    return [_Runner(c, conns[c.conn], tally) for c in workload.clients]
 
 
-async def open_sessions(conn: Connection, requests, tally: Tally) -> None:
+async def open_sessions(conn: CodecClient, requests, tally: Tally) -> None:
     for request in requests:
-        tally.judge(request, *await conn.call(request.opcode, request.body))
+        await call(conn, request, tally)
 
 
 async def churn(
-    workload: Workload, conns: List[Connection], tally: Tally,
+    workload: Workload, conns: List[CodecClient], tally: Tally,
     cycles: Optional[int] = None,
 ) -> None:
     """Open -> one-frame decode -> close cycles, in sequence per connection.
@@ -264,19 +169,19 @@ async def churn(
             config = {"code": "hamming84", "seed": seed}
             opened = Request(protocol.OP_OPEN, protocol.build_json_body(config), None, 0,
                              check=open_check("hamming84", None))
-            reply, *timing = await conn.call(opened.opcode, opened.body)
-            if not tally.judge(opened, reply, *timing):
+            ok, reply = await call(conn, opened, tally)
+            if not ok:
                 continue
             session_id = json.loads(reply.body)["session_id"]
             word = int(words[cycle])
             decode = Request(protocol.OP_DECODE, pool.body(session_id, word),
                              pool.replies[word], 1)
-            tally.judge(decode, *await conn.call(decode.opcode, decode.body))
+            await call(conn, decode, tally)
             closing = Request(
                 protocol.OP_CLOSE, protocol.build_json_body({"session_id": session_id}),
                 None, 0, check=lambda body, sid=session_id: json.loads(body).get("closed") == sid,
             )
-            tally.judge(closing, *await conn.call(closing.opcode, closing.body))
+            await call(conn, closing, tally)
 
     await asyncio.gather(*(one_connection(i) for i in range(len(conns))))
 
@@ -293,15 +198,15 @@ def _stats_ok(connections: int) -> Callable[[bytes], bool]:
     return check
 
 
-async def scrapes(conn: Connection, tally: Tally, metrics: int, stats: int,
+async def scrapes(conn: CodecClient, tally: Tally, metrics: int, stats: int,
                   connections: int) -> int:
     """The closing METRICS then STATS scrapes; returns how many METRICS
     scrapes failed."""
     failures = 0
     for _ in range(metrics):
         request = Request(protocol.OP_METRICS, b"", None, 0, check=_metrics_ok)
-        failures += not tally.judge(request, *await conn.call(request.opcode, request.body))
+        failures += not (await call(conn, request, tally))[0]
     for _ in range(stats):
         request = Request(protocol.OP_STATS, b"", None, 0, check=_stats_ok(connections))
-        tally.judge(request, *await conn.call(request.opcode, request.body))
+        await call(conn, request, tally)
     return failures

@@ -8,9 +8,10 @@ Each run builds its workload's inputs and reference replies from
 ``--seed`` (see ``workloads.py``), then starts ``repro serve`` in
 single-process mode several times, timing each start up to the first
 correct reply on every session (``setup_s`` is their median).  On the
-last server it runs the timed closed loop, a short session-churn
-epilogue and the closing METRICS/STATS scrapes, checks every reply, and
-prints the end-to-end metrics as the last line of standard output.
+last server it runs the timed closed loop, the closing METRICS/STATS
+scrapes and a session-churn epilogue, checks every reply, and prints
+the end-to-end metrics as the last line of standard output.  Times and
+rates are taken over unstolen time (see :class:`Window`).
 
 With ``--trace 1`` it instead runs the workload once on ``repro serve``
 and once on the benchmark's own traced launcher (``launcher.py``), and
@@ -37,6 +38,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -131,94 +133,60 @@ def _share(before, after) -> float:
     return (after[0] - before[0]) / max(1, after[1] - before[1])
 
 
-class Sampler:
-    """Samples server CPU, generator CPU and CPU steal every half second.
+class Window:
+    """Server CPU, generator CPU and CPU steal over one phase.
 
     Host CPU steal on a small shared VM ranged from ~2% to ~35% between
     runs, in phases lasting minutes.  Every request of a closed loop
     crosses both the generator's and the server's CPU, so it stalls
     whenever the hypervisor holds either: throughput fell by twice the
-    host steal share.  The samples cut a phase into slices, and each
-    slice's *unstolen* time is its wall time times one minus the steal
-    shares of the two pinned CPUs.  Rates and durations are taken over
-    unstolen time, and only over the half of the slices with the least
-    steal, so they describe the program rather than its neighbours.  The
-    host steal of the whole phase is still reported.
+    host steal share.  A phase's *unstolen* time is therefore its wall
+    time times one minus the steal shares of the two pinned CPUs, and
+    rates are taken per second of unstolen time, over the whole phase.
+    An idle CPU is not stolen from, so while only the server runs, as
+    it does while it starts, the correction is that of its CPU alone.
+    On a machine without steal the unstolen time is the wall time.
     """
 
-    PERIOD_S = 0.5
-
-    def __init__(self, pid: int):
+    def __init__(self, pid: Optional[int]):
         self.pid = pid
-        self.samples = [self._sample()]
-        self.task = asyncio.ensure_future(self._run())
+        self.first = self._sample()
 
     def _sample(self):
-        return (time.perf_counter(), server_cpu_s(self.pid), client_cpu_s(), steal_ticks())
-
-    async def _run(self):
-        while True:
-            await asyncio.sleep(self.PERIOD_S)
-            self.samples.append(self._sample())
+        server = server_cpu_s(self.pid) if self.pid is not None else 0.0
+        return (time.perf_counter(), server, client_cpu_s(), steal_ticks())
 
     def stop(self) -> dict:
-        self.task.cancel()
-        last = self._sample()
-        # A final slice shorter than half a period joins the one before.
-        if len(self.samples) > 1 and last[0] - self.samples[-1][0] < self.PERIOD_S / 2:
-            self.samples[-1] = last
-        else:
-            self.samples.append(last)
-        first = self.samples[0]
-        slices = []
-        for before, after in zip(self.samples, self.samples[1:]):
-            stolen = sum(_share(b, a) for b, a in zip(before[3][1:], after[3][1:]))
-            slices.append({
-                "start": before[0], "end": after[0],
-                "unstolen_s": (after[0] - before[0]) * max(0.0, 1.0 - stolen),
-                "server_cpu_s": after[1] - before[1],
-                "stolen": stolen,
-            })
+        first, last = self.first, self._sample()
+        wall = last[0] - first[0]
+        stolen = sum(_share(b, a) for b, a in zip(first[3][1:], last[3][1:]))
         return {
             "start": first[0],
             "end": last[0],
-            "wall_s": last[0] - first[0],
+            "wall_s": wall,
+            "unstolen_s": wall * max(0.0, 1.0 - stolen),
             "server_cpu_s": last[1] - first[1],
             "client_cpu_s": last[2] - first[2],
             "steal_share": _share(first[3][0], last[3][0]),
-            "slices": slices,
         }
 
 
-def slice_metrics(window: dict, tally) -> dict:
-    """Rate, latency and CPU metrics over the least-stolen half of the
-    slices, rates per second of unstolen time."""
-    import numpy as np
-
-    slices = window["slices"]
-    kept = sorted(slices, key=lambda x: x["stolen"])[:(len(slices) + 1) // 2]
-    arrivals = np.asarray(tally.arrivals)
-    inside = np.zeros(len(arrivals), dtype=bool)
-    for part in kept:
-        inside |= (arrivals >= part["start"]) & (arrivals < part["end"])
-    unstolen = sum(part["unstolen_s"] for part in kept)
-    cpu = sum(part["server_cpu_s"] for part in kept)
-    frames = int(np.asarray(tally.answered)[inside].sum())
-    latencies = np.asarray(tally.latencies)[inside] * 1e6
+def rates(window: dict, tally) -> dict:
+    """Throughput per second of unstolen time and server CPU per frame."""
+    frames = tally.frames
+    unstolen = window["unstolen_s"]
     return {
         "throughput_fps": frames / unstolen if unstolen > 0 else 0.0,
-        "latency_p50_us": float(np.percentile(latencies, 50, method="higher")),
-        "latency_p99_us": float(np.percentile(latencies, 99, method="higher")),
-        "server_cpu_us_per_frame": cpu * 1e6 / frames if frames else math.inf,
-        "slices": f"{len(kept)}/{len(slices)}",
-        "kept_stolen": statistics.mean(part["stolen"] for part in kept),
+        "server_cpu_us_per_frame": window["server_cpu_s"] * 1e6 / frames if frames else math.inf,
     }
 
 
 # ---------------------------------------------------------------------
 # Server processes
 # ---------------------------------------------------------------------
-SERVE_ARGV = [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "0"]
+#: The ``repro`` command line of every server, traced or not.
+SERVE_ARGS = ["serve", "--port", "0", "--workers", "0"]
+SERVE_ARGV = [sys.executable, "-m", "repro.cli", *SERVE_ARGS]
 
 
 def spawn(argv, log_name: str):
@@ -261,79 +229,84 @@ class Session:
         self.proc = None
 
     async def start(self, tally) -> float:
-        """Spawn, connect, open sessions and run the warm-up; returns setup_s."""
+        """Spawn, connect, open sessions and run the warm-up; returns the
+        unstolen seconds this took."""
         import loadloop
         import workloads
 
-        started = time.perf_counter()
+        window = Window(None)
         self.proc, port = spawn(self.argv, self.log_name)
         self.conns = await loadloop.connect(port)
         await loadloop.open_sessions(
             self.conns[0], workloads.open_requests(self.workload), tally
         )
         self.runners = loadloop.make_runners(self.workload, self.conns, tally)
-        await loadloop.run_clients(self.conns, self.runners, timed=False)
+        await loadloop.run_clients(self.runners, timed=False)
         if self.workload.churn_is_main:
             await loadloop.churn(self.workload, self.conns, tally, cycles=1)
-        return time.perf_counter() - started
+        return window.stop()["unstolen_s"]
 
     async def main_phase(self, tally):
-        """The timed phase; returns its sampled window."""
+        """The timed phase; returns its window."""
         import loadloop
 
         for runner in self.runners:
             runner.tally = tally
         # A collector pause in the generator would read as server latency.
         gc.disable()
-        sampler = Sampler(self.proc.pid)
+        window = Window(self.proc.pid)
         try:
             if self.workload.churn_is_main:
                 await loadloop.churn(self.workload, self.conns, tally)
             else:
-                await loadloop.run_clients(self.conns, self.runners, timed=True)
+                await loadloop.run_clients(self.runners, timed=True)
         finally:
-            window = sampler.stop()
+            window = window.stop()
             gc.enable()
         return window
 
     async def epilogue(self, tally):
-        """Churn cycles (unless churn was the timed phase), then the closing
-        METRICS and STATS scrapes.
+        """The closing METRICS and STATS scrapes, the server's peak RSS,
+        then (unless churn was the timed phase) the churn epilogue.
 
-        Returns the churn window and its own tally (``None`` on
-        ``session-churn``), the number of failed METRICS scrapes and the
-        epilogue's bounds.
+        The scrapes come before the churn epilogue, so its session
+        lifetimes neither grow their replies nor the RSS reported.
+        Returns the number of failed METRICS scrapes, the peak RSS in
+        MB, the churn window and tally (``None`` on ``session-churn``)
+        and the epilogue's bounds.
         """
         import loadloop
         import workloads
 
         started = time.perf_counter()
-        churn_window = churn_tally = None
-        if not self.workload.churn_is_main:
-            churn_tally = loadloop.Tally()
-            sampler = Sampler(self.proc.pid)
-            try:
-                await loadloop.churn(self.workload, self.conns, churn_tally)
-            finally:
-                churn_window = sampler.stop()
-            tally.merge(churn_tally)
         failures = await loadloop.scrapes(
             self.conns[0], tally, workloads.METRICS_SCRAPES,
             workloads.STATS_SCRAPES, len(self.conns),
         )
+        rss = peak_rss_mb(self.proc.pid)
+        churn_window = churn_tally = None
+        if not self.workload.churn_is_main:
+            churn_tally = loadloop.Tally()
+            window = Window(self.proc.pid)
+            try:
+                await loadloop.churn(self.workload, self.conns, churn_tally)
+            finally:
+                churn_window = window.stop()
+            tally.merge(churn_tally)
         return {
-            "churn": (churn_window, churn_tally),
             "scrape_failures": failures,
+            "rss_mb": rss,
+            "churn": (churn_window, churn_tally),
             "bounds": (started, time.perf_counter()),
         }
 
-    def finish(self) -> None:
+    async def finish(self) -> None:
         import loadloop
 
         if self.proc is None:
             return
         try:
-            loadloop.close(getattr(self, "conns", []))
+            await loadloop.close(getattr(self, "conns", []))
         finally:
             stop(self.proc)
             self.proc = None
@@ -342,9 +315,9 @@ class Session:
 async def measure(workload, corrupt_reply: bool = False) -> dict:
     """Untraced run: the end-to-end metrics.
 
-    ``corrupt_reply`` flips one byte of one timed-phase reply on its
-    way in, which the benchmark's self-test uses to show that a wrong
-    reply is caught.
+    ``corrupt_reply`` flips one byte of one timed-phase reply before it
+    is checked, which the benchmark's self-test uses to show that a
+    wrong reply is caught.
     """
     import loadloop
 
@@ -355,33 +328,32 @@ async def measure(workload, corrupt_reply: bool = False) -> dict:
         try:
             setups.append(await session.start(setup_tally))
         except BaseException:
-            session.finish()
+            await session.finish()
             raise
         if attempt < SETUP_SPAWNS - 1:
-            session.finish()
+            await session.finish()
     try:
-        session.conns[0].corrupt_next = corrupt_reply
         main = loadloop.Tally()
+        main.corrupt_next = corrupt_reply
         window = await session.main_phase(main)
         tail = loadloop.Tally()
         epilogue = await session.epilogue(tail)
-        rss = peak_rss_mb(session.proc.pid)
     finally:
-        session.finish()
+        await session.finish()
     churn_window, churn_tally = epilogue["churn"]
     if churn_window is None:
         churn_window, churn_tally = window, main
     # One decode frame per lifetime: frames per second are lifetimes per second.
-    sessions = slice_metrics(churn_window, churn_tally)["throughput_fps"]
+    sessions = rates(churn_window, churn_tally)["throughput_fps"]
     attempted = setup_tally.attempted + main.attempted + tail.attempted
     failed = setup_tally.failed + main.failed + tail.failed
-    sliced = slice_metrics(window, main)
+    phase = rates(window, main)
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
-        "throughput_fps": (sliced["throughput_fps"], "frames/s"),
-        "server_cpu_us_per_frame": (sliced["server_cpu_us_per_frame"], "us/frame"),
+        "throughput_fps": (phase["throughput_fps"], "frames/s"),
+        "server_cpu_us_per_frame": (phase["server_cpu_us_per_frame"], "us/frame"),
         "success_ratio": (1.0 - failed / max(1, attempted), "ratio"),
-        "server_rss_mb": (rss, "MB"),
+        "server_rss_mb": (epilogue["rss_mb"], "MB"),
         "sessions_per_s": (sessions, "1/s"),
     }
     noise = {
@@ -395,8 +367,8 @@ async def measure(workload, corrupt_reply: bool = False) -> dict:
         "metrics": metrics,
         "noise": noise,
         "detail": {"setups_s": setups, "requests": main.attempted,
-                   "wall_s": window["wall_s"], "slices": sliced["slices"],
-                   "kept_stolen": sliced["kept_stolen"]},
+                   "wall_s": window["wall_s"], "unstolen_s": window["unstolen_s"],
+                   "churn_wall_s": churn_window["wall_s"]},
     }
 
 
@@ -404,6 +376,7 @@ async def measure_traced(workload) -> dict:
     """Traced run: the per-layer metrics."""
     import layers
     import loadloop
+    import numpy as np
 
     tally = loadloop.Tally()
     plain = Session(workload, SERVE_ARGV, "serve.log")
@@ -412,10 +385,10 @@ async def measure_traced(workload) -> dict:
         plain_main = loadloop.Tally()
         plain_window = await plain.main_phase(plain_main)
     finally:
-        plain.finish()
+        await plain.finish()
 
     spans_path = BUILD / f"spans-{workload.name}-{os.getpid()}.npz"
-    argv = [sys.executable, str(HERE / "launcher.py"), "--spans", str(spans_path)]
+    argv = [sys.executable, str(HERE / "launcher.py"), "--spans", str(spans_path), *SERVE_ARGS]
     traced = Session(workload, argv, "launcher.log")
     try:
         await traced.start(tally)
@@ -424,19 +397,19 @@ async def measure_traced(workload) -> dict:
         tail = loadloop.Tally()
         epilogue = await traced.epilogue(tail)
     finally:
-        traced.finish()
+        await traced.finish()
     try:
         spans = layers.load(spans_path)
     finally:
         spans_path.unlink(missing_ok=True)
     metrics = layers.per_layer(spans, traced_window, epilogue["bounds"])
-    plain = slice_metrics(plain_window, plain_main)
-    traced_fps = slice_metrics(traced_window, traced_main)["throughput_fps"]
-    plain_fps = plain["throughput_fps"]
+    traced_fps = rates(traced_window, traced_main)["throughput_fps"]
+    plain_fps = rates(plain_window, plain_main)["throughput_fps"]
+    latencies = np.asarray(plain_main.latencies) * 1e6
     requests = max(1, plain_main.attempted)
     metrics.update({
-        "client.latency_p50_us": (plain["latency_p50_us"], "us"),
-        "client.latency_p99_us": (plain["latency_p99_us"], "us"),
+        "client.latency_p50_us": (float(np.percentile(latencies, 50, method="higher")), "us"),
+        "client.latency_p99_us": (float(np.percentile(latencies, 99, method="higher")), "us"),
         "stream.rows_forced": (plain_main.rows_forced + traced_main.rows_forced, "count"),
         "telemetry.scrape_failures": (epilogue["scrape_failures"], "count"),
         "client.request_self_us": (plain_window["client_cpu_s"] * 1e6 / requests, "us"),

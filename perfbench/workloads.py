@@ -41,10 +41,9 @@ FLIP_P = 0.02
 SOFT_SIGMA = 0.6
 
 #: Open/decode/close cycles per connection that close every workload
-#: other than ``session-churn``, before its scrapes.  Kept below the ~150
-#: lifetimes at which the seed's METRICS reply outgrows the frame cap,
-#: so only ``session-churn`` exercises that limit.
-EPILOGUE_CYCLES = 45
+#: other than ``session-churn``, after its scrapes; ``sessions_per_s``
+#: comes from them.
+EPILOGUE_CYCLES = 500
 #: Closing METRICS and STATS scrapes of every workload.
 METRICS_SCRAPES = 3
 STATS_SCRAPES = 2
