@@ -1,9 +1,8 @@
 """Kernel-backend speedups under the bit-identity contract.
 
 Times every pluggable kernel (:mod:`repro.backends`) on every backend
-the capability probe admits — ``numpy`` (the reference), ``native``
-(compiled C) and ``numba`` (JIT, when the ``native`` extra is
-installed) — across batch sizes 1 through 16384, and verifies on
+the capability probe admits — ``numpy`` (the reference) and ``native``
+(compiled C) — across batch sizes 1 through 16384, and verifies on
 **every compared arm at every size** that the accelerated outputs are
 bit-identical to the reference (exact array equality, floats included:
 the contract requires NumPy's pairwise reduction order).
@@ -14,9 +13,9 @@ run it as a smoke job::
     PYTHONPATH=src python benchmarks/bench_backends.py --quick
 
 Exit status is non-zero if any backend output deviates from ``numpy``
-or if, with at least one accelerated backend available, no *decode*
-kernel (nearest-codeword, syndrome, correlation, Hadamard spectrum)
-reaches the speedup floor at the acceptance batch size (4096; default
+or if, with at least one accelerated backend available, no soft
+*decode* kernel (correlation, Hadamard spectrum) reaches the speedup
+floor at the acceptance batch size (4096; default
 floor 5x, ``REPRO_BENCH_BACKENDS_MIN_SPEEDUP`` overrides it on noisy
 shared runners).  With only ``numpy`` available the script still runs
 every arm against itself, so the numpy-only CI legs keep exercising the
@@ -40,7 +39,6 @@ from conftest import time_best as _time
 from repro.backends import available_backends, resolve_backend
 from repro.coding import get_code
 from repro.coding.decoders.fht import hadamard_matrix
-from repro.coding.registry import get_decoder
 from repro.gf2.bitpack import PackedGF2Matmul
 
 FULL_SIZES = [1, 64, 256, 1024, 4096, 16384]
@@ -51,11 +49,9 @@ ACCEPTANCE_BATCH = 4096
 ACCEPTANCE_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_BACKENDS_MIN_SPEEDUP", "5.0")
 )
-#: Kernels whose speedup can satisfy the acceptance floor (the decode
-#: searches — the hot inner loops of the Monte-Carlo experiments).
+#: Kernels whose speedup can satisfy the acceptance floor (the soft
+#: decode searches; hard decoding is a table gather with no kernel).
 DECODE_KERNELS = (
-    "nearest_codeword",
-    "syndrome_decode",
     "correlation_decode",
     "soft_spectrum_decode",
 )
@@ -95,10 +91,7 @@ def _build_arms() -> List[_Arm]:
     """The benchmarked kernels, each on the paper code that stresses it."""
     rng = np.random.default_rng(20260808)
     h84 = get_code("hamming84")
-    h74 = get_code("hamming74")
     rm13 = get_code("rm13")
-    syndrome = get_decoder(h74, "syndrome")
-    packed_codebook = resolve_backend("numpy").pack_rows(h84.all_codewords)
     signs = 1.0 - 2.0 * h84.all_codewords.astype(np.float64)
     hadamard = hadamard_matrix(rm13.n).astype(np.float64)
     matmul = PackedGF2Matmul(h84.generator.to_array())
@@ -118,22 +111,6 @@ def _build_arms() -> List[_Arm]:
                 rng.integers(0, 2, size=(s, h84.k)).astype(np.uint8)
             ),
             lambda be, x: be.gf2_matmul(x, matmul._indptr, matmul._indices),
-        ),
-        _Arm(
-            "nearest_codeword", "hamming84",
-            lambda s: resolve_backend("numpy").pack_rows(words(h84, s)),
-            lambda be, x: be.nearest_codeword(x, packed_codebook),
-        ),
-        _Arm(
-            "syndrome_decode", "hamming74",
-            lambda s: np.ascontiguousarray(words(h74, s)),
-            lambda be, x: be.syndrome_decode(
-                x,
-                syndrome._parity,
-                syndrome._leader_table,
-                syndrome._leader_weight,
-                -1,
-            ),
         ),
         _Arm(
             "correlation_decode", "hamming84",

@@ -4,14 +4,9 @@ Plain ``setup.py`` (no pyproject.toml) so the legacy editable-install
 path (``pip install -e . --no-use-pep517``) works in offline
 environments where the ``wheel`` package is unavailable.
 
-Extras
-------
-``native``
-    Pulls in numba, enabling the JIT kernel backend
-    (:mod:`repro.backends.numba_backend`).  Without it the package
-    still accelerates via the compiled-C backend when a system ``cc``
-    exists, falling back to the NumPy reference otherwise — numba is
-    never imported unless installed (``pip install -e .[native]``).
+The package accelerates its soft-decision kernels with C compiled at
+first use when a system ``cc`` exists, falling back to the NumPy
+reference otherwise; no extra is needed for either.
 """
 
 import os
@@ -43,9 +38,6 @@ setup(
         "numpy>=1.26",
         "scipy>=1.11",
     ],
-    extras_require={
-        "native": ["numba>=0.59"],
-    },
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -4,9 +4,8 @@ The paper's thesis is that lightweight encoders win by exploiting the
 cheapest parallelism the substrate offers; this package is the software
 analogue one level down.  The *contract* (the decoder interfaces, the
 conformance matrix, the golden vectors) is fixed; the *engine* under it
-— how ``pack_rows``, the GF(2) matmul, the nearest-codeword and
-coset-leader searches and the soft correlation/Hadamard kernels are
-computed — is pluggable:
+— how ``pack_rows``, the GF(2) matmul and the soft
+correlation/Hadamard kernels are computed — is pluggable:
 
 ``numpy``
     The always-available reference: the vectorised bit-slicing code the
@@ -14,9 +13,6 @@ computed — is pluggable:
 ``native``
     Single-pass C kernels compiled at first use with the system ``cc``
     (:mod:`repro.backends.native_backend`).
-``numba``
-    JIT kernels, available when numba is installed via the ``native``
-    extra (:mod:`repro.backends.numba_backend`).
 
 Every backend must be **bit-identical** to ``numpy`` — integer kernels
 exactly, float kernels including NumPy's pairwise reduction order — and
@@ -30,7 +26,6 @@ from __future__ import annotations
 
 from repro.backends.base import KernelBackend, NumpyBackend
 from repro.backends.native_backend import NativeBackend
-from repro.backends.numba_backend import NumbaBackend
 from repro.backends.registry import (
     BACKEND_ENV_VAR,
     available_backends,
@@ -47,14 +42,12 @@ from repro.backends.registry import (
 
 register_backend(NumpyBackend())
 register_backend(NativeBackend())
-register_backend(NumbaBackend())
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "KernelBackend",
     "NumpyBackend",
     "NativeBackend",
-    "NumbaBackend",
     "available_backends",
     "backend_ready",
     "default_backend",

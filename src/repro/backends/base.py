@@ -1,15 +1,15 @@
 """The kernel surface every compute backend implements.
 
 A :class:`KernelBackend` bundles the repo's hot inner kernels — the
-bit-packed GF(2) primitives of :mod:`repro.gf2.bitpack`, the fused
-hard-decision decode searches (nearest codeword, coset-leader lookup)
-and the float soft-decision searches (codebook correlation, Hadamard
-spectrum).  The base class *is* the NumPy reference implementation:
-every method body here is the exact vectorised code the decoders ran
-before backends existed, so ``numpy`` is correct by construction and
-accelerated backends (:mod:`repro.backends.native_backend`,
-:mod:`repro.backends.numba_backend`) override only what they speed up,
-inheriting the reference for everything else.
+bit-packed GF(2) primitives of :mod:`repro.gf2.bitpack` and the float
+soft-decision searches (codebook correlation, Hadamard spectrum).
+Hard-decision batches need no kernel: they gather from a decode table
+(:meth:`repro.coding.decoders.base.Decoder.decode_batch_detailed`).
+The base class *is* the NumPy reference implementation: every method
+body here is the exact vectorised code the decoders ran before
+backends existed, so ``numpy`` is correct by construction and the
+accelerated backend (:mod:`repro.backends.native_backend`) overrides
+only what it speeds up, inheriting the reference for everything else.
 
 The contract is **bit-identity**: for any input, every kernel must
 return arrays exactly equal (values *and* semantics — first-occurrence
@@ -62,7 +62,7 @@ class KernelBackend:
         """Whether this backend can run here, with a reason when not.
 
         Called once per process by the capability probe; expensive
-        set-up (imports, JIT warm-up, C compilation) belongs here so a
+        set-up (imports, compilation) belongs here so a
         ``(True, "")`` answer means the kernels are ready to call.
         """
         return True, ""
@@ -134,88 +134,6 @@ class KernelBackend:
             elif hi > lo:
                 np.bitwise_xor.reduce(slices[indices[lo:hi]], axis=0, out=out[j])
         return out
-
-    # ------------------------------------------------------------------
-    # Fused hard-decision decode kernels (integer-exact)
-    # ------------------------------------------------------------------
-    def nearest_codeword(
-        self, packed_words: np.ndarray, packed_codebook: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exhaustive minimum-Hamming-distance search over a codebook.
-
-        Parameters
-        ----------
-        packed_words : numpy.ndarray
-            ``(batch, words)`` uint64 bit-packed received words.
-        packed_codebook : numpy.ndarray
-            ``(n_codes, words)`` uint64 bit-packed codebook
-            (``n_codes >= 1``).
-
-        Returns
-        -------
-        tuple
-            ``(indices, distances, ties)``: per row the *first* index
-            attaining the minimum distance, that distance (int64), and
-            whether more than one codeword attained it.
-        """
-        if len(packed_words) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), np.zeros(0, dtype=bool)
-        distances = self.hamming_distance(
-            packed_words[:, None, :], packed_codebook[None, :, :]
-        )
-        best = distances.min(axis=1)
-        indices = distances.argmin(axis=1)
-        ties = (distances == best[:, None]).sum(axis=1) > 1
-        return indices, best.astype(np.int64), ties
-
-    def syndrome_decode(
-        self,
-        words: np.ndarray,
-        parity: np.ndarray,
-        leader_table: np.ndarray,
-        leader_weight: np.ndarray,
-        max_weight: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused coset-leader decoding: syndrome, table lookup, correction.
-
-        Parameters
-        ----------
-        words : numpy.ndarray
-            ``(batch, n)`` uint8 0/1 received words.
-        parity : numpy.ndarray
-            ``(r, n)`` uint8 parity-check matrix ``H``.
-        leader_table : numpy.ndarray
-            ``(2^r, n)`` uint8 coset leaders indexed by the MSB-first
-            integer value of the syndrome ``H w^T``.
-        leader_weight : numpy.ndarray
-            ``(2^r,)`` int64 Hamming weight of each leader.
-        max_weight : int
-            Bounded-distance ceiling; leaders heavier than this flag the
-            word instead of correcting.  ``-1`` means complete decoding.
-
-        Returns
-        -------
-        tuple
-            ``(codewords, corrected, flagged)``: corrected words
-            (flagged rows carry the received word unchanged), per-row
-            int64 correction counts (0 for flagged rows) and the
-            detected-uncorrectable flags.
-        """
-        r = parity.shape[0]
-        syndromes = (words.astype(np.int64) @ parity.T.astype(np.int64)) & 1
-        weights = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
-        table_index = syndromes @ weights
-        leaders = leader_table[table_index]
-        corrected = leader_weight[table_index].copy()
-        flagged = np.zeros(words.shape[0], dtype=bool)
-        if max_weight >= 0:
-            heavy = corrected > max_weight
-            leaders = leaders.copy()
-            leaders[heavy] = 0  # flagged words fall back to raw extraction
-            corrected[heavy] = 0
-            flagged = heavy
-        return words ^ leaders, corrected, flagged
 
     # ------------------------------------------------------------------
     # Float soft-decision decode kernels (pairwise-sum order matters)

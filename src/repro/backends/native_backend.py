@@ -9,10 +9,10 @@ step, no packaging, no dependencies beyond a C compiler on ``$PATH``
 
 Bit-identity with the NumPy reference is engineered, not hoped for:
 
-* the integer kernels (packing, popcount, XOR/Hamming, GF(2) matmul,
-  nearest-codeword and coset-leader searches) are exact by nature, with
-  argmin/argmax scans that keep the *first* extremum like NumPy does;
-* the float kernels reduce with ``pw_sum_prod``, a line-for-line C port
+* the integer kernels (packing, popcount, XOR/Hamming, GF(2) matmul)
+  are exact by nature;
+* the float kernels keep the *first* extremum like NumPy's argmax and
+  reduce with ``pw_sum_prod``, a line-for-line C port
   of NumPy's pairwise summation (sequential below 8 terms, 8-way
   unrolled blocks up to 128, recursive halving above — the split
   rounded down to a multiple of 8), compiled with ``-ffp-contract=off``
@@ -149,57 +149,6 @@ void repro_gf2_matmul(const uint64_t *slices, int64_t words,
     }
 }
 
-void repro_nearest_codeword(const uint64_t *words_, int64_t batch, int64_t nw,
-                            const uint64_t *codebook, int64_t n_codes,
-                            int64_t *best_index, int64_t *best_dist,
-                            uint8_t *ties) {
-    for (int64_t i = 0; i < batch; i++) {
-        const uint64_t *w = words_ + i * nw;
-        int64_t best = INT64_MAX, idx = 0, cnt = 0;
-        for (int64_t c = 0; c < n_codes; c++) {
-            const uint64_t *cb = codebook + c * nw;
-            int64_t d = 0;
-            for (int64_t t = 0; t < nw; t++)
-                d += __builtin_popcountll(w[t] ^ cb[t]);
-            if (d < best) { best = d; idx = c; cnt = 1; }
-            else if (d == best) cnt++;
-        }
-        best_index[i] = idx;
-        best_dist[i] = best;
-        ties[i] = cnt > 1;
-    }
-}
-
-void repro_syndrome_decode(const uint8_t *words_, int64_t batch, int64_t n,
-                           const uint8_t *parity, int64_t r,
-                           const uint8_t *leader_table,
-                           const int64_t *leader_weight, int64_t max_weight,
-                           uint8_t *codewords, int64_t *corrected,
-                           uint8_t *flagged) {
-    for (int64_t i = 0; i < batch; i++) {
-        const uint8_t *w = words_ + i * n;
-        int64_t idx = 0;  /* MSB-first syndrome value, row 0 on top */
-        for (int64_t row = 0; row < r; row++) {
-            const uint8_t *h = parity + row * n;
-            unsigned int acc = 0;
-            for (int64_t t = 0; t < n; t++) acc ^= (unsigned int)(h[t] & w[t]);
-            idx = (idx << 1) | (int64_t)(acc & 1u);
-        }
-        const uint8_t *leader = leader_table + idx * n;
-        int64_t wt = leader_weight[idx];
-        uint8_t *cw = codewords + i * n;
-        if (max_weight >= 0 && wt > max_weight) {
-            for (int64_t t = 0; t < n; t++) cw[t] = w[t];
-            corrected[i] = 0;
-            flagged[i] = 1;
-        } else {
-            for (int64_t t = 0; t < n; t++) cw[t] = w[t] ^ leader[t];
-            corrected[i] = wt;
-            flagged[i] = 0;
-        }
-    }
-}
-
 void repro_correlation_decode(const double *values, int64_t batch, int64_t n,
                               const double *signs, int64_t n_codes,
                               int64_t *best_index, uint8_t *ties) {
@@ -250,8 +199,6 @@ _SIGNATURES = {
     "repro_popcount_rows": [_p, _i64, _i64, _p],
     "repro_hamming_rows": [_p, _p, _i64, _i64, _p],
     "repro_gf2_matmul": [_p, _i64, _p, _p, _i64, _p],
-    "repro_nearest_codeword": [_p, _i64, _i64, _p, _i64, _p, _p, _p],
-    "repro_syndrome_decode": [_p, _i64, _i64, _p, _i64, _p, _p, _i64, _p, _p, _p],
     "repro_correlation_decode": [_p, _i64, _i64, _p, _i64, _p, _p],
     "repro_soft_spectrum_decode": [_p, _i64, _i64, _p, _p, _p, _p],
 }
@@ -414,38 +361,8 @@ class NativeBackend(KernelBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Fused decode kernels
+    # Soft-decision decode kernels
     # ------------------------------------------------------------------
-    def nearest_codeword(self, packed_words, packed_codebook):
-        lib = self._require_lib()
-        words = np.ascontiguousarray(packed_words, dtype=np.uint64)
-        codebook = np.ascontiguousarray(packed_codebook, dtype=np.uint64)
-        batch, nw = words.shape
-        indices = np.empty(batch, dtype=np.int64)
-        distances = np.empty(batch, dtype=np.int64)
-        ties = np.empty(batch, dtype=np.uint8)
-        lib.repro_nearest_codeword(
-            _ptr(words), batch, nw, _ptr(codebook), codebook.shape[0],
-            _ptr(indices), _ptr(distances), _ptr(ties),
-        )
-        return indices, distances, ties.astype(bool)
-
-    def syndrome_decode(self, words, parity, leader_table, leader_weight, max_weight):
-        lib = self._require_lib()
-        w = np.ascontiguousarray(words, dtype=np.uint8)
-        h = np.ascontiguousarray(parity, dtype=np.uint8)
-        table = np.ascontiguousarray(leader_table, dtype=np.uint8)
-        weight = np.ascontiguousarray(leader_weight, dtype=np.int64)
-        batch, n = w.shape
-        codewords = np.empty((batch, n), dtype=np.uint8)
-        corrected = np.empty(batch, dtype=np.int64)
-        flagged = np.empty(batch, dtype=np.uint8)
-        lib.repro_syndrome_decode(
-            _ptr(w), batch, n, _ptr(h), h.shape[0], _ptr(table), _ptr(weight),
-            int(max_weight), _ptr(codewords), _ptr(corrected), _ptr(flagged),
-        )
-        return codewords, corrected, flagged.astype(bool)
-
     def correlation_decode(self, values, signs):
         lib = self._require_lib()
         v = np.ascontiguousarray(values, dtype=np.float64)

@@ -18,10 +18,10 @@ silently falling back to slower kernels.
 
 The self-check (:func:`backend_ready`) runs each kernel on fixed seeded
 inputs spanning the tricky regimes (all three of NumPy's pairwise
-summation branches, argmax/argmin ties, bounded-distance flagging) and
-requires exact equality with the reference, so a backend that would
-break the bit-identity contract is never selected automatically and is
-reported "unavailable" with the failing kernel named.
+summation branches, argmax ties) and requires exact equality with the
+reference, so a backend that would break the bit-identity contract is
+never selected automatically and is reported "unavailable" with the
+failing kernel named.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ def get_backend(name: str) -> KernelBackend:
 def backend_ready(name: str) -> Tuple[bool, str]:
     """Whether ``name`` can be used here: availability + self-check.
 
-    The result is memoised per process; the first call may compile C or
-    JIT kernels.  ``(False, reason)`` never raises — callers that need
+    The result is memoised per process; the first call may compile the
+    C kernels.  ``(False, reason)`` never raises — callers that need
     an exception use :func:`resolve_backend`.
     """
     backend = get_backend(name)
@@ -292,28 +292,6 @@ def _self_check(backend: KernelBackend) -> Tuple[bool, str]:
             ref.gf2_matmul(slices, indptr, indices),
         ):
             return False, "self-check failed: gf2_matmul"
-
-        # Nearest codeword with forced distance ties.
-        codebook_bits = rng.integers(0, 2, size=(16, 23)).astype(np.uint8)
-        codebook_bits[7] = codebook_bits[3]
-        word_bits = rng.integers(0, 2, size=(11, 23)).astype(np.uint8)
-        word_bits[0] = codebook_bits[3]
-        pw, pc = ref.pack_rows(word_bits), ref.pack_rows(codebook_bits)
-        got, want = backend.nearest_codeword(pw, pc), ref.nearest_codeword(pw, pc)
-        if not all(same(g, w) for g, w in zip(got, want)):
-            return False, "self-check failed: nearest_codeword"
-
-        # Coset-leader decode, complete and bounded (needs no real code).
-        parity = rng.integers(0, 2, size=(3, 7)).astype(np.uint8)
-        table = rng.integers(0, 2, size=(8, 7)).astype(np.uint8)
-        table[0] = 0
-        weight = table.sum(axis=1).astype(np.int64)
-        words7 = rng.integers(0, 2, size=(9, 7)).astype(np.uint8)
-        for max_weight in (-1, 1):
-            got = backend.syndrome_decode(words7, parity, table, weight, max_weight)
-            want = ref.syndrome_decode(words7, parity, table, weight, max_weight)
-            if not all(same(g, w) for g, w in zip(got, want)):
-                return False, f"self-check failed: syndrome_decode({max_weight})"
 
         # Correlation across all three pairwise-summation regimes
         # (n < 8, 8 <= n <= 128, n > 128), with an all-zero tie row.

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.backends import resolve_backend
 from repro.coding.linear import LinearBlockCode
-from repro.errors import DimensionError
+from repro.errors import DimensionError, NotBinaryError
 from repro.gf2.bitpack import pack_rows, packed_hamming_distance
 from repro.gf2.vectors import as_bit_array
 
@@ -102,6 +102,40 @@ class BatchDecodeResult:
 #: enumerate (2^k codeword scores per word; the paper's codes have k=4).
 SOFT_CODEBOOK_K_LIMIT = 16
 
+#: Longest code whose hard batch decoding is a table gather: the table
+#: has 2^n rows (at most 32768), filled once from the scalar decoder.
+TABLE_N_LIMIT = 15
+
+#: Process-wide decode tables (see :meth:`Decoder._decode_table`).
+_DECODE_TABLES: Dict[tuple, BatchDecodeResult] = {}
+
+
+def _table_words(n: int) -> np.ndarray:
+    """All 2^n received words, row ``i`` holding bit ``j`` of ``i`` at ``j``."""
+    index = np.arange(1 << n)
+    return ((index[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def _table_index(words: np.ndarray) -> np.ndarray:
+    """Table row of each received word (the inverse of :func:`_table_words`).
+
+    Rows are zero-padded to whole bytes so one flat ``np.packbits``
+    packs every word into one byte (n <= 8) or two (n <= 15); packing
+    row by row (``axis=1``) is several times slower on rows this
+    short.  The index is returned as ``intp`` once rather than
+    converted by each of the four ``take`` calls.
+    """
+    batch, n = words.shape
+    width = -(-n // 8) * 8
+    if n != width:
+        padded = np.zeros((batch, width), dtype=np.uint8)
+        padded[:, :n] = words
+        words = padded
+    packed = np.packbits(words.reshape(-1), bitorder="little")
+    if width > 8:
+        packed = packed.view("<u2")
+    return packed.astype(np.intp)
+
 
 class Decoder(ABC):
     """Base class for decoders of a specific code.
@@ -109,7 +143,9 @@ class Decoder(ABC):
     Every decoder exposes two input domains:
 
     * **hard** — 0/1 received words (:meth:`decode`,
-      :meth:`decode_batch`, :meth:`decode_batch_detailed`);
+      :meth:`decode_batch`, :meth:`decode_batch_detailed`).  Subclasses
+      implement the scalar :meth:`decode` only; batches gather from a
+      table of its answers;
     * **soft** — real per-bit confidences in the BPSK convention
       (positive = "looks like 0", magnitude = reliability;
       :meth:`decode_soft`, :meth:`decode_soft_batch`,
@@ -127,14 +163,15 @@ class Decoder(ABC):
     #: Short identifier used in reports and the decoder-policy ablation.
     strategy_name: str = "abstract"
 
-    #: Kernel backend this decoder's batched paths dispatch to.  ``None``
-    #: (the default) resolves the ambient backend at each call; set a
-    #: name (``get_decoder(..., backend="native")``) to pin one.
+    #: Kernel backend this decoder's soft batched paths dispatch to.
+    #: ``None`` (the default) resolves the ambient backend at each call;
+    #: set a name (``get_decoder(..., backend="native")``) to pin one.
     backend: Optional[str] = None
 
     def __init__(self, code: LinearBlockCode):
         self.code = code
         self._codebook_signs: Optional[np.ndarray] = None
+        self._table: Optional[BatchDecodeResult] = None
 
     @abstractmethod
     def decode(self, received: Sequence[int]) -> DecodeResult:
@@ -160,9 +197,11 @@ class Decoder(ABC):
     def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
         """Decode a batch keeping per-word flags and correction counts.
 
-        Subclasses override this with a fully vectorised path; the base
-        implementation loops over :meth:`decode` and is the reference
-        the vectorised paths are tested against.
+        For codes with ``n <= TABLE_N_LIMIT`` each row is gathered from
+        a decode table: this decoder's scalar :meth:`decode` run once on
+        every possible received word (:meth:`_decode_table`).  Longer
+        codes loop over :meth:`decode`.  Either way every row is
+        bit-identical to a scalar call by construction.
 
         Parameters
         ----------
@@ -177,6 +216,19 @@ class Decoder(ABC):
             :meth:`decode` calls.
         """
         words = self._check_received_batch(received)
+        if self.code.n > TABLE_N_LIMIT:
+            return self._decode_each(words)
+        table = self._decode_table()
+        index = _table_index(words)
+        return BatchDecodeResult(
+            messages=table.messages.take(index, axis=0),
+            codewords=table.codewords.take(index, axis=0),
+            corrected_errors=table.corrected_errors.take(index),
+            detected_uncorrectable=table.detected_uncorrectable.take(index),
+        )
+
+    def _decode_each(self, words: np.ndarray) -> BatchDecodeResult:
+        """Scalar :meth:`decode` on each validated row, packed as a batch."""
         batch = words.shape[0]
         messages = np.empty((batch, self.code.k), dtype=np.uint8)
         codewords = np.empty((batch, self.code.n), dtype=np.uint8)
@@ -194,6 +246,38 @@ class Decoder(ABC):
             corrected_errors=corrected,
             detected_uncorrectable=flagged,
         )
+
+    def _table_params(self) -> tuple:
+        """Constructor parameters :meth:`decode` reads besides the code."""
+        return ()
+
+    def _decode_table(self) -> BatchDecodeResult:
+        """The 2^n-row decode table, row ``i`` decoding ``_table_words(n)[i]``.
+
+        Built on first use and memoised process-wide under everything
+        :meth:`decode` reads — decoder class and parameters, generator,
+        parity check and message positions — so every session or
+        decoder instance that would decode alike reuses one read-only
+        table.
+        """
+        if self._table is None:
+            code = self.code
+            positions = code.message_positions
+            key = (
+                type(self),
+                self._table_params(),
+                code.generator,
+                code.parity_check,
+                None if positions is None else tuple(positions),
+            )
+            table = _DECODE_TABLES.get(key)
+            if table is None:
+                table = self._decode_each(_table_words(code.n))
+                for array in vars(table).values():
+                    array.flags.writeable = False
+                _DECODE_TABLES[key] = table
+            self._table = table
+        return self._table
 
     # ------------------------------------------------------------------
     # Soft-decision interface
@@ -330,28 +414,14 @@ class Decoder(ABC):
         except Exception:
             return np.zeros(self.code.k, dtype=np.uint8)
 
-    def _apply_fallback_messages(
-        self, messages: np.ndarray, words: np.ndarray, flagged: np.ndarray
-    ) -> None:
-        """Overwrite flagged rows of ``messages`` with the scalar fallback.
-
-        Batch paths compute messages via
-        :meth:`~repro.coding.linear.LinearBlockCode.extract_message_batch`,
-        which assumes valid codewords; flagged rows are not codewords,
-        so when the code lacks verbatim message positions they must be
-        re-estimated exactly as the scalar :meth:`_fallback_message`
-        does (in-place, on the rare flagged subset only).
-        """
-        if flagged.any() and self.code.message_positions is None:
-            for i in np.flatnonzero(flagged):
-                messages[i] = self._fallback_message(words[i])
-
     def _check_received_batch(self, received: np.ndarray) -> np.ndarray:
         words = np.asarray(received, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.code.n:
             raise DimensionError(
                 f"expected (batch, {self.code.n}) received words, got {words.shape}"
             )
+        if words.size and words.max() > 1:
+            raise NotBinaryError("received words contain values other than 0 and 1")
         return words
 
     def __repr__(self) -> str:

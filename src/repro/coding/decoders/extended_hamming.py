@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.coding.decoders.base import BatchDecodeResult, DecodeResult, Decoder
+from repro.coding.decoders.base import DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
 
 
@@ -86,37 +86,4 @@ class ExtendedHammingDecoder(Decoder):
             codeword=None,
             corrected_errors=0,
             detected_uncorrectable=True,
-        )
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
-        """Vectorised SEC-DED decoding of a whole batch.
-
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: weight-1
-            syndromes flip their bit (``corrected_errors == 1``), any
-            other nonzero syndrome raises the detected-uncorrectable
-            flag and keeps the raw word (systematic fallback).
-        """
-        words = self._check_received_batch(received)
-        syndromes = self.code.syndrome_batch(words)
-        indices = syndromes.astype(np.int64) @ self._syndrome_weights
-        positions = self._position_for_syndrome[indices]
-        corrected = words.copy()
-        rows = np.nonzero(positions >= 0)[0]
-        corrected[rows, positions[rows]] ^= 1
-        flagged = (indices != 0) & (positions < 0)
-        messages = self.code.extract_message_batch(corrected)
-        self._apply_fallback_messages(messages, words, flagged)
-        return BatchDecodeResult(
-            messages=messages,
-            codewords=corrected,
-            corrected_errors=(positions >= 0).astype(np.int64),
-            detected_uncorrectable=flagged,
         )

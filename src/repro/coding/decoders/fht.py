@@ -60,9 +60,9 @@ def walsh_hadamard_transform(signs: np.ndarray) -> np.ndarray:
 def hadamard_matrix(n: int) -> np.ndarray:
     """The n x n ±1 Hadamard matrix ``H[a, i] = (-1)^{<a, i>}``.
 
-    Cached per size; both the hard and soft batched FHT decoders apply
-    it as one dense product (n is tiny for RM(1, m), so that beats the
-    butterfly across a batch).
+    Cached per size; the batched soft FHT decoders apply it as one
+    dense product (n is tiny for RM(1, m), so that beats the butterfly
+    across a batch).
     """
     indices = np.arange(n)
     parity = np.array(
@@ -211,66 +211,12 @@ class FhtDecoder(Decoder):
             detected_uncorrectable=tie,
         )
 
-    def _batch_messages(self, words: np.ndarray):
-        """Batched WHT argmax: ``(messages, ties)`` for validated words."""
-        batch = words.shape[0]
-        signs = 1 - 2 * words.astype(np.int64)
-        spectra = signs @ hadamard_matrix(self.code.n).T
-        magnitudes = np.abs(spectra)
-        best = magnitudes.max(axis=1, initial=0)
-        best_index = magnitudes.argmax(axis=1) if batch else np.zeros(0, dtype=np.int64)
-        best_value = spectra[np.arange(batch), best_index]
-        ties = ((magnitudes == best[:, None]).sum(axis=1) > 1) | (best == 0)
-        messages = np.empty((batch, self.code.k), dtype=np.uint8)
-        messages[:, 0] = (best_value < 0).astype(np.uint8)
-        for j in range(self.m):
-            messages[:, j + 1] = (best_index >> j) & 1
-        return messages, ties
-
-    def decode_batch(self, received: np.ndarray) -> np.ndarray:
-        """Message-only batch decode, skipping the re-encode.
-
-        The Monte-Carlo hot loops only consume message estimates, so
-        this skips the codeword/corrected-error bookkeeping that
-        :meth:`decode_batch_detailed` adds.
-        """
-        return self._batch_messages(self._check_received_batch(received))[0]
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
-        """Vectorised Green-machine decoding of a whole batch.
-
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row.  The batch
-            WHT is one dense sign-matrix product (n is tiny for
-            RM(1,3), so that beats the butterfly); ties in the spectrum
-            magnitude raise ``detected_uncorrectable`` exactly as the
-            scalar tie-break does.
-        """
-        words = self._check_received_batch(received)
-        messages, ties = self._batch_messages(words)
-        codewords = self.code.encode_batch(messages)
-        corrected = packed_hamming_distance(pack_rows(codewords), pack_rows(words))
-        return BatchDecodeResult(
-            messages=messages,
-            codewords=codewords,
-            corrected_errors=corrected,
-            detected_uncorrectable=ties,
-        )
-
     def decode_soft_batch(self, confidences: np.ndarray) -> np.ndarray:
         """Message-only batched soft decoding via the Hadamard spectrum.
 
         The RM(1, m) spectrum *is* the correlation with every codeword,
         so this replaces the base class's generic 2^k-codeword
-        correlation with one dense n x n product — the soft peer of the
-        hard :meth:`decode_batch` fast path.
+        correlation with one dense n x n product.
         """
         values = self._check_soft_batch(confidences)
         return soft_spectrum_messages(values, self.m, backend=self.backend)[0]

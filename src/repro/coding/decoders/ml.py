@@ -8,25 +8,17 @@ decoding regions are deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend
-from repro.coding.decoders.base import BatchDecodeResult, DecodeResult, Decoder
-from repro.gf2.bitpack import pack_rows
+from repro.coding.decoders.base import DecodeResult, Decoder
 
 
 class MaximumLikelihoodDecoder(Decoder):
     """Brute-force nearest-codeword decoder (reference implementation)."""
 
     strategy_name = "ml"
-
-    @cached_property
-    def _packed_codebook(self) -> np.ndarray:
-        """All 2^k codewords bit-packed once per decoder instance."""
-        return pack_rows(self.code.all_codewords)
 
     def decode(self, received: Sequence[int]) -> DecodeResult:
         """Exhaustive nearest-codeword decode of one word.
@@ -48,32 +40,4 @@ class MaximumLikelihoodDecoder(Decoder):
             codeword=codeword,
             corrected_errors=best,
             detected_uncorrectable=len(candidates) > 1,
-        )
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
-        """Vectorised nearest-codeword search over the whole batch.
-
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row.  Received
-            words and the codebook are bit-packed so the whole
-            ``(batch, 2^k)`` distance matrix is XOR + popcount on
-            ``uint64`` words; distance ties keep the smallest message
-            index and raise ``detected_uncorrectable``.
-        """
-        words = self._check_received_batch(received)
-        indices, best, ties = resolve_backend(self.backend).nearest_codeword(
-            pack_rows(words, backend=self.backend), self._packed_codebook
-        )
-        return BatchDecodeResult(
-            messages=self.code.all_messages[indices].copy(),
-            codewords=self.code.all_codewords[indices].copy(),
-            corrected_errors=best.astype(np.int64),
-            detected_uncorrectable=ties,
         )

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.coding.decoders.base import BatchDecodeResult, DecodeResult, Decoder
+from repro.coding.decoders.base import DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
-from repro.gf2.bitpack import pack_rows, packed_hamming_distance
 
 
 class ReedDecoder(Decoder):
@@ -75,65 +74,6 @@ class ReedDecoder(Decoder):
         return DecodeResult(
             message=message,
             codeword=codeword,
-            corrected_errors=corrected,
-            detected_uncorrectable=tie,
-        )
-
-    def _batch_messages(self, words: np.ndarray):
-        """Batched majority votes: ``(messages, ties)`` for validated words."""
-        batch = words.shape[0]
-        m, n = self.m, self.code.n
-        positions = np.arange(n)
-        coefficients = np.zeros((batch, m), dtype=np.uint8)
-        tie = np.zeros(batch, dtype=bool)
-        for j in range(m):
-            low = positions[(positions >> j) & 1 == 0]
-            votes = (words[:, low] ^ words[:, low ^ (1 << j)]).sum(axis=1, dtype=np.int64)
-            pairs = low.size
-            coefficients[:, j] = 2 * votes > pairs
-            tie |= 2 * votes == pairs
-        # Strip the recovered linear part and majority-vote the constant.
-        monomials = ((positions[None, :] >> np.arange(m)[:, None]) & 1).astype(np.uint8)
-        linear_part = ((coefficients.astype(np.uint32) @ monomials.astype(np.uint32)) % 2)
-        residual = words ^ linear_part.astype(np.uint8)
-        ones = residual.sum(axis=1, dtype=np.int64)
-        m1 = (2 * ones > n).astype(np.uint8)
-        tie |= 2 * ones == n
-        return np.concatenate([m1[:, None], coefficients], axis=1), tie
-
-    def decode_batch(self, received: np.ndarray) -> np.ndarray:
-        """Message-only batch decode, skipping the re-encode.
-
-        The Monte-Carlo hot loops only consume message estimates, so
-        this skips the codeword/corrected-error bookkeeping that
-        :meth:`decode_batch_detailed` adds.
-        """
-        return self._batch_messages(self._check_received_batch(received))[0]
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
-        """Vectorised majority-logic decoding of a whole batch.
-
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: each
-            derivative-pair vote becomes one column-gather XOR and a
-            row sum across the batch, tie votes raise
-            ``detected_uncorrectable``, and tied coefficients fall back
-            to 0 exactly as the scalar rule does.
-        """
-        words = self._check_received_batch(received)
-        messages, tie = self._batch_messages(words)
-        codewords = self.code.encode_batch(messages)
-        corrected = packed_hamming_distance(pack_rows(codewords), pack_rows(words))
-        return BatchDecodeResult(
-            messages=messages,
-            codewords=codewords,
             corrected_errors=corrected,
             detected_uncorrectable=tie,
         )

@@ -10,8 +10,8 @@ several dB at the noise levels where the hard slicer starts failing
 (demonstrated in ``tests/test_soft_decoding.py``).
 
 The batched kernels (``decode_soft_batch`` /
-``decode_soft_batch_detailed``) share the dense Hadamard product with
-the hard :class:`~repro.coding.decoders.fht.FhtDecoder`; the scalar
+``decode_soft_batch_detailed``) are the dense Hadamard product of
+:class:`~repro.coding.decoders.fht.FhtDecoder`; the scalar
 ``decode_soft`` delegates to the one-row batch so both paths are
 bit-identical by construction.
 """
@@ -31,12 +31,13 @@ class SoftFhtDecoder(FhtDecoder):
 
     Input confidences follow the BPSK convention: value > 0 means "bit
     looks like 0", value < 0 means "bit looks like 1", magnitude is the
-    reliability.  All batched kernels (hard and soft) are inherited
-    from :class:`~repro.coding.decoders.fht.FhtDecoder` — the two
-    strategies share one spectrum implementation and differ only in
-    what ``decode`` accepts: here hard bits are a *degenerate soft
-    input* (mapped to ±1 and decoded through the soft path), so
-    ``decode_soft`` is the real entry point.
+    reliability.  The soft batched kernels are inherited from
+    :class:`~repro.coding.decoders.fht.FhtDecoder` — the two strategies
+    share one spectrum implementation and differ only in what
+    ``decode`` accepts: here hard bits are a *degenerate soft input*
+    (mapped to ±1 and decoded through the soft path), so
+    ``decode_soft`` is the real entry point and hard batches gather
+    from a table of its answers.
     """
 
     strategy_name = "soft-fht"

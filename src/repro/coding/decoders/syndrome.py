@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import resolve_backend
-from repro.coding.decoders.base import BatchDecodeResult, DecodeResult, Decoder
+from repro.coding.decoders.base import DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
 
 
@@ -38,9 +37,8 @@ class SyndromeDecoder(Decoder):
     def __init__(self, code: LinearBlockCode, max_correctable_weight: int | None = None):
         super().__init__(code)
         self.max_correctable_weight = max_correctable_weight
-        # Precompute a dense syndrome-indexed table for the batch path.
+        # Precompute a dense syndrome-indexed coset-leader table.
         r = code.redundancy
-        self._parity = np.ascontiguousarray(code.parity_check.to_array())
         self._syndrome_weights = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
         self._leader_table = np.zeros((1 << r, code.n), dtype=np.uint8)
         self._leader_weight = np.zeros(1 << r, dtype=np.int64)
@@ -49,6 +47,9 @@ class SyndromeDecoder(Decoder):
             idx = int(np.dot(syn, self._syndrome_weights))
             self._leader_table[idx] = leader
             self._leader_weight[idx] = int(leader.sum())
+
+    def _table_params(self) -> tuple:
+        return (self.max_correctable_weight,)
 
     def _syndrome_index(self, syndrome: np.ndarray) -> int:
         return int(np.dot(syndrome.astype(np.int64), self._syndrome_weights))
@@ -82,40 +83,4 @@ class SyndromeDecoder(Decoder):
             codeword=codeword,
             corrected_errors=weight,
             detected_uncorrectable=False,
-        )
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
-        """Vectorised coset-leader decoding of a whole batch.
-
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: one fused
-            backend kernel computes syndromes, gathers leaders from the
-            dense table and applies them, flagging (in bounded-distance
-            mode) heavy-leader rows instead of correcting them.
-        """
-        words = self._check_received_batch(received)
-        max_weight = (
-            -1 if self.max_correctable_weight is None else self.max_correctable_weight
-        )
-        codewords, corrected, flagged = resolve_backend(self.backend).syndrome_decode(
-            np.ascontiguousarray(words),
-            self._parity,
-            self._leader_table,
-            self._leader_weight,
-            max_weight,
-        )
-        messages = self.code.extract_message_batch(codewords)
-        self._apply_fallback_messages(messages, words, flagged)
-        return BatchDecodeResult(
-            messages=messages,
-            codewords=codewords,
-            corrected_errors=corrected,
-            detected_uncorrectable=flagged,
         )

@@ -42,8 +42,6 @@ KERNEL_NAMES = (
     "popcount",
     "hamming_distance",
     "gf2_matmul",
-    "nearest_codeword",
-    "syndrome_decode",
     "correlation_decode",
     "soft_spectrum_decode",
 )

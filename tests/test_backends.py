@@ -51,8 +51,6 @@ ALL_KERNELS = [
     "popcount",
     "hamming_distance",
     "gf2_matmul",
-    "nearest_codeword",
-    "syndrome_decode",
     "correlation_decode",
     "soft_spectrum_decode",
 ]
@@ -77,7 +75,7 @@ def _unregister(name: str) -> None:
 class TestRegistry:
     def test_builtin_backends_are_registered(self):
         names = registered_backends()
-        assert {"numpy", "native", "numba"} <= set(names)
+        assert {"numpy", "native"} <= set(names)
         # Highest auto-selection rank first.
         priorities = [get_backend(n).priority for n in names]
         assert priorities == sorted(priorities, reverse=True)
@@ -261,34 +259,8 @@ class TestKernelBitIdentity:
     def test_decode_kernels(self, name):
         backend, ref = self._pair(name)
         rng = np.random.default_rng(13)
-        from repro.coding import get_code
         from repro.coding.decoders.fht import hadamard_matrix
-        from repro.coding.registry import get_decoder
 
-        code = get_code("hamming84")
-        words = rng.integers(0, 2, size=(101, code.n)).astype(np.uint8)
-        pw = ref.pack_rows(words)
-        pc = ref.pack_rows(code.all_codewords)
-        for got, want in zip(
-            backend.nearest_codeword(pw, pc), ref.nearest_codeword(pw, pc)
-        ):
-            assert np.array_equal(got, want)
-
-        syndrome = get_decoder(get_code("hamming74"), "syndrome")
-        words7 = rng.integers(0, 2, size=(101, 7)).astype(np.uint8)
-        for max_weight in (-1, 1):
-            got = backend.syndrome_decode(
-                words7, syndrome._parity, syndrome._leader_table,
-                syndrome._leader_weight, max_weight,
-            )
-            want = ref.syndrome_decode(
-                words7, syndrome._parity, syndrome._leader_table,
-                syndrome._leader_weight, max_weight,
-            )
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-
-        signs = 1.0 - 2.0 * code.all_codewords.astype(np.float64)
         # n spanning all three of numpy's pairwise-summation regimes.
         for n in (5, 64, 200):
             values = rng.normal(0.0, 1.0, size=(41, n))
@@ -307,14 +279,14 @@ class TestKernelBitIdentity:
             assert np.array_equal(g, w)
 
     def test_empty_batches(self, name):
-        backend, ref = self._pair(name)
+        backend, _ = self._pair(name)
         empty_words = np.zeros((0, 8), dtype=np.uint8)
         assert backend.pack_rows(empty_words).shape == (0, 1)
-        pc = ref.pack_rows(np.zeros((4, 8), dtype=np.uint8))
-        indices, distances, ties = backend.nearest_codeword(
-            np.zeros((0, 1), dtype=np.uint64), pc
+        signs = np.ones((4, 8), dtype=np.float64)
+        best_index, ties = backend.correlation_decode(
+            np.zeros((0, 8), dtype=np.float64), signs
         )
-        assert indices.shape == distances.shape == ties.shape == (0,)
+        assert best_index.shape == ties.shape == (0,)
 
 
 # ---------------------------------------------------------------------

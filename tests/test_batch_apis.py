@@ -16,6 +16,7 @@ from repro.coding import LinearBlockCode, get_code, get_decoder
 from repro.coding.decoders import BatchDecodeResult
 from repro.errors import DimensionError
 from repro.gf2.matrix import GF2Matrix
+from repro.gf2.vectors import all_binary_vectors
 from repro.link import BinaryChannel, FrameStreamPipeline
 
 CODES = ["hamming74", "hamming84", "rm13"]
@@ -127,13 +128,15 @@ class TestDecodeBatch:
         code = get_code(name)
         decoder = get_decoder(code, "syndrome")
         bounded = type(decoder)(code, max_correctable_weight=1)
-        words = corrupted_words(code, 11, batch=256, max_weight=3)
+        words = all_binary_vectors(code.n)
         detailed = bounded.decode_batch_detailed(words)
         for i, word in enumerate(words):
             scalar = bounded.decode(word)
             assert np.array_equal(detailed.messages[i], scalar.message)
             assert bool(detailed.detected_uncorrectable[i]) == scalar.detected_uncorrectable
             assert detailed.corrected_errors[i] == scalar.corrected_errors
+            expected_cw = word if scalar.codeword is None else scalar.codeword
+            assert np.array_equal(detailed.codewords[i], expected_cw)
 
     @pytest.mark.parametrize("name,strategy", CODE_STRATEGY_PAIRS)
     def test_empty_batch(self, name, strategy):

@@ -1,19 +1,19 @@
-"""Exhaustive decoder conformance: every code, every message, low-weight errors.
+"""Exhaustive decoder conformance: every code, every received word.
 
-For every registry code the full space of (message, weight<=1 error)
-pairs — and weight-2 patterns, which are cheap at n <= 8 — is pushed
-through three decoder entry points:
+For every registry code and decoder strategy, decoder entry points are
+compared against the scalar ``decode`` (the reference):
 
-* scalar ``decode`` (the reference),
-* vectorised ``decode_batch_detailed`` (must be bit-identical to the
-  scalar path, field for field),
-* ``decode_soft_batch`` fed hard ±1 confidences (must recover the same
+* ``decode_batch_detailed`` on all 2^n received words must be
+  bit-identical to the scalar path, field for field — flagged rows the
+  scalar decoder leaves uncommitted carry the received word;
+* ``decode_soft_batch`` fed hard ±1 confidences must recover the sent
   message wherever the error weight is within the code's guaranteed
-  correction radius).
+  correction radius, and scalar soft decoding must match the soft
+  batch over all weight<=2 error patterns.
 
-This pins the kernels' behaviour over the *entire* low-weight input
-space rather than a random sample, so a refactor that changes any
-decode decision — even on a single pattern — fails loudly.
+This pins the kernels' behaviour over the *entire* input space rather
+than a random sample, so a refactor that changes any decode decision —
+even on a single word — fails loudly.
 
 The whole module is parametrized over every *available* kernel backend
 (:func:`repro.backends.available_backends`): each test runs once per
@@ -28,8 +28,11 @@ import numpy as np
 import pytest
 
 from repro.backends import available_backends, use_backend
-from repro.coding import get_code, get_decoder
+from repro.coding import get_code, get_decoder, repetition_code
+from repro.coding.decoders import MaximumLikelihoodDecoder
+from repro.coding.decoders import base as decoder_base
 from repro.coding.registry import PAPER_SCHEMES, available_codes
+from repro.gf2.vectors import all_binary_vectors
 
 
 @pytest.fixture(params=available_backends(), autouse=True)
@@ -38,14 +41,17 @@ def kernel_backend(request):
     with use_backend(request.param):
         yield request.param
 
-#: (code, decoder strategy) pairs covering every soft-capable decoder.
+#: (code, decoder strategy) pairs covering every decoder strategy.
 CODE_DECODER_PAIRS = [
     ("hamming74", None),        # syndrome (paper pairing)
     ("hamming74", "ml"),
     ("hamming84", None),        # sec-ded (paper pairing)
     ("hamming84", "syndrome"),
+    ("hamming84", "ml"),
     ("rm13", None),             # fht (paper pairing)
     ("rm13", "soft-fht"),
+    ("rm13", "reed-majority"),
+    ("rm13", "sec-ded"),
     ("rm13", "ml"),
 ]
 
@@ -91,24 +97,33 @@ class TestRegistryCoversPaperSchemes:
         assert np.array_equal(messages, code.all_messages)
 
 
+def assert_batch_matches_scalar(decoder, words):
+    """``decode_batch_detailed(words)`` equals scalar ``decode``, row by row."""
+    batch = decoder.decode_batch_detailed(words)
+    assert len(batch) == len(words)
+    for i, word in enumerate(words):
+        scalar = decoder.decode(word)
+        where = f"{decoder.code.name}/{decoder.strategy_name} on {word}"
+        assert np.array_equal(batch.messages[i], scalar.message), where
+        assert batch.corrected_errors[i] == scalar.corrected_errors, where
+        assert bool(batch.detected_uncorrectable[i]) == scalar.detected_uncorrectable, where
+        if scalar.codeword is None:
+            # Flagged without a commitment: the received word comes back.
+            assert scalar.detected_uncorrectable, where
+            assert np.array_equal(batch.codewords[i], word), where
+        else:
+            assert np.array_equal(batch.codewords[i], scalar.codeword), where
+
+
 @pytest.mark.parametrize("name,strategy", CODE_DECODER_PAIRS)
 class TestExhaustiveHardConformance:
-    """Scalar decode vs decode_batch_detailed over all weight<=2 inputs."""
+    """Scalar decode vs decode_batch_detailed over all 2^n received words."""
 
     def test_batch_matches_scalar_field_for_field(self, name, strategy):
         code = get_code(name)
-        decoder = get_decoder(code, strategy)
-        _, words, _ = _exhaustive_words(code, max_weight=2)
-        batch = decoder.decode_batch_detailed(words)
-        for i, word in enumerate(words):
-            scalar = decoder.decode(word)
-            assert np.array_equal(batch.messages[i], scalar.message), (
-                f"{name}/{decoder.strategy_name}: message mismatch on {word}"
-            )
-            assert batch.corrected_errors[i] == scalar.corrected_errors
-            assert bool(batch.detected_uncorrectable[i]) == scalar.detected_uncorrectable
-            if scalar.codeword is not None:
-                assert np.array_equal(batch.codewords[i], scalar.codeword)
+        assert_batch_matches_scalar(
+            get_decoder(code, strategy), all_binary_vectors(code.n)
+        )
 
     def test_all_weight_le1_errors_corrected(self, name, strategy):
         code = get_code(name)
@@ -119,6 +134,19 @@ class TestExhaustiveHardConformance:
             f"{name}/{decoder.strategy_name}: a weight<={1} pattern was not corrected"
         )
         assert weights.max() == 1  # the enumeration actually covered weight 1
+
+
+def test_long_code_batch_loops_over_scalar_decode():
+    """Codes past the table limit decode batches one scalar call per row."""
+    code = repetition_code(decoder_base.TABLE_N_LIMIT + 2)
+    decoder = MaximumLikelihoodDecoder(code)
+    rng = np.random.default_rng(17)
+    words = rng.integers(0, 2, size=(40, code.n)).astype(np.uint8)
+    words[0] = 0
+    words[1, : code.n // 2] = 1  # one short of a majority
+    assert_batch_matches_scalar(decoder, words)
+    assert decoder._table is None
+    assert decoder.decode_batch_detailed(words[:0]).messages.shape == (0, 1)
 
 
 @pytest.mark.parametrize("name,strategy", CODE_DECODER_PAIRS)

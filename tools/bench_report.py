@@ -7,7 +7,7 @@ the records to ``BENCH_7.json`` in the repository root — one JSON
 object per ``(kernel, batch, backend)`` with ``ns_per_frame`` and
 ``speedup_vs_numpy``, plus an ``environment`` header recording which
 backends the capability probe admitted, so a report from a numpy-only
-runner is distinguishable from one with the native or numba engines::
+runner is distinguishable from one with the native engine::
 
     PYTHONPATH=src python tools/bench_report.py            # full sizes
     PYTHONPATH=src python tools/bench_report.py --quick    # CI smoke
