@@ -11,8 +11,9 @@ the PR 1 bit-packed batch kernels, and exposes per-session telemetry.
 
 ``serve --workers N`` scales the same service across a shared-nothing
 pool of N decode worker processes (:mod:`repro.service.workers`):
-consistent-hash session routing, pickle-free frame handoff, per-worker
-telemetry rollup, and graceful drain/restart with crash supervision.
+consistent-hash session routing, pickle-free frame handoff, STATS and
+METRICS merged across workers, and graceful drain/restart with crash
+supervision.
 """
 
 from repro.service.batcher import BatchPolicy, MicroBatcher
@@ -25,6 +26,7 @@ from repro.service.client import (
 )
 from repro.service.memory import MemoryLane
 from repro.service.loadgen import (
+    LatencyReservoir,
     LoadReport,
     SCENARIO_FACTORIES,
     Scenario,
@@ -40,13 +42,7 @@ from repro.service.session import (
     catalog,
 )
 from repro.service.stream import StreamLane
-from repro.service.telemetry import (
-    LatencyReservoir,
-    MergedLatencyView,
-    ServiceTelemetry,
-    SessionTelemetry,
-    rollup_worker_snapshots,
-)
+from repro.service.telemetry import ServiceTelemetry, SessionTelemetry, stats_view
 from repro.service.workers import (
     DispatchCore,
     HashRing,
@@ -77,10 +73,9 @@ __all__ = [
     "SessionRegistry",
     "catalog",
     "LatencyReservoir",
-    "MergedLatencyView",
     "ServiceTelemetry",
     "SessionTelemetry",
-    "rollup_worker_snapshots",
+    "stats_view",
     "DispatchCore",
     "HashRing",
     "WorkerDied",

@@ -57,8 +57,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +70,33 @@ from repro.memory.reference import ReferenceMemory
 from repro.service import protocol
 from repro.service.client import CodecClient
 from repro.service.session import SessionConfig
-from repro.service.telemetry import LatencyReservoir
 from repro.utils.rng import as_generator, spawn_generators
+
+
+class LatencyReservoir:
+    """Sliding window of the most recent per-request latencies (µs)."""
+
+    def __init__(self, maxlen: int = 8192):
+        self._samples: Deque[float] = deque(maxlen=maxlen)
+
+    def record(self, latency_us: float) -> None:
+        self._samples.append(float(latency_us))
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (0-100) of the window, 0.0 when empty."""
+        if not self._samples:
+            return 0.0
+        return float(np.percentile(np.fromiter(self._samples, dtype=float), q))
+
+    def snapshot(self) -> Dict[str, float]:
+        return {
+            "samples": len(self._samples),
+            "p50_us": round(self.percentile(50.0), 1),
+            "p99_us": round(self.percentile(99.0), 1),
+        }
 
 
 @dataclass(frozen=True)

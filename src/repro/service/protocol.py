@@ -52,7 +52,6 @@ OP_MEM_SCRUB = 0x0D  #: memory-lane scrub step (JSON ScrubReport + counters)
 # protocol stream, but live in a disjoint range so a worker opcode leaking
 # to the client plane is an immediate "unknown opcode" error.
 OP_W_OPEN = 0x10   #: open a session under a *front-assigned* id (JSON body)
-OP_W_STATS = 0x11  #: per-worker telemetry snapshot (JSON response)
 OP_W_DRAIN = 0x12  #: finish in-flight work, flush, reply, then exit
 OP_W_METRICS = 0x13  #: per-worker metrics-registry snapshot (JSON response)
 OP_W_TRACED = 0x14   #: trace-id wrapper around a forwarded data-plane body

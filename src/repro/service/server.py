@@ -12,12 +12,13 @@ catalog.
 With ``workers=N`` the server becomes the front end of a shared-nothing
 process pool (:mod:`repro.service.workers`): sessions are
 consistent-hash routed to N decode worker processes, data-plane bodies
-are forwarded as the preserialized bytes they arrived in, STATS rolls up
-per-worker telemetry, and the ADMIN opcode drives graceful drain/restart
-and chaos kills.  With ``workers=0`` (the default) everything runs
-in-process on a single :class:`~repro.service.workers.DispatchCore` —
-the degenerate pool of size zero — which keeps tests and benchmarks able
-to drive the exact same path via :meth:`CodecServer.dispatch`.
+are forwarded as the preserialized bytes they arrived in, STATS and
+METRICS read one merge of every worker's registry, and the ADMIN opcode
+drives graceful drain/restart and chaos kills.  With ``workers=0`` (the
+default) everything runs in-process on a single
+:class:`~repro.service.workers.DispatchCore` — the degenerate pool of
+size zero — which keeps tests and benchmarks able to drive the exact
+same path via :meth:`CodecServer.dispatch`.
 
 The server is transport-thin on purpose: all scheduling policy lives in
 the batcher, all codec state in the registry (or the workers), so tests
@@ -30,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import ServiceError
 from repro.obs.metrics import merge_snapshots, render_prometheus
@@ -38,7 +39,7 @@ from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy
 from repro.service.session import SessionConfig, catalog
-from repro.service.telemetry import ServiceTelemetry, rollup_worker_snapshots
+from repro.service.telemetry import ServiceTelemetry, stats_view
 from repro.service.workers import DispatchCore, WorkerFaults, WorkerPool
 
 logger = logging.getLogger(__name__)
@@ -305,18 +306,21 @@ class CodecServer:
                 await self.pool.close_session(int(payload["session_id"]))
             )
         if request.opcode == protocol.OP_STATS:
-            front = self.telemetry.snapshot()
-            return protocol.build_json_body(
-                rollup_worker_snapshots(front, await self.pool.collect_stats())
+            stats = stats_view(
+                await self._merged_metrics(),
+                self.pool.session_table(),
+                self.telemetry.uptime_s,
+                self.pool.status()["workers"],
             )
+            return protocol.build_json_body(stats)
         if request.opcode == protocol.OP_CODES:
             return protocol.build_json_body(catalog())
         if request.opcode == protocol.OP_METRICS:
-            return await self._op_metrics()
+            return render_prometheus(await self._merged_metrics()).encode("utf-8")
         raise protocol.ProtocolError(f"unknown opcode 0x{request.opcode:02x}")
 
-    async def _op_metrics(self) -> bytes:
-        """Pooled METRICS: merge the front and every worker's registries.
+    async def _merged_metrics(self) -> Dict:
+        """Pooled METRICS and STATS: the front's and every worker's registries.
 
         Each worker snapshot arrives tagged with its index (see
         :meth:`WorkerPool.collect_metrics`); the tag becomes the
@@ -328,8 +332,7 @@ class CodecServer:
         for worker_snapshot in await self.pool.collect_metrics():
             extra.append({"worker": worker_snapshot.pop("worker", "")})
             snapshots.append(worker_snapshot)
-        merged = merge_snapshots(snapshots, extra_labels=extra)
-        return render_prometheus(merged).encode("utf-8")
+        return merge_snapshots(snapshots, extra_labels=extra)
 
     async def _forward(self, request: protocol.Request) -> bytes:
         """Route a data-plane body to its worker, bytes in, bytes out.

@@ -19,6 +19,7 @@ they are reproducible only in aggregate, not frame-for-frame.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -34,7 +35,7 @@ from repro.coding.registry import (
 )
 from repro.errors import CodingError, SessionError
 from repro.link.channel import BinaryChannel
-from repro.service.telemetry import SessionTelemetry
+from repro.service.telemetry import ServiceTelemetry, SessionTelemetry
 from repro.utils.rng import as_generator
 
 
@@ -227,6 +228,8 @@ class CodecSession:
             raise SessionError("memory_rot requires memory_lines")
         self.session_id = session_id
         self.config = config
+        #: Open time on the telemetry clock (STATS reports the uptime).
+        self.opened_at = time.perf_counter()
         self.channel: Optional[BinaryChannel] = None
         self._rng: Optional[np.random.Generator] = None
         if config.p01 or config.p10:
@@ -300,13 +303,20 @@ class CodecSession:
 
 
 class SessionRegistry:
-    """Id-indexed store of live sessions, deduplicating identical configs."""
+    """Id-indexed store of live sessions, deduplicating identical configs.
 
-    def __init__(self, max_sessions: int = 1024):
+    Each session records into ``telemetry`` (a private one by default)
+    from its first request on; closing the session folds its series.
+    """
+
+    def __init__(
+        self, max_sessions: int = 1024, telemetry: Optional[ServiceTelemetry] = None
+    ):
         self._sessions: Dict[int, CodecSession] = {}
         self._by_config: Dict[SessionConfig, int] = {}
         self._next_id = 1
         self._max_sessions = max_sessions
+        self._telemetry = telemetry if telemetry is not None else ServiceTelemetry()
 
     def open(
         self, config: SessionConfig, session_id: Optional[int] = None
@@ -345,7 +355,8 @@ class SessionRegistry:
             self._next_id += 1
         else:
             self._next_id = max(self._next_id, session_id + 1)
-        session = CodecSession(session_id, config)
+        telemetry = self._telemetry.session(session_id, code=config.code)
+        session = CodecSession(session_id, config, telemetry)
         self._sessions[session_id] = session
         self._by_config[config] = session_id
         return session
@@ -361,12 +372,14 @@ class SessionRegistry:
 
         The config mapping is dropped too, so a later open of the same
         config builds a *fresh* session (new injection stream, new
-        stream state) under a new id.  Unknown ids raise
+        stream state) under a new id, and the session's telemetry series
+        fold into the service's ``session=""`` totals.  Unknown ids raise
         :class:`~repro.errors.SessionError`.
         """
         session = self.get(session_id)
         del self._sessions[session_id]
         self._by_config.pop(session.config, None)
+        self._telemetry.drop_session(session.telemetry)
         return session
 
     def __len__(self) -> int:
@@ -375,8 +388,13 @@ class SessionRegistry:
     def describe_all(self) -> List[Dict]:
         return [s.describe() for _, s in sorted(self._sessions.items())]
 
-    def labels(self) -> Dict[int, str]:
-        return {sid: s.config.label() for sid, s in self._sessions.items()}
+    def table(self) -> Dict[int, Dict]:
+        """Each live session's config label and uptime, for STATS."""
+        now = time.perf_counter()
+        return {
+            sid: {"config": s.config.label(), "uptime_s": now - s.opened_at}
+            for sid, s in self._sessions.items()
+        }
 
 
 def catalog() -> Dict:

@@ -64,7 +64,7 @@ from repro.service.session import (
     SessionRegistry,
     catalog,
 )
-from repro.service.telemetry import ServiceTelemetry
+from repro.service.telemetry import ServiceTelemetry, stats_view
 
 logger = logging.getLogger(__name__)
 
@@ -97,9 +97,9 @@ class DispatchCore:
         telemetry: Optional[ServiceTelemetry] = None,
         stream_deadline_us: Optional[float] = None,
     ):
-        self.registry = SessionRegistry()
-        self.batcher = MicroBatcher(policy)
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
+        self.registry = SessionRegistry(telemetry=self.telemetry)
+        self.batcher = MicroBatcher(policy)
         #: Server-wide default stream deadline; a session config's own
         #: ``stream_deadline_us`` takes precedence.
         self.stream_deadline_us = stream_deadline_us
@@ -109,12 +109,16 @@ class DispatchCore:
     def open_session(
         self, config: SessionConfig, session_id: Optional[int] = None
     ) -> CodecSession:
-        """Open (or rejoin) a session and wire it into the telemetry."""
-        session = self.registry.open(config, session_id=session_id)
-        session.telemetry = self.telemetry.session(
-            session.session_id, code=config.code
+        """Open (or rejoin) a session recording into this core's telemetry."""
+        return self.registry.open(config, session_id=session_id)
+
+    def stats(self) -> Dict:
+        """The STATS payload over this core's registry and session table."""
+        return stats_view(
+            self.telemetry.metrics_snapshot(),
+            self.registry.table(),
+            self.telemetry.uptime_s,
         )
-        return session
 
     async def dispatch(self, request: protocol.Request) -> bytes:
         """Serve one parsed request, returning the OK response body."""
@@ -137,9 +141,7 @@ class DispatchCore:
         if request.opcode == protocol.OP_CLOSE:
             return self._op_close(request.body)
         if request.opcode == protocol.OP_STATS:
-            return protocol.build_json_body(
-                self.telemetry.snapshot(self.registry.labels())
-            )
+            return protocol.build_json_body(self.stats())
         if request.opcode == protocol.OP_METRICS:
             return render_prometheus(self.telemetry.metrics_snapshot()).encode(
                 "utf-8"
@@ -309,12 +311,12 @@ class DispatchCore:
         """Close a session: drain its stream, free its lanes and telemetry.
 
         The lifecycle counterpart of :meth:`open_session` — without it,
-        batcher lanes keyed by (session, op) and the telemetry wrapper
-        cache grow without bound under session churn.  Pending batch
+        batcher lanes keyed by (session, op) and per-session metric
+        series grow without bound under session churn.  Pending batch
         items are flushed (answered, not dropped) and open stream
         windows drain with ``STREAM_ROW_FLUSHED`` status before the
-        session disappears; unknown ids raise
-        :class:`~repro.errors.SessionError`.
+        session's series fold into the closed-session totals; unknown
+        ids raise :class:`~repro.errors.SessionError`.
         """
         session = self.registry.get(session_id)
         lane = self._streams.pop(session_id, None)
@@ -323,7 +325,6 @@ class DispatchCore:
         memory_lane = self._memories.pop(session_id, None)
         lanes_closed = self.batcher.close_session(session_id)
         self.registry.close(session_id)
-        self.telemetry.drop_session(session_id)
         return {
             "closed": session_id,
             "code": session.code.name,
@@ -518,7 +519,7 @@ async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  #
         try:
             dispatch_started = time.perf_counter()
             with trace_scope(trace_id):
-                body = await _worker_dispatch(core, index, request)
+                body = await _worker_dispatch(core, request)
             if trace_id is not None:
                 get_tracer().emit(
                     trace_id,
@@ -575,7 +576,7 @@ async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  #
         writer.close()
 
 
-async def _worker_dispatch(core, index, request):  # pragma: no cover - child
+async def _worker_dispatch(core, request):  # pragma: no cover - child
     """Dispatch one worker-plane or data-plane request on the core."""
     if request.opcode == protocol.OP_W_OPEN:
         payload = protocol.parse_json_body(request.body)
@@ -583,11 +584,6 @@ async def _worker_dispatch(core, index, request):  # pragma: no cover - child
         config = SessionConfig.from_dict(payload["config"])
         session = core.open_session(config, session_id=session_id)
         return protocol.build_json_body(session.describe())
-    if request.opcode == protocol.OP_W_STATS:
-        snapshot = core.telemetry.snapshot(core.registry.labels())
-        snapshot["index"] = index
-        snapshot["pid"] = os.getpid()
-        return protocol.build_json_body(snapshot)
     if request.opcode == protocol.OP_W_METRICS:
         return protocol.build_json_body(core.telemetry.metrics_snapshot())
     return await core.dispatch(request)
@@ -615,6 +611,7 @@ class WorkerHandle:
         self.died = asyncio.Event()
         self.restarts = 0
         self.spawns = 0
+        self.spawned_at = 0.0
         self.limiter = asyncio.Semaphore(pool.max_inflight)
         self._inflight: Dict[int, asyncio.Future] = {}
         self._correlation = itertools.count(1)
@@ -625,6 +622,11 @@ class WorkerHandle:
     def pid(self) -> Optional[int]:
         """The live worker process id, ``None`` while down."""
         return None if self.process is None else self.process.pid
+
+    @property
+    def uptime_s(self) -> float:
+        """Seconds since the live process spawned, ``0.0`` while down."""
+        return 0.0 if self.process is None else time.perf_counter() - self.spawned_at
 
     async def spawn(self) -> None:
         """Fork a fresh worker process and connect its protocol pipe."""
@@ -642,6 +644,7 @@ class WorkerHandle:
             daemon=True,
         )
         process.start()
+        self.spawned_at = time.perf_counter()
         # The child holds its own copy now; keeping ours open would stop
         # EOF from ever reaching anyone.
         child_sock.close()
@@ -751,6 +754,7 @@ class _PooledSession:
     config: SessionConfig
     key: str
     info: Dict = field(default_factory=dict)
+    opened_at: float = field(default_factory=time.perf_counter)
 
 
 class WorkerPool:
@@ -1034,34 +1038,6 @@ class WorkerPool:
         return {"killed": index, "pid": pid}
 
     # -- telemetry ------------------------------------------------------
-    async def collect_stats(self) -> List[Dict]:
-        """Per-worker telemetry snapshots (placeholders while down)."""
-        snapshots = []
-        for handle in self.handles:
-            liveness = {
-                "index": handle.index,
-                "pid": handle.pid,
-                "restarts": handle.restarts,
-                "ready": handle.ready.is_set(),
-            }
-            if handle.ready.is_set():
-                try:
-                    response = await handle.request(
-                        protocol.OP_W_STATS, timeout=self.drain_timeout
-                    )
-                except WorkerDied:
-                    response = None
-                if response is not None and response.status == protocol.ST_OK:
-                    snapshot = protocol.parse_json_body(response.body)
-                    snapshot.update(liveness)
-                    snapshots.append(snapshot)
-                    continue
-            liveness.update(
-                {"sessions": {}, "frames_total": 0, "throughput_fps": 0.0}
-            )
-            snapshots.append(liveness)
-        return snapshots
-
     async def collect_metrics(self) -> List[Dict]:
         """Per-worker metrics-registry snapshots, each tagged ``worker``.
 
@@ -1086,6 +1062,18 @@ class WorkerPool:
             snapshots.append(snapshot)
         return snapshots
 
+    def session_table(self) -> Dict[int, Dict]:
+        """Each session's config label, uptime and owning worker, for STATS."""
+        now = time.perf_counter()
+        return {
+            sid: {
+                "config": entry.config.label(),
+                "uptime_s": now - entry.opened_at,
+                "worker": self.ring.lookup(entry.key),
+            }
+            for sid, entry in self._sessions.items()
+        }
+
     def status(self) -> Dict:
         """Synchronous pool summary for the admin ``status`` action."""
         return {
@@ -1099,6 +1087,7 @@ class WorkerPool:
                     "ready": handle.ready.is_set(),
                     "restarts": handle.restarts,
                     "spawns": handle.spawns,
+                    "uptime_s": round(handle.uptime_s, 3),
                     "sessions": sorted(
                         sid
                         for sid, entry in self._sessions.items()

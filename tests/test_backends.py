@@ -415,10 +415,10 @@ class TestSpecBackendIdentity:
 # ---------------------------------------------------------------------
 class TestServiceBackend:
     def test_stats_reports_the_active_backend(self):
-        from repro.service.telemetry import ServiceTelemetry
+        from repro.service import DispatchCore
 
         with use_backend("numpy"):
-            snapshot = ServiceTelemetry().snapshot()
+            snapshot = DispatchCore().stats()
         assert snapshot["backend"] == "numpy"
 
     def test_env_round_trips_through_worker_pool_forks(self, monkeypatch):

@@ -131,7 +131,7 @@ class TestMemoisation:
                     protocol.OP_CLOSE, 3 * seed + 2,
                     protocol.build_json_body({"session_id": session_id}),
                 ))
-            return len(core.registry.labels())
+            return len(core.registry)
 
         assert asyncio.run(asyncio.wait_for(churn(), 60.0)) == 0
         assert fresh_tables == [8]

@@ -36,12 +36,8 @@ from repro.obs.tracing import (
     tail_events,
     trace_scope,
 )
-from repro.service import CodecClient, CodecServer
-from repro.service.telemetry import (
-    LATENCY_BUCKETS_US,
-    ServiceTelemetry,
-    SessionTelemetry,
-)
+from repro.service import CodecClient, CodecServer, DispatchCore, SessionConfig
+from repro.service.telemetry import LATENCY_BUCKETS_US
 
 #: Hard wall-clock bound on every async scenario in this file.
 SCENARIO_TIMEOUT_S = 30.0
@@ -385,29 +381,30 @@ class TestProfiledBackend:
 # ---------------------------------------------------------------------
 class TestServiceTelemetryRegressions:
     def test_connection_closed_never_goes_negative(self):
-        telemetry = ServiceTelemetry()
+        core = DispatchCore()
+        telemetry = core.telemetry
         # Double-close during crash teardown: the gauge must clamp at 0.
         telemetry.connection_closed()
-        assert telemetry.connections_open == 0
+        assert core.stats()["connections_open"] == 0
         telemetry.connection_opened()
         telemetry.connection_closed()
         telemetry.connection_closed()
-        assert telemetry.connections_open == 0
-        assert telemetry.connections_total == 1
-        assert telemetry.snapshot()["connections_open"] == 0
+        stats = core.stats()
+        assert stats["connections_open"] == 0
+        assert stats["connections_total"] == 1
 
     def test_backend_resolution_failure_reports_none(self, monkeypatch):
         from repro.backends.registry import BACKEND_ENV_VAR
 
         monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-backend")
-        snapshot = ServiceTelemetry().snapshot()
-        assert snapshot["backend"] is None
+        assert DispatchCore().stats()["backend"] is None
 
     def test_session_latency_snapshot_carries_buckets(self):
-        session = SessionTelemetry()
-        session.record_latency_us(3.0, "decode")
-        session.record_latency_us(500.0, "encode")
-        entry = session.snapshot()["latency"]
+        core = DispatchCore()
+        session = core.open_session(SessionConfig(code="hamming84"))
+        session.telemetry.record_latency_us(3.0, "decode")
+        session.telemetry.record_latency_us(500.0, "encode")
+        entry = core.stats()["sessions"]["1"]["latency"]
         assert entry["samples"] == 2
         assert len(entry["buckets"]) == len(LATENCY_BUCKETS_US) + 1
         assert sum(entry["buckets"]) == 2

@@ -19,9 +19,8 @@ from repro.service import (
     make_scenario,
     run_scenario,
 )
-from repro.service import protocol
+from repro.service import DispatchCore, LatencyReservoir, protocol
 from repro.service.session import CodecSession
-from repro.service.telemetry import LatencyReservoir, SessionTelemetry
 
 
 #: Hard wall-clock bound on every async scenario in this file.  All
@@ -191,6 +190,17 @@ def _session(**kwargs) -> CodecSession:
     return CodecSession(1, SessionConfig(code="hamming84", **kwargs))
 
 
+def _core_session(**kwargs):
+    """A hamming84 session recording into a fresh core, and that core."""
+    core = DispatchCore()
+    return core.open_session(SessionConfig(code="hamming84", **kwargs)), core
+
+
+def _flush_reasons(core, session) -> dict:
+    """The session's STATS flush-reason tally."""
+    return core.stats()["sessions"][str(session.session_id)]["flush_reasons"]
+
+
 class TestMicroBatcher:
     def test_size_flush_coalesces_into_one_kernel_call(self):
         async def scenario():
@@ -216,14 +226,13 @@ class TestMicroBatcher:
 
     def test_deadline_flush_fires_without_filling(self):
         async def scenario():
-            session = _session()
+            session, core = _core_session()
             batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=2_000))
             msgs = np.ones((2, 4), dtype=np.uint8)
             result = await asyncio.wait_for(
                 batcher.submit(session, "encode", msgs), timeout=2.0
             )
-            reasons = session.telemetry.flush_reasons
-            return result, dict(reasons)
+            return result, _flush_reasons(core, session)
 
         result, reasons = run(scenario())
         assert result.shape == (2, 8)
@@ -393,18 +402,102 @@ class TestTelemetry:
         assert reservoir.percentile(50) >= 990
 
     def test_decode_outcome_counters(self):
-        telemetry = SessionTelemetry()
-        telemetry.record_decode_outcome(
+        session, core = _core_session()
+        session.telemetry.record_decode_outcome(
             corrected_errors=np.array([0, 1, 2, 0]),
             detected_uncorrectable=np.array([False, False, True, False]),
         )
-        assert telemetry.frames_accepted == 2
-        assert telemetry.frames_corrected == 1  # corrected and *not* flagged
-        assert telemetry.frames_detected == 1
-        assert telemetry.bits_corrected == 3
-        snapshot = telemetry.snapshot()
-        assert snapshot["accepted_frames"] == 2
+        snapshot = core.stats()
+        entry = snapshot["sessions"]["1"]
+        assert entry["accepted_frames"] == 2
+        assert entry["corrected_frames"] == 1  # corrected and *not* flagged
+        assert entry["detected_frames"] == 1
+        assert entry["corrected_bits"] == 3
         assert json.dumps(snapshot)  # JSON-serialisable
+
+
+# ---------------------------------------------------------------------
+# STATS shape, pinned key by key (local and pooled)
+# ---------------------------------------------------------------------
+#: Value maps keyed by data (ops, flush reasons, stream results): leaves.
+_DATA_MAPS = {"requests", "frames", "flush_reasons", "decisions"}
+
+_LATENCY_KEYS = dict.fromkeys(["buckets", "p50_us", "p99_us", "samples"])
+_MEMORY_KEYS = dict.fromkeys(
+    ["corrected_bits_total", "ded_total", "repaired_lines", "rot_bits",
+     "scrubbed_lines", "sec_total"]
+)
+_PATH_KEYS = dict.fromkeys(["corrected_bits", "ded", "ops", "sec"])
+#: STATS's nested key sets.  Scrapers (CI, loadgen, perfbench) read
+#: them, so any change here must be deliberate.
+_SESSION_KEYS = dict(
+    dict.fromkeys(
+        ["accepted_frames", "batches", "config", "corrected_bits",
+         "corrected_frames", "detected_frames", "flush_reasons", "frames",
+         "max_batch_frames", "mean_batch_frames", "requests",
+         "soft_corrected_frames", "soft_decoded_frames", "throughput_fps",
+         "uptime_s"]
+    ),
+    latency=_LATENCY_KEYS,
+    memory=dict(_MEMORY_KEYS, paths=dict.fromkeys(["read", "rmw", "scrub"], _PATH_KEYS)),
+    stream=dict.fromkeys(["deadline_misses", "decisions", "window_pending"]),
+)
+_TOP_KEYS = dict.fromkeys(
+    ["backend", "connections_open", "connections_total", "frames_total",
+     "protocol_errors", "throughput_fps", "uptime_s"]
+)
+_WORKER_KEYS = dict(
+    dict.fromkeys(
+        ["backend", "flush_reasons", "frames_total", "index", "pid", "ready",
+         "restarts", "sessions", "throughput_fps", "uptime_s"]
+    ),
+    latency=_LATENCY_KEYS,
+    memory=_MEMORY_KEYS,
+)
+
+
+def _key_tree(value):
+    """Nested key sets of a STATS payload (``None`` marks a leaf)."""
+    if isinstance(value, dict):
+        return {
+            key: None if key in _DATA_MAPS else _key_tree(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [_key_tree(item) for item in value]
+    return None
+
+
+class TestStatsShape:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_stats_keys_match_the_pinned_shape(self, workers):
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                rng = np.random.default_rng(3)
+                hard = await client.open_session("hamming84")
+                await hard.decode(rng.integers(0, 2, (4, 8), dtype=np.uint8))
+                soft = await client.open_session("rm13")
+                await soft.decode_soft(rng.uniform(-1, 1, (4, 8)))
+                stream = await client.open_session("hamming84", stream_depth=2)
+                await stream.decode_stream(rng.uniform(-1, 1, (4, 8)), 0, final=True)
+                memory = await client.open_session("hamming84", memory_lines=8)
+                messages = rng.integers(0, 2, (4, 4), dtype=np.uint8)
+                await memory.mem_write(np.arange(4), messages)
+                stats = await client.stats()
+                await client.close()
+                return stats
+
+        stats = run(scenario())
+        expected = dict(_TOP_KEYS, sessions=dict.fromkeys("1234", _SESSION_KEYS))
+        if workers:
+            expected["mode"] = None
+            expected["sessions"] = dict.fromkeys(
+                "1234", dict(_SESSION_KEYS, worker=None)
+            )
+            expected["workers"] = [_WORKER_KEYS] * workers
+        assert _key_tree(stats) == expected
+        assert stats["frames_total"] == 16
 
 
 # ---------------------------------------------------------------------
@@ -543,7 +636,7 @@ class TestServerEndToEnd:
             await client.close()
             # (The JSON stats snapshot itself exceeds the tiny test cap,
             # so read the counter off the server object.)
-            return server.telemetry.protocol_errors
+            return server.core.stats()["protocol_errors"]
 
         errors = run(_with_server(BatchPolicy(max_batch=256, max_delay_us=100), scenario))
         assert errors >= 1
@@ -891,12 +984,72 @@ class TestServiceLifecycle:
 
         assert run(scenario()) == 0
 
+    def test_open_session_builds_no_metrics_registry(self, monkeypatch):
+        """A session's telemetry is built once, on the core's registry."""
+        from repro.obs import metrics
+
+        core = DispatchCore()
+        built = []
+        original = metrics.MetricsRegistry.__init__
+
+        def counting_init(registry):
+            built.append(registry)
+            original(registry)
+
+        monkeypatch.setattr(metrics.MetricsRegistry, "__init__", counting_init)
+        session = core.open_session(SessionConfig(code="hamming84", seed=3))
+        assert built == []
+        session.telemetry.record_request("decode", 2)
+        assert core.stats()["sessions"]["1"]["frames"] == {"decode": 2}
+
+    def test_session_churn_keeps_telemetry_bounded(self):
+        """Closed sessions fold their series: churn leaves nothing per session."""
+        word = np.zeros((1, 8), dtype=np.uint8)
+
+        async def call(core, opcode, body=b""):
+            return await core.dispatch(protocol.Request(opcode, 0, body))
+
+        async def cycle(core, seed):
+            config = protocol.build_json_body({"code": "hamming84", "seed": seed})
+            info = protocol.parse_json_body(await call(core, protocol.OP_OPEN, config))
+            sid = info["session_id"]
+            reply = await call(core, protocol.OP_DECODE, protocol.build_batch_body(sid, word))
+            messages, _, _ = protocol.parse_decode_response_body(reply, 4)
+            assert messages.shape == (1, 4) and not messages.any()
+            close = protocol.build_json_body({"session_id": sid})
+            await call(core, protocol.OP_CLOSE, close)
+
+        def series(core):
+            snapshot = core.telemetry.metrics_snapshot()
+            return sum(len(family["series"]) for family in snapshot["families"])
+
+        async def scenario():
+            core = DispatchCore(BatchPolicy(max_batch=1))
+            await cycle(core, 0)
+            first = series(core)
+            for seed in range(1, 500):
+                await cycle(core, seed)
+            scrape = await call(core, protocol.OP_METRICS)
+            stats = protocol.parse_json_body(await call(core, protocol.OP_STATS))
+            return first, series(core), scrape, stats
+
+        first, last, scrape, stats = run(scenario())
+        assert last == first
+        assert len(scrape) <= protocol.MAX_FRAME_BYTES
+        assert stats["sessions"] == {}
+        scraped = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in scrape.decode("utf-8").splitlines()
+            if line.startswith("repro_service_frames_total")
+        )
+        assert scraped == stats["frames_total"] == 500
+
     def test_close_session_flushes_queued_frames_first(self):
         """Close answers queued futures; it never strands them."""
 
         async def scenario():
             batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=60e6))
-            session = _session()
+            session, core = _core_session()
             pending = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((2, 4), dtype=np.uint8))
             )
@@ -904,7 +1057,7 @@ class TestServiceLifecycle:
             assert batcher.pending_frames() == 2
             assert batcher.close_session(session.session_id) == 1
             result = await asyncio.wait_for(pending, timeout=2.0)
-            return result, dict(session.telemetry.flush_reasons)
+            return result, _flush_reasons(core, session)
 
         result, reasons = run(scenario())
         assert result.shape == (2, 8)
@@ -915,7 +1068,7 @@ class TestServiceLifecycle:
 
         async def scenario():
             batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=30_000))
-            session = _session()
+            session, core = _core_session()
             first = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((1, 4), dtype=np.uint8))
             )
@@ -932,7 +1085,7 @@ class TestServiceLifecycle:
             )
             await asyncio.sleep(0.06)  # past the old lane's deadline
             result = await asyncio.wait_for(second, timeout=2.0)
-            return result, dict(session.telemetry.flush_reasons)
+            return result, _flush_reasons(core, session)
 
         result, reasons = run(scenario())
         assert result.shape == (3, 8)
@@ -970,11 +1123,14 @@ class TestServiceLifecycle:
 
     def test_telemetry_clocks_default_to_perf_counter(self):
         """Pin the timebase: batcher/tracer stamp with perf_counter, so the
-        telemetry wrappers must too (monotonic here once skewed uptime
-        and throughput against the latency attributions)."""
+        telemetry and the session open times must too (monotonic here
+        once skewed uptime and throughput against the latency
+        attributions)."""
         import time as _time
 
         from repro.service import ServiceTelemetry
 
         assert ServiceTelemetry()._clock is _time.perf_counter
-        assert SessionTelemetry()._clock is _time.perf_counter
+        before = _time.perf_counter()
+        session = _session()
+        assert before <= session.opened_at <= _time.perf_counter()

@@ -11,9 +11,12 @@ instead of sleeping a guessed length.
 """
 
 import asyncio
+import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaos
 from repro.errors import SessionError, ServiceError
@@ -28,11 +31,12 @@ from repro.service import (
     WorkerFaults,
     WorkerPool,
     make_scenario,
-    rollup_worker_snapshots,
     run_scenario,
 )
-from repro.service import protocol
+from repro.obs.metrics import merge_snapshots
+from repro.service import ServiceTelemetry, protocol, stats_view
 from repro.service.session import CodecSession
+from repro.service.telemetry import LATENCY_BUCKETS_US
 
 #: Hard wall-clock bound on every async scenario in this file (chaos
 #: scenarios spawn and reap real processes, so the bound is generous).
@@ -136,61 +140,6 @@ class TestPoolPlumbing:
             assert all(len(r.messages) == 5 for r in results)
 
         run(scenario())
-
-    def test_rollup_equals_sum_of_synthetic_snapshots(self):
-        from repro.service.telemetry import LATENCY_BUCKETS_US
-
-        def buckets(**at):
-            counts = [0] * (len(LATENCY_BUCKETS_US) + 1)
-            for index, count in at.items():
-                counts[int(index.lstrip("b"))] = count
-            return counts
-
-        front = {"connections_total": 3, "protocol_errors": 1, "uptime_s": 9.0}
-        workers = [
-            {
-                "index": 0,
-                "pid": 100,
-                "frames_total": 40,
-                "throughput_fps": 4.0,
-                "sessions": {
-                    "1": {
-                        "frames": {"decode": 40},
-                        "flush_reasons": {"size": 4, "deadline": 1},
-                        "latency": {"samples": 5, "buckets": buckets(b3=5)},
-                    },
-                    "3": {
-                        "frames": {"decode": 8},
-                        "flush_reasons": {"deadline": 2},
-                        "latency": {"samples": 2, "buckets": buckets(b7=2)},
-                    },
-                },
-            },
-            {
-                "index": 1,
-                "pid": 101,
-                "frames_total": 2,
-                "throughput_fps": 0.5,
-                "sessions": {"2": {"frames": {"decode": 2}}},
-            },
-        ]
-        merged = rollup_worker_snapshots(front, workers)
-        assert merged["mode"] == "pool"
-        assert merged["frames_total"] == 42
-        assert merged["throughput_fps"] == 4.5
-        assert merged["protocol_errors"] == 1
-        assert merged["sessions"]["1"]["worker"] == 0
-        assert merged["sessions"]["2"]["worker"] == 1
-        assert [w["index"] for w in merged["workers"]] == [0, 1]
-        # Per-worker summaries carry the sessions' summed flush reasons
-        # and an exact bucket-merged latency view.
-        worker0 = merged["workers"][0]
-        assert worker0["flush_reasons"] == {"size": 4, "deadline": 3}
-        assert worker0["latency"]["samples"] == 7
-        assert worker0["latency"]["buckets"] == buckets(b3=5, b7=2)
-        assert worker0["latency"]["p50_us"] == LATENCY_BUCKETS_US[3]
-        assert merged["workers"][1]["flush_reasons"] == {}
-        assert merged["workers"][1]["latency"]["samples"] == 0
 
 
 # ---------------------------------------------------------------------
@@ -327,6 +276,210 @@ class TestWorkerPoolBasics:
     def test_pool_rejects_invalid_sizes(self):
         with pytest.raises(ValueError, match="at least one worker"):
             WorkerPool(0)
+
+
+# ---------------------------------------------------------------------
+# STATS view against an event-log oracle
+# ---------------------------------------------------------------------
+_OPS = ("encode", "decode", "decode_soft", "mem_read")
+_SLOT = st.integers(0, 7)
+_EVENTS = st.one_of(
+    st.tuples(st.just("open"), st.integers(0, 2), st.sampled_from(["hamming84", "rm13"])),
+    st.tuples(st.just("close"), _SLOT),
+    st.tuples(st.just("request"), _SLOT, st.sampled_from(_OPS), st.integers(0, 40)),
+    st.tuples(
+        st.just("batch"), _SLOT, st.sampled_from(_OPS), st.integers(1, 300),
+        st.sampled_from(["size", "deadline", "close", "drain"]),
+    ),
+    st.tuples(
+        st.just("latency"), _SLOT, st.sampled_from(_OPS),
+        st.floats(0.0, 2e7, allow_nan=False),
+    ),
+    st.tuples(
+        st.just("outcome"), _SLOT,
+        st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=6),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("stream"), _SLOT, st.sampled_from(["ontime", "forced", "flushed"]),
+        st.integers(0, 5),
+    ),
+    st.tuples(
+        st.just("memory"), _SLOT, st.sampled_from(["read", "rmw", "scrub"]),
+        st.tuples(*[st.integers(0, 9)] * 4),
+    ),
+    st.tuples(st.just("scrub"), _SLOT, st.tuples(*[st.integers(0, 9)] * 3)),
+)
+
+
+def _replay(n_workers, events):
+    """Drive ``n_workers`` telemetries through ``events``; log what landed."""
+    services = [ServiceTelemetry() for _ in range(n_workers)]
+    live, log, next_id = {}, [], 1
+    for kind, *args in events:
+        if kind == "open":
+            worker = args[0] % n_workers
+            live[next_id] = (worker, services[worker].session(next_id, args[1]))
+            next_id += 1
+            continue
+        if not live:
+            continue
+        sid = sorted(live)[args[0] % len(live)]
+        worker, telemetry = live[sid]
+        args = args[1:]
+        if kind == "close":
+            services[worker].drop_session(telemetry)
+            del live[sid]
+            continue
+        if kind == "request":
+            telemetry.record_request(*args)
+        elif kind == "batch":
+            telemetry.record_batch(*args)
+        elif kind == "latency":
+            telemetry.record_latency_us(args[1], args[0])
+        elif kind == "outcome":
+            rows = np.array(args[0], dtype=np.int64).reshape(-1, 2)
+            telemetry.record_decode_outcome(
+                rows[:, 0], rows[:, 1].astype(bool), soft=args[1]
+            )
+        elif kind == "stream":
+            telemetry.record_stream_decisions(*args)
+        elif kind == "memory":
+            telemetry.record_memory_counts(args[0], *args[1])
+        else:
+            telemetry.record_memory_scrub(*args[0])
+        log.append((sid, worker, kind, args))
+    return services, live, log
+
+
+def _tally(log, kind, key, amount):
+    """Sum ``amount(args)`` per ``key(args)`` over ``kind`` events (nonzero)."""
+    totals = {}
+    for _, _, event_kind, args in log:
+        if event_kind == kind:
+            totals[key(args)] = totals.get(key(args), 0) + amount(args)
+    return {k: v for k, v in totals.items() if v}
+
+
+def _oracle_latency(log):
+    counts = [0] * (len(LATENCY_BUCKETS_US) + 1)
+    for _, _, kind, args in log:
+        if kind == "latency":
+            counts[bisect.bisect_left(LATENCY_BUCKETS_US, args[1])] += 1
+    return counts
+
+
+def _oracle_memory(log):
+    paths = {
+        field: _tally(log, "memory", lambda a: a[0], lambda a, i=i: a[1][i])
+        for i, field in enumerate(("ops", "sec", "ded", "corrected_bits"))
+    }
+    scrub = [sum(a[0][i] for _, _, k, a in log if k == "scrub") for i in range(3)]
+    return {
+        "sec_total": sum(paths["sec"].values()),
+        "ded_total": sum(paths["ded"].values()),
+        "corrected_bits_total": sum(paths["corrected_bits"].values()),
+        "scrubbed_lines": scrub[0],
+        "repaired_lines": scrub[1],
+        "rot_bits": scrub[2],
+    }, paths
+
+
+def _oracle_outcomes(log):
+    totals = dict.fromkeys(
+        ["corrected", "detected", "accepted", "bits", "soft", "soft_corrected"], 0
+    )
+    for _, _, kind, args in log:
+        if kind != "outcome":
+            continue
+        rows, soft = args
+        for corrected, detected in rows:
+            repaired = corrected > 0 and not detected
+            totals["corrected"] += repaired
+            totals["detected"] += detected
+            totals["accepted"] += not detected and corrected == 0
+            totals["bits"] += corrected
+            totals["soft"] += soft
+            totals["soft_corrected"] += soft and repaired
+    return totals
+
+
+class TestStatsView:
+    @settings(max_examples=60, deadline=None)
+    @given(n_workers=st.integers(1, 3), events=st.lists(_EVENTS, max_size=60))
+    def test_stats_equal_sums_over_the_event_log(self, n_workers, events):
+        services, live, log = _replay(n_workers, events)
+        merged = merge_snapshots(
+            [service.registry.snapshot() for service in services],
+            extra_labels=[{"worker": str(i)} for i in range(n_workers)],
+        )
+        sessions = {
+            sid: {"config": f"config-{sid}", "uptime_s": 1.0, "worker": worker}
+            for sid, (worker, _) in live.items()
+        }
+        workers = [
+            {
+                "index": i, "pid": 100 + i, "restarts": 0, "ready": True,
+                "uptime_s": 2.0,
+                "sessions": sorted(s for s, (w, _) in live.items() if w == i),
+            }
+            for i in range(n_workers)
+        ]
+        stats = stats_view(merged, sessions, 4.0, workers)
+        frames = lambda entries: _tally(  # noqa: E731
+            entries, "request", lambda a: a[0], lambda a: a[1]
+        )
+
+        # Totals include every session ever recorded, closed ones too.
+        assert stats["frames_total"] == sum(frames(log).values())
+        assert stats["mode"] == "pool"
+        for worker in stats["workers"]:
+            mine = [entry for entry in log if entry[1] == worker["index"]]
+            assert worker["frames_total"] == sum(frames(mine).values())
+            assert worker["flush_reasons"] == _tally(
+                mine, "batch", lambda a: a[2], lambda a: 1
+            )
+            assert worker["memory"] == _oracle_memory(mine)[0]
+            latency = _oracle_latency(mine)
+            assert worker["latency"]["buckets"] == latency
+            assert worker["latency"]["samples"] == sum(latency)
+            assert worker["sessions"] == workers[worker["index"]]["sessions"]
+
+        # Live sessions only, each exactly its own events.
+        assert set(stats["sessions"]) == {str(sid) for sid in live}
+        for sid, (worker, _) in live.items():
+            entry = stats["sessions"][str(sid)]
+            mine = [e for e in log if e[0] == sid]
+            outcomes = _oracle_outcomes(mine)
+            memory, paths = _oracle_memory(mine)
+            reasons = _tally(mine, "batch", lambda a: a[2], lambda a: 1)
+            batch_sizes = [a[1] for _, _, k, a in mine if k == "batch"]
+            decisions = _tally(mine, "stream", lambda a: a[0], lambda a: a[1])
+            assert entry["worker"] == worker
+            assert entry["config"] == f"config-{sid}"
+            assert entry["requests"] == _tally(
+                mine, "request", lambda a: a[0], lambda a: 1
+            )
+            assert entry["frames"] == frames(mine)
+            assert entry["corrected_frames"] == outcomes["corrected"]
+            assert entry["detected_frames"] == outcomes["detected"]
+            assert entry["accepted_frames"] == outcomes["accepted"]
+            assert entry["corrected_bits"] == outcomes["bits"]
+            assert entry["soft_decoded_frames"] == outcomes["soft"]
+            assert entry["soft_corrected_frames"] == outcomes["soft_corrected"]
+            assert entry["batches"] == sum(reasons.values())
+            assert entry["flush_reasons"] == reasons
+            assert entry["max_batch_frames"] == max(batch_sizes, default=0)
+            assert entry["latency"]["buckets"] == _oracle_latency(mine)
+            assert entry["stream"]["decisions"] == decisions
+            assert entry["stream"]["deadline_misses"] == decisions.get("forced", 0)
+            assert entry["memory"] == dict(
+                memory,
+                paths={
+                    path: {f: counts.get(path, 0) for f, counts in paths.items()}
+                    for path in ("read", "rmw", "scrub")
+                },
+            )
 
 
 # ---------------------------------------------------------------------
