@@ -34,8 +34,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
+    # numpy 2.0 brings np.bitwise_count, which the kernel backends use.
+    # scipy serves margin calibration (system/calibration.py) and the
+    # tests' reference tails; the codec service never imports it.
     install_requires=[
-        "numpy>=1.26",
+        "numpy>=2.0",
         "scipy>=1.11",
     ],
     entry_points={

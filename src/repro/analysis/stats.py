@@ -9,6 +9,7 @@ EXPERIMENTS.md can report paper-vs-measured with error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -82,9 +83,7 @@ def binomial_confidence_interval(
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

@@ -46,7 +46,9 @@ from repro.coding.parity import parity_check_code
 from repro.coding.registry import (
     available_codes,
     available_decoders,
+    canonical_code_name,
     get_code,
+    get_codec,
     get_decoder,
     PAPER_SCHEMES,
     DISPLAY_NAMES,
@@ -81,7 +83,9 @@ __all__ = [
     "parity_check_code",
     "available_codes",
     "available_decoders",
+    "canonical_code_name",
     "get_code",
+    "get_codec",
     "get_decoder",
     "PAPER_SCHEMES",
     "DISPLAY_NAMES",

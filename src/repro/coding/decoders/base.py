@@ -12,7 +12,7 @@ from repro.backends import resolve_backend
 from repro.coding.linear import LinearBlockCode
 from repro.errors import DimensionError, NotBinaryError
 from repro.gf2.bitpack import pack_rows, packed_hamming_distance
-from repro.gf2.vectors import as_bit_array
+from repro.gf2.vectors import as_bit_array, read_only
 
 
 @dataclass(frozen=True)
@@ -383,8 +383,8 @@ class Decoder(ABC):
                     f"k={self.code.k} exceeds the limit of "
                     f"{SOFT_CODEBOOK_K_LIMIT} — override decode_soft_batch_detailed"
                 )
-            self._codebook_signs = 1.0 - 2.0 * self.code.all_codewords.astype(
-                np.float64
+            self._codebook_signs = read_only(
+                1.0 - 2.0 * self.code.all_codewords.astype(np.float64)
             )
         return self._codebook_signs
 

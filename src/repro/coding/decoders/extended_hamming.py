@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.coding.decoders.base import DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
+from repro.gf2.vectors import read_only
 
 
 class ExtendedHammingDecoder(Decoder):
@@ -41,14 +42,15 @@ class ExtendedHammingDecoder(Decoder):
         super().__init__(code)
         r = code.redundancy
         # Map syndrome index -> error position (or -1 when not weight-1).
-        self._position_for_syndrome = np.full(1 << r, -1, dtype=np.int64)
+        position_for_syndrome = np.full(1 << r, -1, dtype=np.int64)
         weights = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
         for pos in range(code.n):
             pattern = np.zeros(code.n, dtype=np.uint8)
             pattern[pos] = 1
             idx = int(self.code.syndrome(pattern).astype(np.int64) @ weights)
-            self._position_for_syndrome[idx] = pos
-        self._syndrome_weights = weights
+            position_for_syndrome[idx] = pos
+        self._position_for_syndrome = read_only(position_for_syndrome)
+        self._syndrome_weights = read_only(weights)
 
     def decode(self, received: Sequence[int]) -> DecodeResult:
         """SEC-DED decode one word: correct singles, flag doubles.

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.coding.decoders.base import DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
+from repro.gf2.vectors import read_only
 
 
 class SyndromeDecoder(Decoder):
@@ -39,14 +40,18 @@ class SyndromeDecoder(Decoder):
         self.max_correctable_weight = max_correctable_weight
         # Precompute a dense syndrome-indexed coset-leader table.
         r = code.redundancy
-        self._syndrome_weights = 1 << np.arange(r - 1, -1, -1, dtype=np.int64)
-        self._leader_table = np.zeros((1 << r, code.n), dtype=np.uint8)
-        self._leader_weight = np.zeros(1 << r, dtype=np.int64)
+        self._syndrome_weights = read_only(
+            1 << np.arange(r - 1, -1, -1, dtype=np.int64)
+        )
+        leader_table = np.zeros((1 << r, code.n), dtype=np.uint8)
+        leader_weight = np.zeros(1 << r, dtype=np.int64)
         for key, leader in code.coset_leaders.items():
             syn = np.frombuffer(key, dtype=np.uint8)
             idx = int(np.dot(syn, self._syndrome_weights))
-            self._leader_table[idx] = leader
-            self._leader_weight[idx] = int(leader.sum())
+            leader_table[idx] = leader
+            leader_weight[idx] = int(leader.sum())
+        self._leader_table = read_only(leader_table)
+        self._leader_weight = read_only(leader_weight)
 
     def _table_params(self) -> tuple:
         return (self.max_correctable_weight,)

@@ -39,6 +39,7 @@ from repro.coding.decoders.base import BatchDecodeResult, Decoder, DecodeResult
 from repro.coding.linear import LinearBlockCode
 from repro.errors import DimensionError
 from repro.gf2.bitpack import pack_rows, packed_hamming_distance
+from repro.gf2.vectors import read_only
 
 
 class StreamInterleaver:
@@ -57,16 +58,16 @@ class StreamInterleaver:
     """
 
     def __init__(self, permutation: Sequence[int]):
-        perm = np.asarray(permutation, dtype=np.int64)
+        perm = np.array(permutation, dtype=np.int64)
         if perm.ndim != 1:
             raise DimensionError(f"permutation must be 1-D, got shape {perm.shape}")
         n = perm.shape[0]
         if n and (np.sort(perm) != np.arange(n)).any():
             raise ValueError("permutation must rearrange range(n) exactly once each")
-        self._perm = perm
+        self._perm = read_only(perm)
         inverse = np.empty(n, dtype=np.int64)
         inverse[perm] = np.arange(n)
-        self._inverse = inverse
+        self._inverse = read_only(inverse)
 
     @property
     def n(self) -> int:

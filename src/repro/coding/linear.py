@@ -22,6 +22,7 @@ from repro.gf2.vectors import (
     as_bit_array,
     format_bits,
     hamming_weight,
+    read_only,
 )
 
 
@@ -236,7 +237,7 @@ class LinearBlockCode:
             return list(self._message_positions), None
         _, pivots = self._generator.rref()
         sub = GF2Matrix(self._generator.to_array()[:, pivots])
-        return list(pivots), sub.inverse().to_array()
+        return list(pivots), read_only(sub.inverse().to_array())
 
     def extract_message_batch(self, codewords: np.ndarray) -> np.ndarray:
         """Recover messages from a batch of *valid* codewords.
@@ -268,23 +269,24 @@ class LinearBlockCode:
         return ((sub.astype(np.uint32) @ inverse.astype(np.uint32)) % 2).astype(np.uint8)
 
     # ------------------------------------------------------------------
-    # Exhaustive structure (codes here are short: n <= ~24)
+    # Exhaustive structure (codes here are short: n <= ~24).  Cached
+    # arrays are read-only: one code may be shared process-wide.
     # ------------------------------------------------------------------
     @cached_property
     def all_messages(self) -> np.ndarray:
         """All 2^k messages, shape ``(2^k, k)``, row i = MSB-first i."""
-        return all_binary_vectors(self.k)
+        return read_only(all_binary_vectors(self.k))
 
     @cached_property
     def all_codewords(self) -> np.ndarray:
         """All 2^k codewords aligned with :attr:`all_messages`."""
-        return self.encode_batch(self.all_messages)
+        return read_only(self.encode_batch(self.all_messages))
 
     @cached_property
     def weight_distribution(self) -> np.ndarray:
         """``A[w]`` = number of codewords of weight w, length n+1."""
         weights = self.all_codewords.sum(axis=1)
-        return np.bincount(weights, minlength=self.n + 1)
+        return read_only(np.bincount(weights, minlength=self.n + 1))
 
     @cached_property
     def minimum_distance(self) -> int:
@@ -346,7 +348,9 @@ class LinearBlockCode:
         """
         leaders: Dict[bytes, np.ndarray] = {}
         zero_syndrome = np.zeros(self.redundancy, dtype=np.uint8)
-        leaders[zero_syndrome.tobytes()] = np.zeros(self.n, dtype=np.uint8)
+        leaders[zero_syndrome.tobytes()] = read_only(
+            np.zeros(self.n, dtype=np.uint8)
+        )
         total = 1 << self.redundancy
         # Enumerate patterns in order of increasing weight so the first
         # pattern hitting a syndrome is automatically a coset leader.
@@ -358,7 +362,7 @@ class LinearBlockCode:
             for pattern in all_weight_w_vectors(self.n, weight):
                 key = self.syndrome(pattern).tobytes()
                 if key not in leaders:
-                    leaders[key] = pattern
+                    leaders[key] = read_only(pattern)
                     if len(leaders) == total:
                         break
         return leaders

@@ -20,7 +20,7 @@ configs, the CLI — a composite name works too.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coding.decoders import (
     Decoder,
@@ -86,64 +86,127 @@ def available_codes() -> List[str]:
 #: with depth; direct InterleavedCode construction stays uncapped.
 MAX_INTERLEAVE_DEPTH = 64
 
+_ALIASES: Dict[str, str] = {
+    "extendedhamming84": "hamming84",
+    "reedmuller13": "rm13",
+}
 
-def _composite_code(name: str) -> LinearBlockCode:
-    """Parse and build a composite code name (``kind:arg:arg``)."""
-    parts = name.split(":")
-    kind = parts[0].strip().lower()
+#: Process-wide (code, decoder) pairs keyed by canonical code name,
+#: decoder strategy and backend (see :func:`get_codec`).
+_CODECS: Dict[
+    Tuple[str, Optional[str], Optional[str]], Tuple[LinearBlockCode, Decoder]
+] = {}
+
+
+def canonical_code_name(name: str) -> str:
+    """The registry's one spelling of a code name (no code is built).
+
+    Aliases and punctuation fold away (``Hamming(8,4)``,
+    ``hamming-84`` -> ``hamming84``), and composite names are rebuilt
+    from their canonical parts (``interleaved:Hamming84:08`` ->
+    ``interleaved:hamming84:8``).  Unknown or malformed names raise
+    ``KeyError``.
+    """
+    if ":" in name:
+        parts = name.split(":")
+        kind = parts[0].strip().lower()
+        if kind == "interleaved":
+            if len(parts) != 3:
+                raise KeyError(
+                    f"interleaved code name must be 'interleaved:<base>:<depth>', "
+                    f"got {name!r}"
+                )
+            base = canonical_code_name(parts[1])
+            try:
+                depth = int(parts[2])
+            except ValueError:
+                raise KeyError(
+                    f"interleaving depth must be an integer, got {parts[2]!r}"
+                )
+            if not 1 <= depth <= MAX_INTERLEAVE_DEPTH:
+                raise KeyError(
+                    f"interleaving depth must lie in [1, {MAX_INTERLEAVE_DEPTH}], "
+                    f"got {depth}"
+                )
+            return f"interleaved:{base}:{depth}"
+        if kind == "concatenated":
+            if len(parts) != 3:
+                raise KeyError(
+                    f"concatenated code name must be 'concatenated:<outer>:<inner>', "
+                    f"got {name!r}"
+                )
+            outer, inner = (canonical_code_name(part) for part in parts[1:])
+            return f"concatenated:{outer}:{inner}"
+        raise KeyError(
+            f"unknown composite code kind {kind!r} in {name!r}; "
+            "expected 'interleaved:<base>:<depth>' or 'concatenated:<outer>:<inner>'"
+        )
+    key = name.lower()
+    for char in "-_(),":
+        key = key.replace(char, "")
+    key = _ALIASES.get(key, key)
+    if key not in _CODE_FACTORIES:
+        raise KeyError(f"unknown code {name!r}; available: {available_codes()}")
+    return key
+
+
+def _build_code(name: str) -> LinearBlockCode:
+    """A fresh code for a canonical name; composite parts are shared."""
+    kind, _, args = name.partition(":")
     if kind == "interleaved":
-        if len(parts) != 3:
-            raise KeyError(
-                f"interleaved code name must be 'interleaved:<base>:<depth>', "
-                f"got {name!r}"
-            )
-        base = get_code(parts[1])
-        try:
-            depth = int(parts[2])
-        except ValueError:
-            raise KeyError(f"interleaving depth must be an integer, got {parts[2]!r}")
-        if not 1 <= depth <= MAX_INTERLEAVE_DEPTH:
-            raise KeyError(
-                f"interleaving depth must lie in [1, {MAX_INTERLEAVE_DEPTH}], "
-                f"got {depth}"
-            )
-        return InterleavedCode(base, depth)
+        base, depth = args.split(":")
+        return InterleavedCode(get_code(base), int(depth))
     if kind == "concatenated":
-        if len(parts) != 3:
-            raise KeyError(
-                f"concatenated code name must be 'concatenated:<outer>:<inner>', "
-                f"got {name!r}"
-            )
-        return ConcatenatedCode(get_code(parts[1]), get_code(parts[2]))
-    raise KeyError(
-        f"unknown composite code kind {kind!r} in {name!r}; "
-        "expected 'interleaved:<base>:<depth>' or 'concatenated:<outer>:<inner>'"
-    )
+        outer, inner = args.split(":")
+        return ConcatenatedCode(get_code(outer), get_code(inner))
+    return _CODE_FACTORIES[name]()
+
+
+def get_codec(
+    name: str, strategy: Optional[str] = None, backend: Optional[str] = None
+) -> Tuple[LinearBlockCode, Decoder]:
+    """The process's one (code, decoder) pair for a code name.
+
+    Built on first use and memoised under the canonical code name (see
+    :func:`canonical_code_name`), the lower-cased strategy and the
+    resolved backend name, so every session or caller naming the same
+    pair — in whatever spelling — shares one code and one decoder, and
+    every decoder of one code shares that code.  Codes and decoders hold
+    no per-caller state and their arrays are read-only; a build that
+    raises caches nothing under its key.  ``strategy`` and ``backend``
+    mean what they mean for :func:`get_decoder`; for a separate
+    instance, call the code's factory and :func:`get_decoder` instead.
+    """
+    name = canonical_code_name(name)
+    if strategy is not None:
+        strategy = strategy.lower()
+    if backend is not None:
+        from repro.backends import resolve_backend
+
+        backend = resolve_backend(backend).name
+    key = (name, strategy, backend)
+    pair = _CODECS.get(key)
+    if pair is None:
+        if strategy is None and backend is None:
+            code = _build_code(name)
+        else:
+            code = get_code(name)
+        pair = (code, get_decoder(code, strategy, backend))
+        _CODECS[key] = pair
+    return pair
 
 
 def get_code(name: str) -> LinearBlockCode:
-    """Build a code by short name (``hamming74``/``hamming84``/``rm13``).
+    """The shared code for a short name (``hamming74``/``hamming84``/``rm13``).
 
     Composite names compose registry codes (see the module docstring):
     ``interleaved:<base>:<depth>`` builds an
     :class:`~repro.coding.interleave.InterleavedCode` and
     ``concatenated:<outer>:<inner>`` a
-    :class:`~repro.coding.interleave.ConcatenatedCode`.
+    :class:`~repro.coding.interleave.ConcatenatedCode`.  The code is
+    the one :func:`get_codec` memoises, shared process-wide.
     """
-    if ":" in name:
-        return _composite_code(name)
-    key = name.lower().replace("-", "").replace("_", "").replace("(", "").replace(")", "").replace(",", "")
-    aliases = {
-        "hamming74": "hamming74",
-        "hamming84": "hamming84",
-        "extendedhamming84": "hamming84",
-        "rm13": "rm13",
-        "reedmuller13": "rm13",
-    }
-    key = aliases.get(key, key)
-    if key not in _CODE_FACTORIES:
-        raise KeyError(f"unknown code {name!r}; available: {available_codes()}")
-    return _CODE_FACTORIES[key]()
+    return get_codec(name)[0]
 
 
 def available_decoders() -> List[str]:

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.backends import resolve_backend
 from repro.errors import DimensionError, NotBinaryError
+from repro.gf2.vectors import read_only
 
 #: Number of logical bits carried per packed word.
 WORD_BITS = 64
@@ -251,19 +252,19 @@ class PackedGF2Matmul:
         if m.ndim != 2:
             raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
         self.k, self.n = m.shape
-        self.matrix = m.copy()
-        self.matrix.flags.writeable = False
+        self.matrix = read_only(m.copy())
         self.backend = backend
         #: Per-output-column row supports (indices of ones in column j).
         self._supports: List[np.ndarray] = [
-            np.flatnonzero(m[:, j]) for j in range(self.n)
+            read_only(np.flatnonzero(m[:, j])) for j in range(self.n)
         ]
         # CSR form of the supports, the layout the backend kernels take.
-        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        self._indptr[1:] = np.cumsum([s.size for s in self._supports])
-        self._indices = (
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([s.size for s in self._supports])
+        self._indptr = read_only(indptr)
+        self._indices = read_only(
             np.concatenate(self._supports).astype(np.int64)
-            if self._indptr[-1]
+            if indptr[-1]
             else np.zeros(0, dtype=np.int64)
         )
 

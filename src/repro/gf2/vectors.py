@@ -18,6 +18,17 @@ from repro.errors import NotBinaryError
 BitsLike = Union[str, int, Sequence[int], np.ndarray]
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Flag ``array`` read-only in place and return it.
+
+    Codes and decoders freeze the arrays they hold or cache, because
+    one instance may serve every caller in the process (see
+    :func:`repro.coding.registry.get_codec`).
+    """
+    array.flags.writeable = False
+    return array
+
+
 def as_bit_array(bits: BitsLike, length: int | None = None) -> np.ndarray:
     """Coerce ``bits`` to a 1-D ``uint8`` array of 0/1 values.
 

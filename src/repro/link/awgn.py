@@ -19,10 +19,10 @@ policies see the very same noise draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.coding.decoders.soft import soft_confidences_from_flux
 from repro.utils.rng import RandomState, as_generator
@@ -107,4 +107,4 @@ class AwgnFluxChannel:
         """
         if self.sigma == 0:
             return 0.0
-        return float(norm.sf(0.5 / self.sigma))
+        return 0.5 * math.erfc(0.5 / (self.sigma * math.sqrt(2)))

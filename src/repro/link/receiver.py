@@ -10,10 +10,10 @@ asymmetric binary channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import DimensionError
 from repro.utils.rng import RandomState, as_generator
@@ -57,8 +57,10 @@ class CmosReceiver:
             p01 = 0.0 if low_mv < threshold else 1.0
             p10 = 0.0 if high_mv > threshold else 1.0
             return p01, p10
-        p01 = float(norm.sf((threshold - low_mv) / sigma))
-        p10 = float(norm.cdf((threshold - high_mv) / sigma))
+        # Gaussian tails: Q(x) = erfc(x / sqrt 2) / 2 and Phi(x) = Q(-x).
+        scale = sigma * math.sqrt(2)
+        p01 = 0.5 * math.erfc((threshold - low_mv) / scale)
+        p10 = 0.5 * math.erfc((high_mv - threshold) / scale)
         return p01, p10
 
     def decide_batch(

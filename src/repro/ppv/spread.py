@@ -13,6 +13,7 @@ smoother alternative real fabs exhibit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -68,13 +69,11 @@ class SpreadSpec:
             return 1.0
         if self.distribution == "uniform":
             return 1.0 - threshold / self.fraction
-        from scipy.stats import norm
-
         # Clipping moves out-of-range mass onto the bounds, which still
         # exceed any threshold < fraction, so the exceedance equals the
-        # raw normal tail probability.
+        # raw normal two-sided tail, 2 Q(t / sigma) = erfc(t / (sigma sqrt 2)).
         sigma = self.fraction / 3.0
-        return float(2.0 * (1.0 - norm.cdf(threshold, scale=sigma)))
+        return math.erfc(threshold / (sigma * math.sqrt(2)))
 
     def describe(self) -> str:
         return f"+/-{self.fraction * 100:.0f}% {self.distribution}"

@@ -25,18 +25,19 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.coding.decoders import Decoder, default_decoder_for
-from repro.coding.linear import LinearBlockCode
 from repro.coding.registry import (
     available_codes,
     available_decoders,
-    get_code,
-    get_decoder,
+    canonical_code_name,
+    get_codec,
 )
 from repro.errors import CodingError, SessionError
 from repro.link.channel import BinaryChannel
 from repro.service.telemetry import ServiceTelemetry, SessionTelemetry
 from repro.utils.rng import as_generator
+
+#: Session ids travel as uint16 in batch headers.
+MAX_SESSION_ID = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,14 @@ class SessionConfig:
 
 
 class CodecSession:
-    """One served (code, decoder, channel-policy) binding."""
+    """One served (code, decoder, channel-policy) binding.
+
+    The code and decoder are the process-wide pair
+    :func:`~repro.coding.registry.get_codec` memoises, shared with every
+    other session of that code; a session owns only its mutable state —
+    the injection channel's RNG and its telemetry series here, its
+    stream window and memory lane in the dispatch core.
+    """
 
     def __init__(
         self,
@@ -174,29 +182,22 @@ class CodecSession:
         # than escaping as internal server errors.
         _config_errors = (KeyError, TypeError, ValueError, CodingError)
         try:
-            self.code: LinearBlockCode = get_code(config.code)
+            name = canonical_code_name(config.code)
         except _config_errors as exc:
             raise SessionError(str(exc)) from exc
         # Composite codes can be deep (k·depth up to hundreds of bits);
         # the tabulating strategies (coset tables are 2^(n-k) rows,
         # codebooks 2^k) would let one session config OOM the server.
         # Composites are served through their streaming wrapper
-        # decoders only.
-        from repro.coding.interleave import ConcatenatedCode, InterleavedCode
-
-        if isinstance(self.code, (InterleavedCode, ConcatenatedCode)):
-            if config.decoder not in (None, "interleaved", "concatenated"):
-                raise SessionError(
-                    f"composite code {config.code!r} must use its composite "
-                    f"decoder (got strategy {config.decoder!r}); configure the "
-                    "constituent decoders library-side instead"
-                )
-        try:
-            self.decoder: Decoder = (
-                get_decoder(self.code, config.decoder)
-                if config.decoder is not None
-                else default_decoder_for(self.code)
+        # decoders only — refused by name, before anything is built.
+        if ":" in name and config.decoder not in (None, "interleaved", "concatenated"):
+            raise SessionError(
+                f"composite code {config.code!r} must use its composite "
+                f"decoder (got strategy {config.decoder!r}); configure the "
+                "constituent decoders library-side instead"
             )
+        try:
+            self.code, self.decoder = get_codec(name, config.decoder)
         except _config_errors as exc:
             raise SessionError(str(exc)) from exc
         if config.stream_depth is not None and config.stream_depth < 1:
@@ -330,10 +331,16 @@ class SessionRegistry:
         *independent* injection streams must pass distinct seeds; an
         unseeded noisy config draws fresh entropy once, at first open.
 
-        ``session_id`` forces the id instead of allocating the next one.
-        The pooled front end owns the id space and uses this to rebuild
-        sessions in a respawned worker under their original wire ids.
+        ``session_id`` forces the id instead of allocating the next one;
+        it must lie in ``[1, MAX_SESSION_ID]``.  The pooled front end
+        owns the id space and uses this to rebuild sessions in a
+        respawned worker under their original wire ids; the public
+        ``OPEN`` opcode never forces one.
         """
+        if session_id is not None and not 1 <= session_id <= MAX_SESSION_ID:
+            raise SessionError(
+                f"session id {session_id} lies outside [1, {MAX_SESSION_ID}]"
+            )
         if config in self._by_config:
             existing = self._sessions[self._by_config[config]]
             if session_id is not None and existing.session_id != session_id:
@@ -406,7 +413,7 @@ def catalog() -> Dict:
     """
     codes = []
     for name in available_codes():
-        code = get_code(name)
+        code, decoder = get_codec(name)
         codes.append(
             {
                 "name": name,
@@ -415,7 +422,7 @@ def catalog() -> Dict:
                 "k": code.k,
                 "rate": round(code.rate, 4),
                 "d_min": code.minimum_distance,
-                "default_decoder": default_decoder_for(code).strategy_name,
+                "default_decoder": decoder.strategy_name,
             }
         )
     return {"codes": codes, "decoders": available_decoders()}

@@ -59,6 +59,7 @@ from repro.obs.tracing import get_tracer, reset_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy, MicroBatcher
 from repro.service.session import (
+    MAX_SESSION_ID,
     CodecSession,
     SessionConfig,
     SessionRegistry,
@@ -67,9 +68,6 @@ from repro.service.session import (
 from repro.service.telemetry import ServiceTelemetry, stats_view
 
 logger = logging.getLogger(__name__)
-
-#: Session ids travel as uint16 in batch headers.
-MAX_SESSION_ID = 0xFFFF
 
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_WORKER_START_METHOD"
@@ -151,13 +149,10 @@ class DispatchCore:
         raise protocol.ProtocolError(f"unknown opcode 0x{request.opcode:02x}")
 
     def _op_open(self, body: bytes) -> bytes:
-        payload = protocol.parse_json_body(body)
-        session_id = payload.pop("session_id", None)
-        config = SessionConfig.from_dict(payload.get("config", payload))
-        session = self.open_session(
-            config, session_id=None if session_id is None else int(session_id)
-        )
-        return protocol.build_json_body(session.describe())
+        # The body is a plain session config: the server assigns the id.
+        # Only the pool's worker plane forces ids (OP_W_OPEN).
+        config = SessionConfig.from_dict(protocol.parse_json_body(body))
+        return protocol.build_json_body(self.open_session(config).describe())
 
     @staticmethod
     def check_response_fits(n_frames: int, bytes_per_frame: int) -> None:

@@ -24,7 +24,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.coding import get_code, get_decoder
+from repro.coding import get_code, get_decoder, hamming84_paper
+from repro.coding import registry
 from repro.coding.decoders import SyndromeDecoder
 from repro.coding.decoders import base as decoder_base
 from repro.errors import NotBinaryError
@@ -33,8 +34,13 @@ from repro.service import DispatchCore, protocol
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """An empty table memo plus a list that records each table build."""
+    """Empty table and codec memos plus a list that records each table build.
+
+    The codec memo is emptied too: a shared decoder keeps the table it
+    gathered from, so a warm one would build nothing here.
+    """
     monkeypatch.setattr(decoder_base, "_DECODE_TABLES", {})
+    monkeypatch.setattr(registry, "_CODECS", {})
     builds = []
     table_words = decoder_base._table_words
 
@@ -53,8 +59,9 @@ def _some_words(code, seed=0, batch=64):
 
 class TestMemoisation:
     def test_decoders_of_separate_codes_share_one_table(self, fresh_tables):
-        first = get_decoder(get_code("hamming84"))
-        second = get_decoder(get_code("hamming84"))
+        first = get_decoder(hamming84_paper())
+        second = get_decoder(hamming84_paper())
+        assert first.code is not second.code
         words = _some_words(first.code)
         first.decode_batch_detailed(words)
         second.decode_batch_detailed(words)

@@ -20,7 +20,7 @@ from repro.service import (
     run_scenario,
 )
 from repro.service import DispatchCore, LatencyReservoir, protocol
-from repro.service.session import CodecSession
+from repro.service.session import MAX_SESSION_ID, CodecSession
 
 
 #: Hard wall-clock bound on every async scenario in this file.  All
@@ -162,6 +162,51 @@ class TestSessions:
     def test_config_from_dict_requires_code(self):
         with pytest.raises(SessionError):
             SessionConfig.from_dict({"decoder": "ml"})
+
+    @pytest.mark.parametrize("session_id", [0, -1, MAX_SESSION_ID + 1, 65537])
+    def test_forced_ids_must_fit_the_wire(self, session_id):
+        registry = SessionRegistry()
+        with pytest.raises(SessionError, match="outside"):
+            registry.open(SessionConfig(code="hamming84"), session_id=session_id)
+        assert len(registry) == 0
+        assert registry.open(SessionConfig(code="hamming84")).session_id == 1
+
+    def test_public_open_cannot_force_a_session_id(self):
+        """Regression: an OPEN carrying ``session_id`` got that id at
+        workers=0, so a later open's id wrapped onto another session's
+        on the 16-bit wire."""
+        core = DispatchCore()
+        code = get_code("hamming84")
+        word = code.encode(np.array([1, 0, 1, 1], dtype=np.uint8))[None, :]
+
+        async def call(opcode, body):
+            return await core.dispatch(protocol.Request(opcode, 0, body))
+
+        async def scenario():
+            forced = await call(protocol.OP_OPEN, protocol.build_json_body(
+                {"code": "hamming74", "session_id": 65537}
+            ))
+            with pytest.raises(SessionError, match="'code'"):
+                await call(protocol.OP_OPEN, protocol.build_json_body(
+                    {"session_id": 65538, "config": {"code": "rm13"}}
+                ))
+            ordinary = await call(
+                protocol.OP_OPEN, protocol.build_json_body({"code": "hamming84"})
+            )
+            sid = json.loads(ordinary)["session_id"]
+            reply = await call(
+                protocol.OP_DECODE, protocol.build_batch_body(sid, word)
+            )
+            return json.loads(forced)["session_id"], sid, reply
+
+        forced, sid, reply = run(scenario())
+        assert (forced, sid) == (1, 2)
+        messages, corrected, flagged = protocol.parse_decode_response_body(reply, 4)
+        assert messages.tolist() == [[1, 0, 1, 1]]
+        assert corrected.tolist() == [0] and flagged.tolist() == [False]
+        frames = core.stats()["sessions"]
+        assert frames["2"]["frames"] == {"decode": 1}
+        assert "decode" not in frames["1"]["frames"]
 
     def test_encode_frames_injects_seeded_errors(self):
         config = SessionConfig(code="hamming84", p01=0.2, p10=0.2, seed=11)
