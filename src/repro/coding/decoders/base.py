@@ -274,7 +274,7 @@ class Decoder(ABC):
             if table is None:
                 table = self._decode_each(_table_words(code.n))
                 for array in vars(table).values():
-                    array.flags.writeable = False
+                    read_only(array)
                 _DECODE_TABLES[key] = table
             self._table = table
         return self._table

@@ -91,11 +91,12 @@ _ALIASES: Dict[str, str] = {
     "reedmuller13": "rm13",
 }
 
-#: Process-wide (code, decoder) pairs keyed by canonical code name,
-#: decoder strategy and backend (see :func:`get_codec`).
-_CODECS: Dict[
-    Tuple[str, Optional[str], Optional[str]], Tuple[LinearBlockCode, Decoder]
-] = {}
+#: Process-wide codes keyed by canonical code name (see :func:`get_code`).
+_CODES: Dict[str, LinearBlockCode] = {}
+
+#: Process-wide (code, decoder) pairs keyed by canonical code name and
+#: lower-cased decoder strategy (see :func:`get_codec`).
+_CODECS: Dict[Tuple[str, Optional[str]], Tuple[LinearBlockCode, Decoder]] = {}
 
 
 def canonical_code_name(name: str) -> str:
@@ -162,40 +163,6 @@ def _build_code(name: str) -> LinearBlockCode:
     return _CODE_FACTORIES[name]()
 
 
-def get_codec(
-    name: str, strategy: Optional[str] = None, backend: Optional[str] = None
-) -> Tuple[LinearBlockCode, Decoder]:
-    """The process's one (code, decoder) pair for a code name.
-
-    Built on first use and memoised under the canonical code name (see
-    :func:`canonical_code_name`), the lower-cased strategy and the
-    resolved backend name, so every session or caller naming the same
-    pair — in whatever spelling — shares one code and one decoder, and
-    every decoder of one code shares that code.  Codes and decoders hold
-    no per-caller state and their arrays are read-only; a build that
-    raises caches nothing under its key.  ``strategy`` and ``backend``
-    mean what they mean for :func:`get_decoder`; for a separate
-    instance, call the code's factory and :func:`get_decoder` instead.
-    """
-    name = canonical_code_name(name)
-    if strategy is not None:
-        strategy = strategy.lower()
-    if backend is not None:
-        from repro.backends import resolve_backend
-
-        backend = resolve_backend(backend).name
-    key = (name, strategy, backend)
-    pair = _CODECS.get(key)
-    if pair is None:
-        if strategy is None and backend is None:
-            code = _build_code(name)
-        else:
-            code = get_code(name)
-        pair = (code, get_decoder(code, strategy, backend))
-        _CODECS[key] = pair
-    return pair
-
-
 def get_code(name: str) -> LinearBlockCode:
     """The shared code for a short name (``hamming74``/``hamming84``/``rm13``).
 
@@ -203,10 +170,42 @@ def get_code(name: str) -> LinearBlockCode:
     ``interleaved:<base>:<depth>`` builds an
     :class:`~repro.coding.interleave.InterleavedCode` and
     ``concatenated:<outer>:<inner>`` a
-    :class:`~repro.coding.interleave.ConcatenatedCode`.  The code is
-    the one :func:`get_codec` memoises, shared process-wide.
+    :class:`~repro.coding.interleave.ConcatenatedCode`.  Built on first
+    use and memoised under :func:`canonical_code_name`, so every caller
+    naming the code — in whatever spelling — shares one instance with
+    read-only arrays.  For a separate instance, call the code's factory
+    (``hamming84_paper()``).
     """
-    return get_codec(name)[0]
+    name = canonical_code_name(name)
+    code = _CODES.get(name)
+    if code is None:
+        code = _CODES[name] = _build_code(name)
+    return code
+
+
+def get_codec(
+    name: str, strategy: Optional[str] = None
+) -> Tuple[LinearBlockCode, Decoder]:
+    """The process's one (code, decoder) pair for a code name.
+
+    The decoder :func:`get_decoder` builds over :func:`get_code`'s
+    shared code, memoised under the canonical code name and the
+    lower-cased strategy; a composite's own strategy (``interleaved``,
+    ``concatenated``) is its default and shares that entry.  Decoders
+    hold no per-caller state and their arrays are read-only; a build
+    that raises caches nothing under its key.  For a decoder pinned to
+    a backend, call ``get_decoder(get_code(name), strategy, backend)``.
+    """
+    name = canonical_code_name(name)
+    strategy = None if strategy is None else strategy.lower()
+    if strategy == name.partition(":")[0]:
+        strategy = None
+    key = (name, strategy)
+    pair = _CODECS.get(key)
+    if pair is None:
+        code = get_code(name)
+        pair = _CODECS[key] = (code, get_decoder(code, strategy))
+    return pair
 
 
 def available_decoders() -> List[str]:

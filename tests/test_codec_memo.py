@@ -1,13 +1,15 @@
 """Each (code, decoder) pair is built once per process and shared.
 
-``repro.coding.registry.get_codec`` memoises the pair under the
-canonical code name, the strategy and the backend; ``get_code``,
-``CodecSession`` and ``catalog()`` all take theirs from it.  These tests
+``repro.coding.registry.get_code`` memoises each code under its
+canonical name and ``get_codec`` each decoder over it under the name
+and the strategy; ``CodecSession`` and ``catalog()`` take their pair
+from ``get_codec``.  These tests
 pin what makes the sharing safe and bounded:
 
 * N session opens of one code build its code and decoder once, while
   each session keeps its own injection stream;
-* every client spelling of a name lands on one memo entry;
+* every client spelling of a name lands on one memo entry, and a code
+  asked for alone builds no decoder;
 * a refused config (unknown code, a composite given a tabulating
   strategy) caches nothing;
 * no caller can write into a shared code's or decoder's arrays.
@@ -27,11 +29,12 @@ from repro.service.session import CodecSession, SessionConfig, catalog
 
 
 @pytest.fixture
-def fresh_codecs(monkeypatch):
-    """An empty codec memo; returns it so tests can inspect the keys."""
-    memo = {}
-    monkeypatch.setattr(registry, "_CODECS", memo)
-    return memo
+def memos(monkeypatch):
+    """Empty code and codec memos, returned so tests can inspect the keys."""
+    codes, codecs = {}, {}
+    monkeypatch.setattr(registry, "_CODES", codes)
+    monkeypatch.setattr(registry, "_CODECS", codecs)
+    return codes, codecs
 
 
 def _counted(calls, fn):
@@ -45,9 +48,7 @@ def _counted(calls, fn):
 
 
 class TestBuildOnce:
-    def test_session_opens_build_code_and_decoder_once(
-        self, fresh_codecs, monkeypatch
-    ):
+    def test_session_opens_build_code_and_decoder_once(self, memos, monkeypatch):
         """200 distinct-seed hamming84 opens share one code and decoder."""
         factories = registry._CODE_FACTORIES
         codes_built, decoders_built = [], []
@@ -77,46 +78,62 @@ class TestBuildOnce:
         assert len({id(s.decoder) for s in sessions}) == 1
         # The injection streams stay per session.
         assert len({id(s._rng) for s in sessions}) == 200
-        assert list(fresh_codecs) == [("hamming84", None, None)]
+        assert list(memos[0]) == ["hamming84"]
+        assert list(memos[1]) == [("hamming84", None)]
 
-    def test_catalog_builds_nothing_twice(self, fresh_codecs, monkeypatch):
+    def test_catalog_builds_nothing_twice(self, memos, monkeypatch):
         built = []
         factories = registry._CODE_FACTORIES
         monkeypatch.setitem(factories, "rm13", _counted(built, factories["rm13"]))
         first = catalog()
         assert catalog() == first
         assert len(built) == 1
-        assert len(fresh_codecs) == len(first["codes"])
+        assert len(memos[1]) == len(first["codes"])
 
-    def test_decoders_of_one_code_share_it(self, fresh_codecs):
+    def test_decoders_of_one_code_share_it(self, memos):
         code, default = get_codec("hamming84")
         syndrome_code, syndrome = get_codec("hamming84", "syndrome")
         assert syndrome_code is code
         assert syndrome is not default
         assert get_code("hamming84") is code
 
+    def test_a_code_alone_builds_no_decoder(self, memos):
+        codes, codecs = memos
+        get_code("interleaved:hamming74:8")
+        assert list(codes) == ["hamming74", "interleaved:hamming74:8"]
+        assert codecs == {}
+
+    @pytest.mark.parametrize(
+        "name", ["interleaved:hamming74:4", "concatenated:hamming84:hamming74"]
+    )
+    def test_a_composite_strategy_is_its_default_entry(self, memos, name):
+        kind = name.partition(":")[0]
+        assert get_codec(name, kind.upper()) is get_codec(name)
+        assert list(memos[1]) == [(name, None)]
+
 
 class TestCanonicalNames:
     @pytest.mark.parametrize(
-        "spellings,entries",
+        "spellings,codes",
         [
             (["hamming84", "Hamming(8,4)", "hamming-84", "HAMMING_84",
               "extended_hamming_84"], 1),
             (["rm13", "RM(1,3)", "reed-muller-13"], 1),
-            # A composite's entry plus one per distinct part.
+            # A composite's code plus one per distinct part.
             (["interleaved:hamming84:8", "interleaved:Hamming84:08",
               " Interleaved :hamming-84: 8"], 2),
             (["concatenated:hamming84:hamming74",
               "CONCATENATED:Hamming(8,4):Hamming(7,4)"], 3),
         ],
     )
-    def test_spellings_share_one_entry(self, fresh_codecs, spellings, entries):
+    def test_spellings_share_one_entry(self, memos, spellings, codes):
         pairs = [get_codec(name) for name in spellings]
         assert all(pair is pairs[0] for pair in pairs)
         assert {canonical_code_name(name) for name in spellings} == {spellings[0]}
-        assert len(fresh_codecs) == entries
+        assert len(memos[0]) == codes
+        assert len(memos[1]) == 1
 
-    def test_strategy_spelling_and_composite_parts_are_shared(self, fresh_codecs):
+    def test_strategy_spelling_and_composite_parts_are_shared(self, memos):
         assert get_codec("rm13", "SOFT-FHT") is get_codec("RM(1,3)", "soft-fht")
         interleaved = get_code("interleaved:hamming74:4")
         assert interleaved.base_code is get_code("Hamming(7,4)")
@@ -136,25 +153,24 @@ class TestRefusedConfigsCacheNothing:
             {"code": "concatenated:hamming84:hamming74", "decoder": "ml"},
         ],
     )
-    def test_refused_open_raises_and_caches_nothing(self, fresh_codecs, config):
+    def test_refused_open_raises_and_caches_nothing(self, memos, config):
         with pytest.raises(SessionError):
             CodecSession(1, SessionConfig.from_dict(config))
-        assert fresh_codecs == {}
+        assert memos == ({}, {})
 
-    def test_refused_open_over_the_wire(self, fresh_codecs):
+    def test_refused_open_over_the_wire(self, memos):
         core = DispatchCore()
         body = protocol.build_json_body({"code": "golay"})
         with pytest.raises(SessionError):
             asyncio.run(core.dispatch(protocol.Request(protocol.OP_OPEN, 1, body)))
-        assert fresh_codecs == {} and len(core.registry) == 0
+        assert memos == ({}, {}) and len(core.registry) == 0
 
-    def test_failed_decoder_build_caches_nothing_under_its_key(self, fresh_codecs):
+    def test_failed_decoder_build_caches_nothing_under_its_key(self, memos):
         with pytest.raises(ValueError):
             get_codec("hamming84", "fht")  # FHT needs an RM(1, m) code
-        assert ("hamming84", "fht", None) not in fresh_codecs
         with pytest.raises(KeyError):
             get_codec("hamming84", "no-such-strategy")
-        assert ("hamming84", "no-such-strategy", None) not in fresh_codecs
+        assert memos[1] == {}
 
 
 def _arrays_held(obj, seen=None):

@@ -34,12 +34,13 @@ from repro.service import DispatchCore, protocol
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty table and codec memos plus a list that records each table build.
+    """Empty decode-table, code and codec memos, and a list of table builds.
 
-    The codec memo is emptied too: a shared decoder keeps the table it
-    gathered from, so a warm one would build nothing here.
+    The registry's memos are emptied too: a shared decoder keeps the
+    table it gathered from, so a warm one would build nothing here.
     """
     monkeypatch.setattr(decoder_base, "_DECODE_TABLES", {})
+    monkeypatch.setattr(registry, "_CODES", {})
     monkeypatch.setattr(registry, "_CODECS", {})
     builds = []
     table_words = decoder_base._table_words
