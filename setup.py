@@ -34,7 +34,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    # numpy 2.0 brings np.bitwise_count, which the kernel backends use.
+    # numpy 2.0 brings np.bitwise_count, which the kernel engine uses.
     # scipy serves margin calibration (system/calibration.py) and the
     # tests' reference tails; the codec service never imports it.
     install_requires=[

@@ -1,71 +1,134 @@
-"""The kernel surface every compute backend implements.
+"""The kernel engine: the repo's hot inner kernels as plain NumPy.
 
-A :class:`KernelBackend` bundles the repo's hot inner kernels — the
-bit-packed GF(2) primitives of :mod:`repro.gf2.bitpack` and the float
-soft-decision searches (codebook correlation, Hadamard spectrum).
-Hard-decision batches need no kernel: they gather from a decode table
-(:meth:`repro.coding.decoders.base.Decoder.decode_batch_detailed`).
-The base class *is* the NumPy reference implementation: every method
-body here is the exact vectorised code the decoders ran before
-backends existed, so ``numpy`` is correct by construction and the
-accelerated backend (:mod:`repro.backends.native_backend`) overrides
-only what it speeds up, inheriting the reference for everything else.
+A :class:`KernelBackend` bundles the bit-packed GF(2) primitives of
+:mod:`repro.gf2.bitpack` and the float soft-decision searches (codebook
+correlation, Hadamard spectrum).  Hard-decision batches need no kernel:
+they gather from a decode table
+(:meth:`repro.coding.decoders.base.Decoder.decode_batch_detailed`), and
+encoding a code with ``n <= TABLE_N_LIMIT`` gathers from its codeword
+table (:meth:`repro.coding.linear.LinearBlockCode.encode_batch`).
 
-The contract is **bit-identity**: for any input, every kernel must
-return arrays exactly equal (values *and* semantics — first-occurrence
-argmax/argmin, tie counting, float reduction order) to this reference.
-Integer kernels are exact by nature; the float kernels are only
-bit-identical if the backend reproduces NumPy's pairwise summation
-order, which is what :func:`repro.backends.registry.backend_ready`
-verifies before a backend is ever selected.
+The soft kernels score a ``(batch, n)`` confidence block against
+``(rows, n)`` ±1 sign rows with :func:`pairwise_scores`, which equals
+``(values[:, None, :] * signs[None]).sum(axis=2)`` bit for bit: it
+adds the same terms in NumPy's pairwise summation order, so a 1-row
+call and a 4096-row call agree on every row and the scalar decoders,
+the golden vectors and the conformance matrix hold.
 
 Kernel methods assume *validated, canonical* inputs (correct dtypes,
 2-D shapes, 0/1 bit arrays): validation stays in the public wrappers
-(:mod:`repro.gf2.bitpack`, the decoder entry points), so dispatch adds
-no per-call overhead.
+(:mod:`repro.gf2.bitpack`, the decoder entry points).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
 
 #: Number of logical bits carried per packed word (mirrors
-#: :data:`repro.gf2.bitpack.WORD_BITS`; duplicated here so the backend
-#: layer never imports the layer that dispatches to it).
+#: :data:`repro.gf2.bitpack.WORD_BITS`; duplicated here so the engine
+#: never imports the layer that dispatches to it).
 WORD_BITS = 64
 
 _WORD_BYTES = WORD_BITS // 8
 
+#: NumPy's pairwise summation: below ``_PAIRWISE_UNROLL`` terms it adds
+#: in sequence; up to ``_PAIRWISE_BLOCK`` terms it keeps eight running
+#: accumulators, combines them as a fixed tree and adds the remainder
+#: in sequence; longer sums recurse on halves.
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+#: Accumulator order in each block of eight term slabs: bit-reversed, so
+#: every level of the tree adds the second half of its slabs to the first.
+_LANE_ORDER = (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+@lru_cache(maxsize=None)
+def _term_sources(shape: Tuple[int, int], dtype: str, data: bytes) -> np.ndarray:
+    """Row of ``[values.T; -values.T]`` that holds each term, slab-major.
+
+    Slab ``k`` holds term ``order[k]`` of every sign row: the terms of
+    each whole block of eight in ``_LANE_ORDER``, then the remainder in
+    sequence.  A term is the value or its negation as the sign is +1
+    or -1.
+    """
+    rows, n = shape
+    signs = np.frombuffer(data, dtype=dtype).reshape(shape)
+    order = np.arange(n)
+    if n >= _PAIRWISE_UNROLL:
+        blocked = n - n % _PAIRWISE_UNROLL
+        blocks = np.arange(0, blocked, _PAIRWISE_UNROLL)[:, None]
+        order[:blocked] = (blocks + _LANE_ORDER).reshape(-1)
+    sources = (order[:, None] + n * (signs.T[order] < 0)).reshape(-1)
+    sources.flags.writeable = False
+    return sources
+
+
+def pairwise_scores(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``(batch, rows)`` scores of every row of ``values`` against ``signs``.
+
+    Bit-identical to ``(values[:, None, :] * signs[None]).sum(axis=2)``
+    for ±1 ``signs``: a term is a value or its negation exactly, and
+    for ``n <= 128`` terms they are added in the order NumPy's pairwise
+    sum adds them along a contiguous axis (sequentially below 8 terms;
+    eight accumulators combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then the
+    remainder in sequence, up to 128), finishing with NumPy's
+    ``0.0 + sum`` so even the sign of a zero score matches.  Longer
+    rows use the expression itself.  The terms are gathered once into
+    contiguous ``(rows, batch)`` slabs and summed in place, one NumPy
+    call per step over the whole batch.
+
+    Parameters
+    ----------
+    values : numpy.ndarray
+        ``(batch, n)`` float64 confidences.
+    signs : numpy.ndarray
+        ``(rows, n)`` float64 ±1 rows to correlate with.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(batch, rows)`` float64 scores (a transposed view).
+    """
+    batch, n = values.shape
+    if not 0 < n <= _PAIRWISE_BLOCK:
+        return (values[:, None, :] * signs[None, :, :]).sum(axis=2)
+    columns = np.ascontiguousarray(values.T)
+    sources = _term_sources(signs.shape, signs.dtype.str, signs.tobytes())
+    terms = np.concatenate((columns, -columns)).take(sources, axis=0)
+    terms = terms.reshape(n, signs.shape[0], batch)
+    scores = terms[0]
+    if n < _PAIRWISE_UNROLL:
+        scores += 0.0
+        for j in range(1, n):
+            scores += terms[j]
+        return scores.T
+    blocked = n - n % _PAIRWISE_UNROLL
+    lanes = terms[:_PAIRWISE_UNROLL]
+    for start in range(_PAIRWISE_UNROLL, blocked, _PAIRWISE_UNROLL):
+        lanes += terms[start : start + _PAIRWISE_UNROLL]
+    np.add(lanes[:4], lanes[4:], out=lanes[:4])
+    np.add(lanes[:2], lanes[2:4], out=lanes[:2])
+    scores += lanes[1]
+    for j in range(blocked, n):
+        scores += terms[j]
+    scores += 0.0
+    return scores.T
+
 
 class KernelBackend:
-    """Reference (NumPy) implementation of the pluggable kernel surface.
+    """The NumPy kernel engine behind every packed and soft batch path.
 
-    Subclasses override :attr:`name`, :attr:`priority` and whichever
-    kernels they accelerate.  ``priority`` orders the capability probe:
-    the highest-priority backend that imports, compiles and passes the
-    bit-identity self-check becomes the process default.
+    :func:`repro.backends.registry.resolve_backend` hands out the one
+    instance (wrapped in a timing proxy when kernel profiling is on).
     """
 
-    #: Registry key (``backend=`` argument, ``REPRO_BACKEND`` value).
+    #: Engine name: the ``backend`` label on the service's series.
     name: str = "numpy"
-    #: Auto-selection rank; higher wins when several backends are usable.
-    priority: int = 10
-    #: One-line description shown by ``repro backends``.
-    summary: str = "vectorised NumPy bit-slicing (always available)"
-
-    # ------------------------------------------------------------------
-    # Availability
-    # ------------------------------------------------------------------
-    def availability(self) -> Tuple[bool, str]:
-        """Whether this backend can run here, with a reason when not.
-
-        Called once per process by the capability probe; expensive
-        set-up (imports, compilation) belongs here so a
-        ``(True, "")`` answer means the kernels are ready to call.
-        """
-        return True, ""
 
     # ------------------------------------------------------------------
     # Bit-packing kernels (integer-exact)
@@ -156,14 +219,8 @@ class KernelBackend:
             ``(best_index, ties)``: per row the first index of the
             maximum correlation score and whether the maximum was
             attained more than once.
-
-        Notes
-        -----
-        The score is an elementwise product + axis sum (not BLAS) so the
-        float reduction order is NumPy's pairwise scheme for every batch
-        size — accelerated backends must replicate that order exactly.
         """
-        scores = (values[:, None, :] * signs[None, :, :]).sum(axis=2)
+        scores = pairwise_scores(values, signs)
         best_index = scores.argmax(axis=1)
         best = scores[np.arange(len(values)), best_index]
         ties = (scores == best[:, None]).sum(axis=1) > 1
@@ -191,7 +248,7 @@ class KernelBackend:
             spectrum).
         """
         batch = values.shape[0]
-        spectra = (values[:, None, :] * hadamard[None, :, :]).sum(axis=2)
+        spectra = pairwise_scores(values, hadamard)
         magnitudes = np.abs(spectra)
         best = magnitudes.max(axis=1, initial=0.0)
         best_index = (
@@ -202,12 +259,4 @@ class KernelBackend:
         return best_index, best_value, ties
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r} priority={self.priority}>"
-
-
-class NumpyBackend(KernelBackend):
-    """The always-available reference backend (the base class verbatim)."""
-
-    name = "numpy"
-    priority = 10
-    summary = "vectorised NumPy bit-slicing (always available)"
+        return f"<{type(self).__name__} {self.name!r}>"

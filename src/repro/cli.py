@@ -239,11 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list the registered codes/decoders (valid service session configs)",
     )
 
-    sub.add_parser(
-        "backends",
-        help="list the kernel backends: availability, probe result, default",
-    )
-
     serve = sub.add_parser(
         "serve", help="run the streaming codec service (micro-batched encode/decode)"
     )
@@ -262,10 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decode worker processes (0 = in-process on one "
                             "core); sessions are consistent-hash routed and "
                             "each worker micro-batches independently")
-    serve.add_argument("--backend", default=None, metavar="NAME",
-                       help="kernel backend for all decoding (exported as "
-                            "REPRO_BACKEND so pool workers inherit it; "
-                            "default: auto-selected, see 'repro backends')")
     serve.add_argument("--trace", default=None, metavar="FILE",
                        help="append sampled request traces to FILE as JSONL "
                             "(exported as REPRO_TRACE_FILE so pool workers "
@@ -275,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fraction of requests to trace, 0..1 "
                             "(default 1.0; only meaningful with --trace)")
     serve.add_argument("--profile-kernels", action="store_true",
-                       help="time every backend kernel call into the "
+                       help="time every kernel-engine call into the "
                             "repro_kernel_time_us histogram (exported as "
                             "REPRO_PROFILE_KERNELS; scrape with 'repro metrics')")
     serve.add_argument("--stream-deadline-us", type=_nonnegative_float,
@@ -578,25 +569,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 + entry["default_decoder"]
             )
         print(f"\ndecoder strategies: {', '.join(listing['decoders'])}")
-    elif args.command == "backends":
-        from repro.backends import probe
-
-        header = f"{'name':<8} {'priority':>8}  {'status':<12} {'summary'}"
-        print(header)
-        print("-" * len(header))
-        for entry in probe():
-            status = "available" if entry["available"] else "unavailable"
-            if entry["default"]:
-                status += " *"
-            line = (
-                f"{entry['name']:<8} {entry['priority']:>8}  {status:<12} "
-                f"{entry['summary']}"
-            )
-            print(line)
-            if entry["reason"]:
-                print(f"{'':19}({entry['reason']})")
-        print("\n* = default for unqualified kernel calls "
-              "(override with REPRO_BACKEND or backend=)")
     elif args.command == "serve":
         import asyncio
         import os as _os
@@ -610,24 +582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-
-        if args.backend is not None:
-            from repro.backends import (
-                BACKEND_ENV_VAR,
-                resolve_backend,
-                set_default_backend,
-            )
-            from repro.errors import BackendError
-
-            try:
-                backend_name = resolve_backend(args.backend).name
-            except BackendError as exc:
-                print(f"repro serve: error: {exc}", file=sys.stderr)
-                return 2
-            # The env var is the cross-process channel: pool workers are
-            # forked/spawned after this point and re-resolve it there.
-            _os.environ[BACKEND_ENV_VAR] = backend_name
-            set_default_backend(backend_name)
 
         if args.trace_sample is not None and args.trace is None:
             print(
@@ -679,8 +633,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "session routing ('repro admin' drives drain/restart)",
                     flush=True,
                 )
-            if args.backend is not None:
-                print(f"  kernel backend: {args.backend}", flush=True)
             if args.trace is not None:
                 sample = args.trace_sample if args.trace_sample is not None else 1.0
                 print(

@@ -9,9 +9,9 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.backends import resolve_backend
-from repro.coding.linear import LinearBlockCode
+from repro.coding.linear import TABLE_N_LIMIT, LinearBlockCode
 from repro.errors import DimensionError, NotBinaryError
-from repro.gf2.bitpack import pack_rows, packed_hamming_distance
+from repro.gf2.bitpack import row_values
 from repro.gf2.vectors import as_bit_array, read_only
 
 
@@ -102,10 +102,6 @@ class BatchDecodeResult:
 #: enumerate (2^k codeword scores per word; the paper's codes have k=4).
 SOFT_CODEBOOK_K_LIMIT = 16
 
-#: Longest code whose hard batch decoding is a table gather: the table
-#: has 2^n rows (at most 32768), filled once from the scalar decoder.
-TABLE_N_LIMIT = 15
-
 #: Process-wide decode tables (see :meth:`Decoder._decode_table`).
 _DECODE_TABLES: Dict[tuple, BatchDecodeResult] = {}
 
@@ -114,27 +110,6 @@ def _table_words(n: int) -> np.ndarray:
     """All 2^n received words, row ``i`` holding bit ``j`` of ``i`` at ``j``."""
     index = np.arange(1 << n)
     return ((index[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
-def _table_index(words: np.ndarray) -> np.ndarray:
-    """Table row of each received word (the inverse of :func:`_table_words`).
-
-    Rows are zero-padded to whole bytes so one flat ``np.packbits``
-    packs every word into one byte (n <= 8) or two (n <= 15); packing
-    row by row (``axis=1``) is several times slower on rows this
-    short.  The index is returned as ``intp`` once rather than
-    converted by each of the four ``take`` calls.
-    """
-    batch, n = words.shape
-    width = -(-n // 8) * 8
-    if n != width:
-        padded = np.zeros((batch, width), dtype=np.uint8)
-        padded[:, :n] = words
-        words = padded
-    packed = np.packbits(words.reshape(-1), bitorder="little")
-    if width > 8:
-        packed = packed.view("<u2")
-    return packed.astype(np.intp)
 
 
 class Decoder(ABC):
@@ -162,11 +137,6 @@ class Decoder(ABC):
 
     #: Short identifier used in reports and the decoder-policy ablation.
     strategy_name: str = "abstract"
-
-    #: Kernel backend this decoder's soft batched paths dispatch to.
-    #: ``None`` (the default) resolves the ambient backend at each call;
-    #: set a name (``get_decoder(..., backend="native")``) to pin one.
-    backend: Optional[str] = None
 
     def __init__(self, code: LinearBlockCode):
         self.code = code
@@ -219,7 +189,7 @@ class Decoder(ABC):
         if self.code.n > TABLE_N_LIMIT:
             return self._decode_each(words)
         table = self._decode_table()
-        index = _table_index(words)
+        index = row_values(words)
         return BatchDecodeResult(
             messages=table.messages.take(index, axis=0),
             codewords=table.codewords.take(index, axis=0),
@@ -300,9 +270,9 @@ class Decoder(ABC):
         """Soft-decode a ``(batch, n)`` confidence array into messages.
 
         Message-only fast path for hot loops (the soft-gain Monte-Carlo
-        sweep): skips the codeword re-encode and correction-count
-        bookkeeping that :meth:`decode_soft_batch_detailed` adds,
-        mirroring the hard :meth:`decode_batch` / detailed split.
+        sweep): skips the codeword gather and correction count that
+        :meth:`decode_soft_batch_detailed` adds, mirroring the hard
+        :meth:`decode_batch` / detailed split.
 
         Parameters
         ----------
@@ -318,10 +288,10 @@ class Decoder(ABC):
             correction counts are also needed.
         """
         values = self._check_soft_batch(confidences)
-        best_index, _ = resolve_backend(self.backend).correlation_decode(
+        best_index, _ = resolve_backend().correlation_decode(
             values, self._soft_codebook_signs()
         )
-        return self.code.all_messages[best_index]
+        return self.code.all_messages.take(best_index, axis=0)
 
     def decode_soft_batch_detailed(self, confidences: np.ndarray) -> BatchDecodeResult:
         """Vectorised correlation (soft-ML) decoding of a whole batch.
@@ -330,9 +300,12 @@ class Decoder(ABC):
         likelihood for any memoryless symmetric soft channel — and
         breaks score ties deterministically by the smallest message
         index (ties also raise ``detected_uncorrectable``, mirroring
-        the hard decoders' ambiguity flag).  ``corrected_errors``
-        counts where the chosen codeword differs from the sign-sliced
-        input, aligning soft telemetry with the hard path's.
+        the hard decoders' ambiguity flag).  The scores are
+        :func:`~repro.backends.pairwise_scores`, so every batch size
+        decodes a row alike.  Messages and codewords are gathered from
+        the code's tables; ``corrected_errors`` counts where the chosen
+        codeword differs from the sign-sliced input, aligning soft
+        telemetry with the hard path's.
 
         Parameters
         ----------
@@ -346,33 +319,26 @@ class Decoder(ABC):
             counts and tie flags.
         """
         values = self._check_soft_batch(confidences)
-        best_index, ties = resolve_backend(self.backend).correlation_decode(
+        best_index, ties = resolve_backend().correlation_decode(
             values, self._soft_codebook_signs()
         )
-        messages = self.code.all_messages[best_index]
-        codewords = self.code.all_codewords[best_index]
-        hard = (values < 0).astype(np.uint8)
-        corrected = packed_hamming_distance(
-            pack_rows(codewords, backend=self.backend),
-            pack_rows(hard, backend=self.backend),
-            backend=self.backend,
-        )
+        return self._soft_result(values, best_index, ties)
+
+    def _soft_result(
+        self, values: np.ndarray, index: np.ndarray, ties: np.ndarray
+    ) -> BatchDecodeResult:
+        """Rows ``index`` of the message and codeword tables as a batch result.
+
+        ``corrected_errors`` counts where each committed codeword
+        differs from the sign-sliced confidences ``values``.
+        """
+        codewords = self.code.all_codewords.take(index, axis=0)
         return BatchDecodeResult(
-            messages=messages,
+            messages=self.code.all_messages.take(index, axis=0),
             codewords=codewords,
-            corrected_errors=corrected.astype(np.int64),
+            corrected_errors=(codewords != (values < 0)).sum(axis=1, dtype=np.int64),
             detected_uncorrectable=ties,
         )
-
-    def _correlation_scores(self, values: np.ndarray) -> np.ndarray:
-        """``(batch, 2^k)`` correlation of each row with every codeword.
-
-        Elementwise product + axis sum (not BLAS matmul) keeps the
-        floating-point reduction order identical for every batch size,
-        so 1-row and 4096-row calls are bit-identical.
-        """
-        signs = self._soft_codebook_signs()
-        return (values[:, None, :] * signs[None, :, :]).sum(axis=2)
 
     def _soft_codebook_signs(self) -> np.ndarray:
         """±1 rows of the codebook (``+1`` encodes bit 0), cached."""

@@ -25,14 +25,14 @@ ambiguous.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.backends import resolve_backend
 from repro.coding.decoders.base import BatchDecodeResult, DecodeResult, Decoder
 from repro.coding.linear import LinearBlockCode
-from repro.gf2.bitpack import pack_rows, packed_hamming_distance
+from repro.gf2.vectors import read_only
 
 
 def walsh_hadamard_transform(signs: np.ndarray) -> np.ndarray:
@@ -58,82 +58,19 @@ def walsh_hadamard_transform(signs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def hadamard_matrix(n: int) -> np.ndarray:
-    """The n x n ±1 Hadamard matrix ``H[a, i] = (-1)^{<a, i>}``.
+    """The n x n ±1 Hadamard matrix ``H[a, i] = (-1)^{<a, i>}``, as float64.
 
-    Cached per size; the batched soft FHT decoders apply it as one
-    dense product (n is tiny for RM(1, m), so that beats the butterfly
-    across a batch).
+    Cached per size and read-only; the batched soft FHT decoders score
+    a batch against it with :func:`~repro.backends.pairwise_scores`
+    (n is tiny for RM(1, m), so that beats the butterfly across a
+    batch, and every batch size decodes a row alike).
     """
     indices = np.arange(n)
     parity = np.array(
         [[bin(a & i).count("1") & 1 for i in indices] for a in range(n)],
         dtype=np.int64,
     )
-    hadamard = 1 - 2 * parity
-    hadamard.flags.writeable = False
-    return hadamard
-
-
-def soft_spectrum_messages(
-    values: np.ndarray, m: int, backend: Optional[str] = None
-):
-    """Batched soft Hadamard decoding: ``(messages, ties)`` for RM(1, m).
-
-    ``values`` is a ``(batch, 2^m)`` float array of BPSK confidences.
-    The whole batch is pushed through one dense Hadamard product; the
-    largest-magnitude spectrum coefficient per row gives the message,
-    its sign the constant term.  Ties in magnitude (or an all-zero
-    spectrum) are reported per row, matching the scalar tie-break:
-    smallest spectrum index wins, positive sign preferred.
-
-    The spectrum kernel (:meth:`soft_spectrum_decode
-    <repro.backends.base.KernelBackend.soft_spectrum_decode>`) is an
-    elementwise multiply + axis sum rather than a BLAS matmul so the
-    floating-point reduction order is identical for every batch size —
-    a 1-row call and a 4096-row call are bit-identical per row
-    (``bench_soft.py`` asserts exactly that), and every backend must
-    reproduce that order.
-    """
-    batch, n = values.shape
-    hadamard = hadamard_matrix(n).astype(np.float64)
-    best_index, best_value, ties = resolve_backend(backend).soft_spectrum_decode(
-        np.ascontiguousarray(values), hadamard
-    )
-    messages = np.empty((batch, m + 1), dtype=np.uint8)
-    messages[:, 0] = (best_value < 0).astype(np.uint8)
-    for j in range(m):
-        messages[:, j + 1] = (best_index >> j) & 1
-    return messages, ties
-
-
-def soft_spectrum_detailed(
-    code: LinearBlockCode,
-    values: np.ndarray,
-    m: int,
-    backend: Optional[str] = None,
-) -> BatchDecodeResult:
-    """Full :class:`BatchDecodeResult` for a validated confidence batch.
-
-    Shared by :class:`FhtDecoder` and
-    :class:`~repro.coding.decoders.soft.SoftFhtDecoder`:
-    ``corrected_errors`` counts where the committed codeword differs
-    from the sign-sliced input, aligning soft telemetry with the hard
-    path's.
-    """
-    messages, ties = soft_spectrum_messages(values, m, backend=backend)
-    codewords = code.encode_batch(messages)
-    hard = (values < 0).astype(np.uint8)
-    corrected = packed_hamming_distance(
-        pack_rows(codewords, backend=backend),
-        pack_rows(hard, backend=backend),
-        backend=backend,
-    )
-    return BatchDecodeResult(
-        messages=messages,
-        codewords=codewords,
-        corrected_errors=corrected.astype(np.int64),
-        detected_uncorrectable=ties,
-    )
+    return read_only((1 - 2 * parity).astype(np.float64))
 
 
 def _check_rm1m(code: LinearBlockCode, who: str) -> int:
@@ -169,6 +106,16 @@ class FhtDecoder(Decoder):
     def __init__(self, code: LinearBlockCode):
         super().__init__(code)
         self.m = _check_rm1m(code, type(self).__name__)
+        # Row of the code's message table (MSB-first, message bit 0 the
+        # constant term) for spectrum index a: bit j of a is message bit
+        # j + 1; a negative coefficient sets bit 0, n rows further on.
+        index = np.arange(code.n, dtype=np.intp)
+        coefficients = np.zeros_like(index)
+        for j in range(self.m):
+            coefficients |= ((index >> j) & 1) << (self.m - 1 - j)
+        self._spectrum_rows = read_only(
+            np.concatenate([coefficients, coefficients + code.n])
+        )
 
     def _spectrum_argmax(self, spectrum: np.ndarray) -> Tuple[int, int, bool]:
         """Return (index, sign, tie) of the max-|T| coefficient.
@@ -211,19 +158,34 @@ class FhtDecoder(Decoder):
             detected_uncorrectable=tie,
         )
 
+    def _spectrum_search(
+        self, confidences: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(values, table_rows, ties)`` of a soft batch's spectrum search.
+
+        The largest-magnitude coefficient per row gives the message, its
+        sign the constant term: smallest spectrum index wins, positive
+        sign preferred, and ties in magnitude (or an all-zero spectrum)
+        are flagged — the scalar :meth:`_spectrum_argmax` tie-break.
+        """
+        values = self._check_soft_batch(confidences)
+        n = self.code.n
+        best_index, best_value, ties = resolve_backend().soft_spectrum_decode(
+            values, hadamard_matrix(n)
+        )
+        rows = self._spectrum_rows.take(best_index + n * (best_value < 0))
+        return values, rows, ties
+
     def decode_soft_batch(self, confidences: np.ndarray) -> np.ndarray:
         """Message-only batched soft decoding via the Hadamard spectrum.
 
         The RM(1, m) spectrum *is* the correlation with every codeword,
         so this replaces the base class's generic 2^k-codeword
-        correlation with one dense n x n product.
+        correlation with one n x n spectrum per row.
         """
-        values = self._check_soft_batch(confidences)
-        return soft_spectrum_messages(values, self.m, backend=self.backend)[0]
+        rows = self._spectrum_search(confidences)[1]
+        return self.code.all_messages.take(rows, axis=0)
 
     def decode_soft_batch_detailed(self, confidences: np.ndarray) -> BatchDecodeResult:
         """Batched soft decoding keeping codewords, counts and tie flags."""
-        return soft_spectrum_detailed(
-            self.code, self._check_soft_batch(confidences), self.m,
-            backend=self.backend,
-        )
+        return self._soft_result(*self._spectrum_search(confidences))

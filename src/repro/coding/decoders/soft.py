@@ -10,7 +10,7 @@ several dB at the noise levels where the hard slicer starts failing
 (demonstrated in ``tests/test_soft_decoding.py``).
 
 The batched kernels (``decode_soft_batch`` /
-``decode_soft_batch_detailed``) are the dense Hadamard product of
+``decode_soft_batch_detailed``) are the Hadamard spectrum search of
 :class:`~repro.coding.decoders.fht.FhtDecoder`; the scalar
 ``decode_soft`` delegates to the one-row batch so both paths are
 bit-identical by construction.

@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DimensionError, SingularMatrixError
-from repro.gf2.bitpack import PackedGF2Matmul
+from repro.errors import DimensionError, NotBinaryError, SingularMatrixError
+from repro.gf2.bitpack import PackedGF2Matmul, row_values
 from repro.gf2.matrix import GF2Matrix
 from repro.gf2.vectors import (
     all_binary_vectors,
@@ -24,6 +24,11 @@ from repro.gf2.vectors import (
     hamming_weight,
     read_only,
 )
+
+#: Longest code whose batch encode and hard batch decode are table
+#: gathers: 2^k codewords to encode from, 2^n received words (at most
+#: 32768) to decode.
+TABLE_N_LIMIT = 15
 
 
 class LinearBlockCode:
@@ -164,11 +169,15 @@ class LinearBlockCode:
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Encode a whole batch of messages in one vectorised pass.
 
-        The hot path of the streaming pipeline: messages are bit-sliced
-        into ``uint64`` words (64 frames per word) and multiplied by G
-        with a handful of XORs per codeword bit — see
-        :class:`repro.gf2.bitpack.PackedGF2Matmul`.  Bit-identical to
-        calling :meth:`encode` row by row.
+        The hot path of the streaming pipeline.  A code with
+        ``n <= TABLE_N_LIMIT`` gathers each row from
+        :attr:`all_codewords` by the message's MSB-first value, the
+        order :attr:`all_messages` lists them in.  Longer codes (the
+        composites) bit-slice the messages into ``uint64`` words (64
+        frames per word) and multiply by G with a handful of XORs per
+        codeword bit — see :class:`repro.gf2.bitpack.PackedGF2Matmul`,
+        which also fills the codeword table.  Bit-identical to calling
+        :meth:`encode` row by row.
 
         Parameters
         ----------
@@ -184,7 +193,12 @@ class LinearBlockCode:
         msgs = np.asarray(messages, dtype=np.uint8)
         if msgs.ndim != 2 or msgs.shape[1] != self.k:
             raise DimensionError(f"expected (batch, {self.k}) messages, got {msgs.shape}")
-        return self._packed_encode(msgs)
+        if self.n > TABLE_N_LIMIT:
+            return self._packed_encode(msgs)
+        if msgs.size and msgs.max() > 1:
+            raise NotBinaryError("bit array contains values other than 0 and 1")
+        # A reversed row's LSB-first value is the row's MSB-first value.
+        return self.all_codewords.take(row_values(msgs[:, ::-1]), axis=0)
 
     def syndrome(self, received: Sequence[int]) -> np.ndarray:
         """Syndrome ``H r^T`` of a received word."""
@@ -280,7 +294,7 @@ class LinearBlockCode:
     @cached_property
     def all_codewords(self) -> np.ndarray:
         """All 2^k codewords aligned with :attr:`all_messages`."""
-        return read_only(self.encode_batch(self.all_messages))
+        return read_only(self._packed_encode(self.all_messages))
 
     @cached_property
     def weight_distribution(self) -> np.ndarray:

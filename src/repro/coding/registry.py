@@ -193,8 +193,7 @@ def get_codec(
     lower-cased strategy; a composite's own strategy (``interleaved``,
     ``concatenated``) is its default and shares that entry.  Decoders
     hold no per-caller state and their arrays are read-only; a build
-    that raises caches nothing under its key.  For a decoder pinned to
-    a backend, call ``get_decoder(get_code(name), strategy, backend)``.
+    that raises caches nothing under its key.
     """
     name = canonical_code_name(name)
     strategy = None if strategy is None else strategy.lower()
@@ -213,31 +212,17 @@ def available_decoders() -> List[str]:
     return sorted(_DECODER_FACTORIES)
 
 
-def get_decoder(
-    code: LinearBlockCode,
-    strategy: Optional[str] = None,
-    backend: Optional[str] = None,
-) -> Decoder:
+def get_decoder(code: LinearBlockCode, strategy: Optional[str] = None) -> Decoder:
     """Build a decoder for ``code``.
 
     ``strategy=None`` picks the paper's pairing via
-    :func:`~repro.coding.decoders.default_decoder_for`.  ``backend``
-    pins the decoder's batched kernels to a named compute backend
-    (validated immediately — an unknown or unusable name raises the
-    :mod:`repro.backends` errors here, not mid-decode); ``None`` keeps
-    the ambient resolution.
+    :func:`~repro.coding.decoders.default_decoder_for`.
     """
     if strategy is None:
-        decoder = default_decoder_for(code)
-    else:
-        key = strategy.lower()
-        if key not in _DECODER_FACTORIES:
-            raise KeyError(
-                f"unknown decoder {strategy!r}; available: {available_decoders()}"
-            )
-        decoder = _DECODER_FACTORIES[key](code)
-    if backend is not None:
-        from repro.backends import resolve_backend
-
-        decoder.backend = resolve_backend(backend).name
-    return decoder
+        return default_decoder_for(code)
+    key = strategy.lower()
+    if key not in _DECODER_FACTORIES:
+        raise KeyError(
+            f"unknown decoder {strategy!r}; available: {available_decoders()}"
+        )
+    return _DECODER_FACTORIES[key](code)

@@ -74,22 +74,6 @@ class BackpressureError(ServiceError):
     """A bounded scheduler queue rejected work (non-blocking admission)."""
 
 
-class BackendError(ReproError):
-    """Base class for kernel-backend registry and dispatch errors."""
-
-
-class UnknownBackendError(BackendError):
-    """A backend name is not present in the backend registry."""
-
-
-class BackendUnavailableError(BackendError):
-    """A registered backend cannot be used in this environment.
-
-    The message carries the probe's reason string (missing package,
-    no C compiler, failed bit-identity self-check, ...).
-    """
-
-
 class ExperimentError(ReproError):
     """Base class for experiment-harness errors."""
 

@@ -13,6 +13,7 @@ from repro.gf2.bitpack import (
     packed_hamming_distance,
     packed_matmul,
     popcount,
+    row_values,
     unpack_cols,
     unpack_rows,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "packed_hamming_distance",
     "packed_matmul",
     "popcount",
+    "row_values",
     "unpack_cols",
     "unpack_rows",
     "bits_from_int",

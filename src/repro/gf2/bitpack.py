@@ -27,17 +27,15 @@ Bits are packed LSB-first: bit ``t`` of word ``w`` holds logical index
 ``64 * w + t``.  All functions accept and return ``uint8`` 0/1 arrays at
 the boundary, so callers never need to know the packed layout.
 
-The packing, popcount, Hamming-distance and matmul kernels dispatch
-through the pluggable backend layer (:mod:`repro.backends`): every
-public function takes an optional ``backend=`` name, defaulting to the
-ambient resolution (``use_backend`` scope, ``set_default_backend``,
-``REPRO_BACKEND``, then the capability probe's pick).  All backends are
-bit-identical by contract, so the choice never changes results.
+The packing, popcount, Hamming-distance and matmul kernels run on the
+kernel engine (:mod:`repro.backends`), fetched per call through
+:func:`~repro.backends.resolve_backend` so kernel profiling can time
+them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -80,7 +78,7 @@ def _as_bit_matrix(bits: np.ndarray) -> np.ndarray:
     return arr
 
 
-def pack_rows(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(rows, n)`` 0/1 array along its last axis into ``uint64``.
 
     Parameters
@@ -88,8 +86,6 @@ def pack_rows(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
     bits : numpy.ndarray
         ``(rows, n)`` (or 1-D ``(n,)``, treated as one row) array of 0/1
         values.
-    backend : str, optional
-        Kernel backend name; ``None`` uses the ambient default.
 
     Returns
     -------
@@ -98,7 +94,42 @@ def pack_rows(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
         bit ``t`` of word ``w`` is column ``64 * w + t``.
     """
     arr = _as_bit_matrix(bits)
-    return resolve_backend(backend).pack_rows(np.ascontiguousarray(arr))
+    return resolve_backend().pack_rows(np.ascontiguousarray(arr))
+
+
+def row_values(bits: np.ndarray) -> np.ndarray:
+    """The integer each row of a validated ``(batch, n)`` 0/1 array spells.
+
+    Bit ``j`` of a row is worth ``2**j`` (LSB-first, like
+    :func:`pack_rows`), so for ``n <= 16`` the values index a
+    ``2**n``-row table directly.  Rows are zero-padded to whole bytes
+    so one flat ``np.packbits`` packs every row into one byte (n <= 8)
+    or two; packing row by row (``axis=1``) is several times slower on
+    rows this short.  The values come back as ``intp`` once rather than
+    converted by each ``take`` that uses them.
+
+    Parameters
+    ----------
+    bits : numpy.ndarray
+        ``(batch, n)`` array of 0/1 values with ``n <= 16``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(batch,)`` ``intp`` row values.
+    """
+    batch, n = bits.shape
+    if n > 16:
+        raise DimensionError(f"row_values packs at most 16 bits per row, got {n}")
+    width = max(-(-n // 8), 1) * 8
+    if n != width:
+        padded = np.zeros((batch, width), dtype=np.uint8)
+        padded[:, :n] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    if width > 8:
+        packed = packed.view("<u2")
+    return packed.astype(np.intp)
 
 
 def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
@@ -132,15 +163,13 @@ def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n]
 
 
-def pack_cols(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
+def pack_cols(bits: np.ndarray) -> np.ndarray:
     """Bit-slice a ``(batch, n)`` array: pack the *batch* axis.
 
     Parameters
     ----------
     bits : numpy.ndarray
         ``(batch, n)`` array of 0/1 values.
-    backend : str, optional
-        Kernel backend name; ``None`` uses the ambient default.
 
     Returns
     -------
@@ -149,7 +178,7 @@ def pack_cols(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:
         is the bit-slice of column ``j`` across the whole batch.
     """
     arr = _as_bit_matrix(bits)
-    return resolve_backend(backend).pack_cols(np.ascontiguousarray(arr))
+    return resolve_backend().pack_cols(np.ascontiguousarray(arr))
 
 
 def unpack_cols(packed: np.ndarray, batch: int) -> np.ndarray:
@@ -170,11 +199,7 @@ def unpack_cols(packed: np.ndarray, batch: int) -> np.ndarray:
     return np.ascontiguousarray(unpack_rows(packed, batch).T)
 
 
-def popcount(
-    packed: np.ndarray,
-    axis: Union[int, None] = -1,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def popcount(packed: np.ndarray, axis: Union[int, None] = -1) -> np.ndarray:
     """Population count of packed words, summed along ``axis``.
 
     Parameters
@@ -184,22 +209,18 @@ def popcount(
     axis : int or None, optional
         Axis to sum bit counts over (default: last).  ``None`` sums over
         the whole array.
-    backend : str, optional
-        Kernel backend name; ``None`` uses the ambient default.
 
     Returns
     -------
     numpy.ndarray or int
         Integer bit counts.
     """
-    return resolve_backend(backend).popcount(
+    return resolve_backend().popcount(
         np.asarray(packed, dtype=np.uint64), axis=axis
     )
 
 
-def packed_hamming_distance(
-    a: np.ndarray, b: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def packed_hamming_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamming distance between packed rows (broadcasting allowed).
 
     Parameters
@@ -207,15 +228,13 @@ def packed_hamming_distance(
     a, b : numpy.ndarray
         Packed ``uint64`` arrays with broadcastable shapes whose last
         axis is the word axis.
-    backend : str, optional
-        Kernel backend name; ``None`` uses the ambient default.
 
     Returns
     -------
     numpy.ndarray
         Distances with the broadcast shape minus the word axis.
     """
-    return resolve_backend(backend).hamming_distance(
+    return resolve_backend().hamming_distance(
         np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
     )
 
@@ -235,9 +254,6 @@ class PackedGF2Matmul:
     ----------
     matrix : array_like
         ``(k, n)`` matrix over GF(2) (values reduced mod 2).
-    backend : str, optional
-        Kernel backend this instance dispatches to; ``None`` (the
-        default) resolves the ambient backend at each call.
 
     Examples
     --------
@@ -247,18 +263,17 @@ class PackedGF2Matmul:
     [[1, 1, 0]]
     """
 
-    def __init__(self, matrix: np.ndarray, backend: Optional[str] = None):
+    def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=np.uint8) % 2
         if m.ndim != 2:
             raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
         self.k, self.n = m.shape
         self.matrix = read_only(m.copy())
-        self.backend = backend
         #: Per-output-column row supports (indices of ones in column j).
         self._supports: List[np.ndarray] = [
             read_only(np.flatnonzero(m[:, j])) for j in range(self.n)
         ]
-        # CSR form of the supports, the layout the backend kernels take.
+        # CSR form of the supports, the layout the engine's gf2_matmul takes.
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         indptr[1:] = np.cumsum([s.size for s in self._supports])
         self._indptr = read_only(indptr)
@@ -289,7 +304,7 @@ class PackedGF2Matmul:
             )
         if batch == 0:
             return np.zeros((0, self.n), dtype=np.uint8)
-        slices = pack_cols(arr, backend=self.backend)  # (k, words)
+        slices = pack_cols(arr)  # (k, words)
         out = self.multiply_packed(slices)
         return unpack_cols(out, batch)
 
@@ -311,7 +326,7 @@ class PackedGF2Matmul:
             raise DimensionError(
                 f"expected ({self.k}, words) bit-slices, got {slices.shape}"
             )
-        return resolve_backend(self.backend).gf2_matmul(
+        return resolve_backend().gf2_matmul(
             np.ascontiguousarray(slices), self._indptr, self._indices
         )
 
@@ -319,9 +334,7 @@ class PackedGF2Matmul:
         return f"<PackedGF2Matmul {self.k}x{self.n}>"
 
 
-def packed_matmul(
-    x: np.ndarray, matrix: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def packed_matmul(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """One-shot ``(x @ matrix) % 2`` via bit-slicing.
 
     Convenience wrapper around :class:`PackedGF2Matmul` for callers that
@@ -333,12 +346,10 @@ def packed_matmul(
         ``(batch, k)`` array of 0/1 values.
     matrix : array_like
         ``(k, n)`` GF(2) matrix.
-    backend : str, optional
-        Kernel backend name; ``None`` uses the ambient default.
 
     Returns
     -------
     numpy.ndarray
         ``(batch, n)`` ``uint8`` product.
     """
-    return PackedGF2Matmul(matrix, backend=backend)(x)
+    return PackedGF2Matmul(matrix)(x)

@@ -13,8 +13,8 @@ Three cooperating layers, all process-local and dependency-free:
   micro-batcher, and kernel dispatch; ``repro trace tail/summarize``
   reads the sink.
 * :mod:`repro.obs.profiling` — an opt-in timing proxy installed at
-  backend resolution, giving per-backend per-kernel latency histograms
-  on live servers (``REPRO_PROFILE_KERNELS=1``).
+  kernel-engine resolution, giving per-kernel latency histograms on
+  live servers (``REPRO_PROFILE_KERNELS=1``).
 """
 
 from repro.obs.metrics import (

@@ -1,20 +1,21 @@
-"""Opt-in per-kernel timing for registered compute backends.
+"""Opt-in per-kernel timing for the kernel engine.
 
-Decoders pin a backend *name*, not an instance, so every kernel call
-goes through :func:`repro.backends.registry.resolve_backend`.  That
-makes resolution the one place to interpose: with profiling enabled,
-resolution returns a cached :class:`ProfiledBackend` proxy whose kernel
-methods time the inner call into a ``{backend, kernel}``-labelled
-histogram on the process-default metrics registry — so a production
-server reports per-backend per-kernel p50/p99 and call counts live,
-rather than only in offline benchmarks.
+Kernel callers fetch the engine per call through
+:func:`repro.backends.registry.resolve_backend` rather than holding it.
+That makes resolution the one place to interpose: with profiling
+enabled, resolution returns a cached :class:`ProfiledBackend` proxy
+whose kernel methods time the inner call into a
+``{backend, kernel}``-labelled histogram on the process-default metrics
+registry — so a production server reports per-kernel p50/p99 and call
+counts live, rather than only in offline benchmarks.  Table gathers
+(hard decode, encode on ``n <= TABLE_N_LIMIT`` codes) call no kernel.
 
 When a request trace is ambient (see :mod:`repro.obs.tracing`), each
 profiled call additionally emits a ``kernel.<name>`` span, which is how
 a trace shows *which* kernels its batch spent time in.
 
-Enable with ``REPRO_PROFILE_KERNELS=1`` (read once by the backend
-registry; pool workers inherit through the fork) or programmatically
+Enable with ``REPRO_PROFILE_KERNELS=1`` (read once at the first
+resolution; pool workers inherit through the fork) or programmatically
 with :func:`install_kernel_profiling`.  Disabled, the hot path pays
 only a module-global ``is None`` check.
 """
@@ -32,10 +33,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import current_trace_id, get_tracer
 
-#: Environment switch read by the backend registry at first resolution.
+#: Environment switch read at the first engine resolution.
 PROFILE_ENV = "REPRO_PROFILE_KERNELS"
 
-#: Every kernel of the KernelBackend contract, wrapped by the proxy.
+#: Every kernel of the KernelBackend engine, wrapped by the proxy.
 KERNEL_NAMES = (
     "pack_rows",
     "pack_cols",
@@ -57,8 +58,7 @@ def profiling_requested() -> bool:
 class ProfiledBackend:
     """A timing proxy satisfying the ``KernelBackend`` duck type.
 
-    Delegates identity (``name``/``priority``/``summary``/
-    ``availability``) to the wrapped backend; each kernel method times
+    Delegates ``name`` to the wrapped engine; each kernel method times
     the inner call and observes the duration into the shared histogram.
     Results pass through untouched, so the bit-identity contract is
     unaffected — the proxy never copies or casts arrays.
@@ -79,22 +79,8 @@ class ProfiledBackend:
 
     @property
     def name(self) -> str:
-        """The wrapped backend's registered name."""
+        """The wrapped engine's name."""
         return self._inner.name
-
-    @property
-    def priority(self) -> int:
-        """The wrapped backend's selection priority."""
-        return self._inner.priority
-
-    @property
-    def summary(self) -> str:
-        """The wrapped backend's one-line description."""
-        return self._inner.summary
-
-    def availability(self):
-        """Delegate the capability probe to the wrapped backend."""
-        return self._inner.availability()
 
     def __repr__(self) -> str:
         return f"<ProfiledBackend {self._inner!r}>"
@@ -135,20 +121,20 @@ del _kernel
 def kernel_profiler(
     registry: Optional[MetricsRegistry] = None,
 ) -> Callable:
-    """A backend wrapper suitable for ``set_backend_profiler``.
+    """An engine wrapper suitable for ``set_backend_profiler``.
 
-    Proxies are cached per backend name so repeated resolution returns
+    Proxies are cached per engine name so repeated resolution returns
     the same object (and the same histogram children) every time.
     """
     cache: Dict[str, ProfiledBackend] = {}
 
-    def wrap(backend):
-        if isinstance(backend, ProfiledBackend):
-            return backend
-        proxy = cache.get(backend.name)
-        if proxy is None or proxy._inner is not backend:
-            proxy = ProfiledBackend(backend, registry)
-            cache[backend.name] = proxy
+    def wrap(engine):
+        if isinstance(engine, ProfiledBackend):
+            return engine
+        proxy = cache.get(engine.name)
+        if proxy is None or proxy._inner is not engine:
+            proxy = ProfiledBackend(engine, registry)
+            cache[engine.name] = proxy
         return proxy
 
     return wrap

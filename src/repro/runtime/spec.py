@@ -29,9 +29,9 @@ from repro.ppv.spread import SpreadSpec
 from repro.utils.rng import SeedPlan
 
 #: Bump when the cached payload layout or the count semantics change.
-#: v2: specs carry a ``backend`` field, so shards cached by runs pinned
-#: to one kernel backend are never served to runs pinned to another.
-CACHE_SCHEMA_VERSION = 2
+#: v3: specs no longer carry a ``backend`` field (one kernel engine), so
+#: the hashed spec dict changed shape.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default chips per shard: small enough that 1000-chip runs spread over
 #: many workers, large enough that per-task dispatch overhead stays
@@ -74,12 +74,6 @@ class ExperimentSpec:
     #: ``SyndromeDecoder(max_correctable_weight=...)`` (the paper's
     #: bounded-distance "flagging" mode).
     bounded_syndrome_weight: Optional[int] = None
-    #: Kernel backend the shard runners decode with (``None`` = ambient
-    #: default).  Part of the cache identity: all backends are
-    #: bit-identical by contract, but a cached count must record the
-    #: engine that produced it so a contract violation can never be
-    #: masked by a cache hit from a different backend.
-    backend: Optional[str] = None
     #: Display name for progress reporting; not part of the cache identity.
     label: Optional[str] = None
 
@@ -117,7 +111,6 @@ class ExperimentSpec:
             "seed_plan": self.seed_plan.to_dict(),
             "decoder_strategy": self.decoder_strategy,
             "bounded_syndrome_weight": self.bounded_syndrome_weight,
-            "backend": self.backend,
         }
 
     def config_hash(self) -> str:

@@ -78,12 +78,7 @@ def run_shard(spec, shard: Shard) -> np.ndarray:
             f"shard [{shard.start}, {shard.stop}) exceeds population of "
             f"{spec.n_chips} chips"
         )
-    from repro.backends import use_backend
-
-    # Scope the spec's kernel backend over the whole per-chip loop so
-    # every decode the runner performs — however deep — honours it.
-    with use_backend(getattr(spec, "backend", None)):
-        return shard_runner_for(spec)(spec, shard)
+    return shard_runner_for(spec)(spec, shard)
 
 
 # ---------------------------------------------------------------------

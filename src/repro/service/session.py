@@ -165,14 +165,17 @@ class CodecSession:
     :func:`~repro.coding.registry.get_codec` memoises, shared with every
     other session of that code; a session owns only its mutable state —
     the injection channel's RNG and its telemetry series here, its
-    stream window and memory lane in the dispatch core.
+    stream window and memory lane in the dispatch core.  The series are
+    created on ``service`` (a private recorder when ``None``) and
+    labelled with the code's canonical name, so every spelling of one
+    code shares its ``code`` label.
     """
 
     def __init__(
         self,
         session_id: int,
         config: SessionConfig,
-        telemetry: Optional[SessionTelemetry] = None,
+        service: Optional[ServiceTelemetry] = None,
     ):
         # Composite code names make bad configs richer than unknown
         # names: a mis-parameterised composite raises ValueError /
@@ -236,7 +239,11 @@ class CodecSession:
         if config.p01 or config.p10:
             self.channel = BinaryChannel(p01=config.p01, p10=config.p10)
             self._rng = as_generator(config.seed)
-        self.telemetry = telemetry if telemetry is not None else SessionTelemetry()
+        self.telemetry = (
+            SessionTelemetry()
+            if service is None
+            else service.session(session_id, code=name)
+        )
 
     @property
     def n(self) -> int:
@@ -362,8 +369,7 @@ class SessionRegistry:
             self._next_id += 1
         else:
             self._next_id = max(self._next_id, session_id + 1)
-        telemetry = self._telemetry.session(session_id, code=config.code)
-        session = CodecSession(session_id, config, telemetry)
+        session = CodecSession(session_id, config, self._telemetry)
         self._sessions[session_id] = session
         self._by_config[config] = session_id
         return session

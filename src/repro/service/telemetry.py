@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import BackendError
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
     MetricFamily,
@@ -248,14 +247,11 @@ class ServiceTelemetry:
         self._protocol_errors = self.families["protocol_errors"].labels()
 
     @functools.cached_property
-    def backend(self) -> Optional[str]:
-        """The kernel backend decodes resolve to; ``None`` if none resolves."""
-        from repro.backends import default_backend
+    def engine(self) -> str:
+        """The kernel engine's name, published as ``repro_backend_info``."""
+        from repro.backends import resolve_backend
 
-        try:
-            name = default_backend().name
-        except BackendError:
-            return None
+        name = resolve_backend().name
         self.families["backend"].labels(backend=name).set(1)
         return name
 
@@ -266,8 +262,7 @@ class ServiceTelemetry:
 
     def session(self, session_id: int, code: Optional[str] = None) -> SessionTelemetry:
         """A recorder for session ``session_id`` on this registry."""
-        backend = self.backend or ""
-        labels = {"session": str(session_id), "code": code or "", "backend": backend}
+        labels = {"session": str(session_id), "code": code or "", "backend": self.engine}
         return SessionTelemetry(self.families, labels)
 
     def drop_session(self, telemetry: SessionTelemetry) -> None:
@@ -302,7 +297,7 @@ class ServiceTelemetry:
         This registry merged with the process-default one (engine, cache
         and kernel metrics; the family names are disjoint).
         """
-        self.backend  # resolve once so repro_backend_info is populated
+        self.engine  # resolve once so repro_backend_info is populated
         registries = (self.registry, default_registry())
         return merge_snapshots([registry.snapshot() for registry in registries])
 

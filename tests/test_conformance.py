@@ -14,12 +14,6 @@ compared against the scalar ``decode`` (the reference):
 This pins the kernels' behaviour over the *entire* input space rather
 than a random sample, so a refactor that changes any decode decision —
 even on a single word — fails loudly.
-
-The whole module is parametrized over every *available* kernel backend
-(:func:`repro.backends.available_backends`): each test runs once per
-backend under :func:`repro.backends.use_backend`, so the exhaustive
-matrix pins the accelerated kernels to the same decisions as the NumPy
-reference — on a numpy-only runner it simply runs once.
 """
 
 import itertools
@@ -27,19 +21,11 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, use_backend
 from repro.coding import get_code, get_decoder, repetition_code
 from repro.coding.decoders import MaximumLikelihoodDecoder
 from repro.coding.decoders import base as decoder_base
 from repro.coding.registry import PAPER_SCHEMES, available_codes
 from repro.gf2.vectors import all_binary_vectors
-
-
-@pytest.fixture(params=available_backends(), autouse=True)
-def kernel_backend(request):
-    """Run every conformance test under each available kernel backend."""
-    with use_backend(request.param):
-        yield request.param
 
 #: (code, decoder strategy) pairs covering every decoder strategy.
 CODE_DECODER_PAIRS = [

@@ -20,24 +20,10 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.backends import available_backends, use_backend
 from repro.coding import get_code, get_decoder
 
 CORPUS_PATH = Path(__file__).parent / "data" / "golden_vectors.json"
-
-
-@pytest.fixture(params=available_backends(), autouse=True)
-def kernel_backend(request):
-    """Replay the corpus under each available kernel backend.
-
-    The corpus was generated on the NumPy reference; the bit-identity
-    contract says every backend must reproduce it exactly, so the same
-    pinned vectors double as the cross-backend regression matrix.
-    """
-    with use_backend(request.param):
-        yield request.param
 
 #: Pinned corpus identity: bump the seed only with an intended regeneration.
 CORPUS_SEED = 20260730

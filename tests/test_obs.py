@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.backends.base import NumpyBackend
+from repro.backends.base import KernelBackend
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
     Histogram,
@@ -36,7 +36,7 @@ from repro.obs.tracing import (
     tail_events,
     trace_scope,
 )
-from repro.service import CodecClient, CodecServer, DispatchCore, SessionConfig
+from repro.service import CodecClient, CodecServer, DispatchCore, SessionConfig, protocol
 from repro.service.telemetry import LATENCY_BUCKETS_US
 
 #: Hard wall-clock bound on every async scenario in this file.
@@ -336,7 +336,7 @@ class TestTracer:
 class TestProfiledBackend:
     def test_results_are_bit_identical_and_timed(self):
         registry = MetricsRegistry()
-        inner = NumpyBackend()
+        inner = KernelBackend()
         proxy = ProfiledBackend(inner, registry)
         assert proxy.name == inner.name
         rng = np.random.default_rng(3)
@@ -353,16 +353,16 @@ class TestProfiledBackend:
 
     def test_kernel_profiler_caches_proxies(self):
         wrap = kernel_profiler(MetricsRegistry())
-        backend = NumpyBackend()
-        proxy = wrap(backend)
-        assert wrap(backend) is proxy
+        engine = KernelBackend()
+        proxy = wrap(engine)
+        assert wrap(engine) is proxy
         assert wrap(proxy) is proxy  # idempotent on already-wrapped
 
     def test_emits_kernel_span_when_trace_is_ambient(self, tmp_path):
         path = tmp_path / "t.jsonl"
         configure_tracer(str(path))
         try:
-            proxy = ProfiledBackend(NumpyBackend(), MetricsRegistry())
+            proxy = ProfiledBackend(KernelBackend(), MetricsRegistry())
             bits = np.zeros((2, 8), dtype=np.uint8)
             proxy.pack_rows(bits)  # no ambient trace: no event
             with trace_scope("t-77"):
@@ -393,11 +393,40 @@ class TestServiceTelemetryRegressions:
         assert stats["connections_open"] == 0
         assert stats["connections_total"] == 1
 
-    def test_backend_resolution_failure_reports_none(self, monkeypatch):
-        from repro.backends.registry import BACKEND_ENV_VAR
+    def test_code_spellings_share_one_telemetry_label(self):
+        """Regression: session series were labelled with the client's
+        spelling of the code, so lifetimes opened under ever new
+        spellings of one code left a folded series set per spelling."""
+        core = DispatchCore()
+        word = np.zeros((1, 64), dtype=np.uint8)
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no-such-backend")
-        assert DispatchCore().stats()["backend"] is None
+        async def call(opcode, body):
+            return await core.dispatch(protocol.Request(opcode, 0, body))
+
+        async def lifetime(spelling):
+            opened = await call(
+                protocol.OP_OPEN, protocol.build_json_body({"code": spelling})
+            )
+            sid = json.loads(opened)["session_id"]
+            await call(protocol.OP_DECODE, protocol.build_batch_body(sid, word))
+            await call(protocol.OP_CLOSE, protocol.build_json_body({"session_id": sid}))
+
+        def code_labels_and_series_count():
+            families = core.telemetry.metrics_snapshot()["families"]
+            series = [entry for family in families for entry in family["series"]]
+            codes = {entry["labels"]["code"] for entry in series if "code" in entry["labels"]}
+            return codes, len(series)
+
+        async def scenario():
+            await lifetime("interleaved:hamming84:8")
+            first = code_labels_and_series_count()
+            for zeros in range(1, 40):
+                await lifetime("interleaved:hamming84:" + "0" * zeros + "8")
+            return first, code_labels_and_series_count()
+
+        first, last = asyncio.run(asyncio.wait_for(scenario(), 60.0))
+        assert first[0] == last[0] == {"interleaved:hamming84:8"}
+        assert last[1] == first[1]
 
     def test_session_latency_snapshot_carries_buckets(self):
         core = DispatchCore()
