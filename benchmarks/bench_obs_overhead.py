@@ -1,13 +1,15 @@
 """Observability overhead guard: the disabled path must stay ~free.
 
-The PR 8 observability layer rewired every service telemetry counter
-onto the metrics registry and threaded trace ids through the
-micro-batcher.  Tracing and kernel profiling are off by default, so the
-only always-on cost is the registry-backed counters themselves — and
-that cost is the thing this benchmark bounds.
+Every service telemetry counter records onto the metrics registry, and
+trace ids ride through the micro-batcher.  Tracing and kernel
+profiling are off by default, so the only always-on cost is the
+registry-backed counters themselves — and that cost is the thing this
+benchmark bounds.
 
-The same closed-loop scheduler workload as ``bench_service.py`` runs
-twice on identical seeded inputs:
+Closed-loop clients send one-frame hamming84 decodes of seeded noisy
+words (p = 0.02 per bit) through one :class:`MicroBatcher` with the
+default policy, in-process.  The same workload runs twice on identical
+inputs:
 
 * **instrumented** — a real :class:`SessionTelemetry` (registry
   counters, latency histogram), exactly what a server session uses;
@@ -32,11 +34,23 @@ from typing import Optional
 import numpy as np
 
 from conftest import fail as _fail
-from bench_service import CODE, _workload
+from repro.coding import get_code
+from repro.link.channel import BinaryChannel
 from repro.service import BatchPolicy, MicroBatcher
 from repro.service.session import CodecSession, SessionConfig
 
 DEFAULT_MAX_OVERHEAD = 0.02
+CODE = "hamming84"
+ERROR_RATE = 0.02  # give the decoder real corrections to perform
+
+
+def _workload(clients: int, requests: int, seed: int) -> np.ndarray:
+    """Seeded received words, ``clients * requests`` frames of ``CODE``."""
+    code = get_code(CODE)
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, 2, (clients * requests, code.k)).astype(np.uint8)
+    channel = BinaryChannel(p01=ERROR_RATE, p10=ERROR_RATE)
+    return channel.transmit(code.encode_batch(messages), random_state=rng)
 
 
 class _NoopTelemetry:
@@ -80,8 +94,7 @@ async def _drive(
 
 def measure(clients: int, requests: int, repeats: int, seed: int):
     """Best-of-``repeats`` seconds for (instrumented, stubbed), interleaved."""
-    code_n = CodecSession(1, SessionConfig(code=CODE)).n
-    words = _workload(clients, requests, code_n, seed)
+    words = _workload(clients, requests, seed)
     instrumented = []
     stubbed = []
     # Warm both arms once (kernel tables, codebooks) before timing.

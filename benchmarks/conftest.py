@@ -5,56 +5,24 @@ or series the paper reports (run with ``pytest benchmarks/
 --benchmark-only -s`` to see them inline; without ``-s`` the reports
 are still emitted once via the ``paper_report`` fixture at teardown).
 
-The standalone ``bench_*.py`` scripts share the timing/assert/workload
-helpers defined here (``time_best``, ``fail``, ``noisy_confidences``)
-via ``from conftest import ...`` — the benchmarks directory is
-``sys.path[0]`` when a script runs directly, and pytest's prepend
-import mode resolves the same module when the directory is collected.
+The standalone scripts (``bench_engine.py``, ``bench_obs_overhead.py``)
+share the ``fail`` helper defined here via ``from conftest import
+fail`` — the benchmarks directory is ``sys.path[0]`` when a script runs
+directly, and pytest's prepend import mode resolves the same module
+when the directory is collected.
 """
 
 from __future__ import annotations
 
 import sys
-import time
-from typing import Callable
 
-import numpy as np
 import pytest
-
-
-def time_best(fn: Callable[[], object], min_seconds: float = 0.02) -> float:
-    """Best-of-k wall time of ``fn`` with an adaptive repeat count.
-
-    Calls ``fn`` once untimed to warm caches (coset tables, packed
-    matmuls, codebook signs, compiled kernels, ...), then repeats until
-    roughly ``min_seconds`` of samples exist and returns the minimum.
-    """
-    fn()
-    start = time.perf_counter()
-    fn()
-    once = max(time.perf_counter() - start, 1e-9)
-    repeats = max(1, min(50, int(min_seconds / once)))
-    best = once
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def fail(message: str) -> None:
     """Print a FAIL line and exit non-zero (the bench scripts' assert)."""
     print(f"FAIL: {message}", file=sys.stderr)
     raise SystemExit(1)
-
-
-def noisy_confidences(
-    code, size: int, rng: np.random.Generator, sigma: float = 0.35
-) -> np.ndarray:
-    """Noisy BPSK confidences for ``size`` random codewords of ``code``."""
-    msgs = rng.integers(0, 2, size=(size, code.k)).astype(np.uint8)
-    symbols = 1.0 - 2.0 * code.encode_batch(msgs).astype(np.float64)
-    return symbols + rng.normal(0.0, sigma, symbols.shape)
 
 
 _REPORTS: list[tuple[str, str]] = []

@@ -895,29 +895,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _single(command: str) -> int:
-    return main([command] + sys.argv[1:])
-
-
-def main_table1() -> int:
-    return _single("table1")
-
-
-def main_table2() -> int:
-    return _single("table2")
-
-
-def main_fig3() -> int:
-    return _single("fig3")
-
-
-def main_fig5() -> int:
-    return _single("fig5")
-
-
-def main_ablations() -> int:
-    return _single("ablations")
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

@@ -25,15 +25,6 @@ class NotBinaryError(CodingError):
     """An array contains values other than 0 and 1."""
 
 
-class DecodingFailure(CodingError):
-    """A decoder detected an uncorrectable error pattern.
-
-    Decoders in this library normally *return* a result object with a
-    ``detected_uncorrectable`` flag instead of raising; this exception is
-    reserved for strict-mode decoding APIs.
-    """
-
-
 class SingularMatrixError(CodingError):
     """A GF(2) matrix inversion was requested for a singular matrix."""
 

@@ -20,7 +20,7 @@ layer:
 * a pure scalar reference (:func:`gilbert_elliott_reference`,
   :func:`bursty_flux_reference`) — a per-bit Python loop over the *same*
   pre-drawn uniforms — that the batch kernel is **bit-identical** to
-  (asserted at every measured size by ``benchmarks/bench_burst.py``).
+  (checked by the tests up to batch 4096).
 
 Draw discipline: a transmit call consumes exactly two ``rng`` blocks in
 a fixed order — state uniforms, then noise draws — each of the frame
@@ -272,9 +272,7 @@ def gilbert_elliott_reference(
 
     Walks one frame's state chain in a plain Python loop, performing
     the same comparisons on the same uniforms as the vectorised kernel.
-    This is the ground truth ``benchmarks/bench_burst.py`` asserts the
-    batch path against, and the honest baseline its speedup floor is
-    measured over.
+    This is the ground truth the tests check the batch path against.
 
     Parameters
     ----------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Container, Dict, List, Optional
 
 import numpy as np
 
@@ -38,6 +38,24 @@ from repro.utils.rng import as_generator
 
 #: Session ids travel as uint16 in batch headers.
 MAX_SESSION_ID = 0xFFFF
+
+#: Most sessions one registry or pool holds open at once.  Far below
+#: ``MAX_SESSION_ID``, so a free id always exists.
+MAX_SESSIONS = 1024
+
+
+def free_session_id(start: int, live: Container[int]) -> int:
+    """The first id from ``start`` on that no live session holds.
+
+    Ids cycle through ``[1, MAX_SESSION_ID]``: a ``start`` past the top
+    wraps to 1, and live ids are skipped, so a new session never takes
+    the wire id of an open one.  A closed id comes back only once the
+    cursor has cycled past every other id.
+    """
+    session_id = (start - 1) % MAX_SESSION_ID + 1
+    while session_id in live:
+        session_id = session_id % MAX_SESSION_ID + 1
+    return session_id
 
 
 @dataclass(frozen=True)
@@ -317,13 +335,10 @@ class SessionRegistry:
     from its first request on; closing the session folds its series.
     """
 
-    def __init__(
-        self, max_sessions: int = 1024, telemetry: Optional[ServiceTelemetry] = None
-    ):
+    def __init__(self, telemetry: Optional[ServiceTelemetry] = None):
         self._sessions: Dict[int, CodecSession] = {}
         self._by_config: Dict[SessionConfig, int] = {}
         self._next_id = 1
-        self._max_sessions = max_sessions
         self._telemetry = telemetry if telemetry is not None else ServiceTelemetry()
 
     def open(
@@ -338,8 +353,10 @@ class SessionRegistry:
         *independent* injection streams must pass distinct seeds; an
         unseeded noisy config draws fresh entropy once, at first open.
 
-        ``session_id`` forces the id instead of allocating the next one;
-        it must lie in ``[1, MAX_SESSION_ID]``.  The pooled front end
+        Without ``session_id`` the session gets the first free id after
+        the last one handed out (:func:`free_session_id`).
+        ``session_id`` forces the id instead; it must lie in
+        ``[1, MAX_SESSION_ID]``.  The pooled front end
         owns the id space and uses this to rebuild sessions in a
         respawned worker under their original wire ids; the public
         ``OPEN`` opcode never forces one.
@@ -360,15 +377,13 @@ class SessionRegistry:
             raise SessionError(
                 f"session id {session_id} is already bound to a different config"
             )
-        if len(self._sessions) >= self._max_sessions:
+        if len(self._sessions) >= MAX_SESSIONS:
             raise SessionError(
-                f"session limit reached ({self._max_sessions}); close the server"
+                f"session limit reached ({MAX_SESSIONS}); close the server"
             )
         if session_id is None:
-            session_id = self._next_id
-            self._next_id += 1
-        else:
-            self._next_id = max(self._next_id, session_id + 1)
+            session_id = free_session_id(self._next_id, self._sessions)
+        self._next_id = session_id + 1
         session = CodecSession(session_id, config, self._telemetry)
         self._sessions[session_id] = session
         self._by_config[config] = session_id

@@ -59,11 +59,12 @@ from repro.obs.tracing import get_tracer, reset_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy, MicroBatcher
 from repro.service.session import (
-    MAX_SESSION_ID,
+    MAX_SESSIONS,
     CodecSession,
     SessionConfig,
     SessionRegistry,
     catalog,
+    free_session_id,
 )
 from repro.service.telemetry import ServiceTelemetry, stats_view
 
@@ -761,7 +762,6 @@ class WorkerPool:
         policy: Optional[BatchPolicy] = None,
         faults: Optional[WorkerFaults] = None,
         start_method: Optional[str] = None,
-        max_sessions: int = 1024,
         max_inflight: int = 1024,
         retries: int = 4,
         spawn_timeout: float = 60.0,
@@ -779,7 +779,6 @@ class WorkerPool:
         self.worker_policy = policy if policy is not None else BatchPolicy()
         self.faults = faults
         self.stream_deadline_us = stream_deadline_us
-        self.max_sessions = max_sessions
         self.max_inflight = max_inflight
         self.retries = retries
         self.spawn_timeout = spawn_timeout
@@ -898,24 +897,22 @@ class WorkerPool:
     async def open_session(self, config: SessionConfig) -> Dict:
         """Open (or rejoin) a session on its ring-assigned worker.
 
-        The front end assigns the wire id and records the config before
-        asking the worker to build the session, mirroring the dedup
-        semantics of :meth:`SessionRegistry.open`.
+        The front end assigns the wire id, the first free one after the
+        last it handed out (:func:`~repro.service.session.free_session_id`),
+        and records the config before asking the worker to build the
+        session, mirroring the dedup semantics of
+        :meth:`SessionRegistry.open`.
         """
         async with self._open_lock:
             existing = self._by_config.get(config)
             if existing is not None:
                 return self._sessions[existing].info
-            if len(self._sessions) >= self.max_sessions:
+            if len(self._sessions) >= MAX_SESSIONS:
                 raise SessionError(
-                    f"session limit reached ({self.max_sessions}); "
+                    f"session limit reached ({MAX_SESSIONS}); "
                     "close the server"
                 )
-            session_id = self._next_id
-            if session_id > MAX_SESSION_ID:
-                raise SessionError(
-                    "session id space exhausted (uint16 on the wire)"
-                )
+            session_id = free_session_id(self._next_id, self._sessions)
             key = config.routing_key()
             body = protocol.build_json_body(
                 {"session_id": session_id, "config": config.to_dict()}
@@ -925,7 +922,7 @@ class WorkerPool:
             )
             info = protocol.parse_json_body(response_body)
             info["worker"] = self.ring.lookup(key)
-            self._next_id += 1
+            self._next_id = session_id + 1
             self._sessions[session_id] = _PooledSession(
                 session_id, config, key, info
             )

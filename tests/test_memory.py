@@ -719,6 +719,11 @@ class TestMemoryScenario:
         assert memory["sec"] > 0
         assert memory["rot_bits"] > 0
         assert memory["repaired_lines"] > 0
+        # A two-worker pool serves the same seeded traffic to the same
+        # totals: the lanes' only randomness is the session seed.
+        pooled = self._report(rot=0.03, workers=2)
+        assert not pooled.client_errors
+        assert pooled.to_dict()["memory"] == memory
 
 
 # ---------------------------------------------------------------------

@@ -208,6 +208,53 @@ class TestSessions:
         assert frames["2"]["frames"] == {"decode": 1}
         assert "decode" not in frames["1"]["frames"]
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_ids_wrap_within_the_wire_and_skip_live_sessions(self, workers):
+        """Regression: ids counted past 0xFFFF with no bound.
+
+        With the counter at 65537, a hamming74 session got id 65537,
+        which the 16-bit header sends as 1: its DECODE was answered by
+        live session 1 (hamming84) and counted there.  A pool refused
+        every open once its counter passed 0xFFFF.
+        """
+        codes = ["hamming84", "hamming74", "rm13"]
+        rng = np.random.default_rng(7)
+        words = {
+            code: rng.integers(0, 2, (12, get_code(code).n)).astype(np.uint8)
+            for code in codes
+        }
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                allocator = server.pool if workers else server.registry
+                client = await CodecClient.connect(port=server.port)
+                sessions = [await client.open_session(codes[0])]
+                allocator._next_id = MAX_SESSION_ID  # skip 65,533 lifetimes
+                for code in codes[1:]:
+                    sessions.append(await client.open_session(code))
+                blocks = [await s.decode(words[c]) for s, c in zip(sessions, codes)]
+                stats = await client.stats()
+                top = sessions[1]
+                await client.close_session(top.session_id)
+                with pytest.raises(protocol.ProtocolError, match="unknown session"):
+                    await top.decode(words[codes[1]])
+                reopened = await client.open_session(codes[0], seed=9)
+                await client.close()
+                return [s.session_id for s in sessions], reopened.session_id, blocks, stats
+
+        ids, reopened, blocks, stats = run(scenario())
+        # Past the top the ids wrap to 1, skip live session 1, and the
+        # next open after a close takes the next free id, not the
+        # closed one.
+        assert ids == [1, MAX_SESSION_ID, 2]
+        assert reopened == 3
+        for sid, code, block in zip(ids, codes, blocks):
+            direct = get_decoder(get_code(code)).decode_batch_detailed(words[code])
+            assert np.array_equal(block.messages, direct.messages), code
+            assert np.array_equal(block.corrected_errors, direct.corrected_errors)
+            entry = stats["sessions"][str(sid)]
+            assert entry["frames"] == {"decode": len(words[code])}, (sid, entry)
+
     def test_encode_frames_injects_seeded_errors(self):
         config = SessionConfig(code="hamming84", p01=0.2, p10=0.2, seed=11)
         msgs = np.random.default_rng(0).integers(0, 2, (200, 4)).astype(np.uint8)
@@ -268,6 +315,59 @@ class TestMicroBatcher:
         calls, got, want = run(scenario())
         assert calls == [8], "eight 1-frame requests must flush as one batch"
         assert np.array_equal(got, want)
+
+    def test_closed_loop_clients_share_every_kernel_call(self):
+        """64 closed-loop clients of one-frame decodes, default policy.
+
+        Each client sends its next frame only when the last one is
+        answered, as a TCP client awaiting replies does.  Every kernel
+        call must carry one frame of every client: a lane that flushed
+        per request would make 64 times as many calls.
+        """
+        clients, requests = 64, 40
+        code = get_code("hamming84")
+        rng = np.random.default_rng(20250831)
+        sent = code.encode_batch(
+            rng.integers(0, 2, (clients * requests, code.k)).astype(np.uint8)
+        )
+        words = sent ^ (rng.random(sent.shape) < 0.02).astype(np.uint8)
+
+        async def scenario():
+            session = _session()
+            calls = []
+            kernel = session.decode_frames
+
+            def spy(batch):
+                calls.append(len(batch))
+                return kernel(batch)
+
+            session.decode_frames = spy
+            batcher = MicroBatcher(BatchPolicy())
+            results = [None] * len(words)
+
+            async def client(c):
+                for row in range(c * requests, (c + 1) * requests):
+                    results[row] = await batcher.submit(
+                        session, "decode", words[row:row + 1]
+                    )
+
+            await asyncio.gather(*(client(c) for c in range(clients)))
+            return calls, results
+
+        calls, results = run(scenario())
+        assert calls == [clients] * requests
+        direct = get_decoder(code).decode_batch_detailed(words)
+        assert np.array_equal(
+            np.concatenate([r.messages for r in results]), direct.messages
+        )
+        assert np.array_equal(
+            np.concatenate([r.corrected_errors for r in results]),
+            direct.corrected_errors,
+        )
+        assert np.array_equal(
+            np.concatenate([r.detected_uncorrectable for r in results]),
+            direct.detected_uncorrectable,
+        )
 
     def test_deadline_flush_fires_without_filling(self):
         async def scenario():

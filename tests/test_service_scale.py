@@ -12,6 +12,7 @@ instead of sleeping a guessed length.
 
 import asyncio
 import bisect
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +277,47 @@ class TestWorkerPoolBasics:
     def test_pool_rejects_invalid_sizes(self):
         with pytest.raises(ValueError, match="at least one worker"):
             WorkerPool(0)
+
+    def test_workers_serve_their_sessions_concurrently(self):
+        """Two sessions on two workers decode side by side.
+
+        Every data request sleeps 200 ms in its worker before it is
+        served.  Served concurrently, two DECODEs routed to different
+        workers finish in one delay; anything that serialises forwards
+        in the front or the pool makes them take two.  Unlike a speedup
+        against one worker, this holds on a box with fewer cores than
+        workers, because sleeping workers need no CPU.
+        """
+        delay_s = 0.2
+        seed_of_worker = {}
+        seed = 0
+        while len(seed_of_worker) < 2:
+            config = SessionConfig(code="hamming84", seed=seed)
+            seed_of_worker.setdefault(ring_target(config, 2), seed)
+            seed += 1
+        words, reference = chaos.seeded_words("hamming84", frames=16, seed=41)
+
+        async def scenario():
+            faults = WorkerFaults(request_delay_us=delay_s * 1e6)
+            async with CodecServer(workers=2, faults=faults) as server:
+                client = await CodecClient.connect(port=server.port)
+                sessions = [
+                    await client.open_session("hamming84", seed=s)
+                    for s in seed_of_worker.values()
+                ]
+                # One round first, so the timed round pays no first-call cost.
+                await asyncio.gather(*(s.decode(words) for s in sessions))
+                started = time.perf_counter()
+                blocks = await asyncio.gather(*(s.decode(words) for s in sessions))
+                elapsed = time.perf_counter() - started
+                await client.close()
+                return sessions, blocks, elapsed
+
+        sessions, blocks, elapsed = run(scenario())
+        assert sorted(s.info["worker"] for s in sessions) == [0, 1]
+        for block in blocks:
+            assert np.array_equal(block.messages, reference.messages)
+        assert elapsed < 1.5 * delay_s, f"{elapsed:.3f} s for two workers"
 
 
 # ---------------------------------------------------------------------
