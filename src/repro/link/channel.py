@@ -41,7 +41,8 @@ class BinaryChannel:
         noiseless = True
         for name, value in (("p01", self.p01), ("p10", self.p10)):
             arr = np.atleast_1d(np.asarray(value, dtype=float))
-            if ((arr < 0) | (arr > 1)).any():
+            # Written so that NaN, which compares false, fails too.
+            if not ((arr >= 0) & (arr <= 1)).all():
                 raise ValueError(f"{name} must lie in [0, 1]")
             noiseless &= not arr.any()
         # Frozen dataclass: cache the flag so the transmit fast path

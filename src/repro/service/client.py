@@ -327,6 +327,17 @@ class CodecClient:
             raise
         return future
 
+    def discard(self, future: asyncio.Future) -> None:
+        """Give up on a :meth:`send_request` future: cancel it and drop it
+        from the in-flight map, so a caller that stops waiting (say, on a
+        timeout) leaves nothing behind and a late reply is ignored."""
+        future.cancel()
+        self._inflight = {
+            rid: pending
+            for rid, pending in self._inflight.items()
+            if pending is not future
+        }
+
     async def request(self, opcode: int, body: bytes = b"") -> protocol.Response:
         """Send one request and await its (status-checked) response."""
         response = await (await self.send_request(opcode, body))

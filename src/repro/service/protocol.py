@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SessionError
 
 #: First payload byte of every well-formed frame.
 MAGIC = 0xEC
@@ -46,6 +46,19 @@ OP_CLOSE = 0x0A   #: close a codec session (JSON body naming session_id)
 OP_MEM_WRITE = 0x0B  #: memory-lane line write (whole-line or RMW partial)
 OP_MEM_READ = 0x0C   #: memory-lane line read (decode response layout)
 OP_MEM_SCRUB = 0x0D  #: memory-lane scrub step (JSON ScrubReport + counters)
+
+#: The data-plane opcodes and their op names.  A pooled front forwards
+#: exactly these to a worker as the bytes it received; a trace samples
+#: only these.
+DATA_OPS = {
+    OP_ENCODE: "encode",
+    OP_DECODE: "decode",
+    OP_DECODE_SOFT: "decode_soft",
+    OP_DECODE_STREAM: "decode_stream",
+    OP_MEM_WRITE: "mem_write",
+    OP_MEM_READ: "mem_read",
+    OP_MEM_SCRUB: "mem_scrub",
+}
 
 # Worker-plane opcodes (front end <-> decode worker pipes; never sent by
 # clients).  They reuse the same framing so a worker pipe is just another
@@ -204,6 +217,31 @@ def peek_batch_header(body: bytes) -> Tuple[int, int]:
         raise ProtocolError(f"batch body too short ({len(body)} bytes)")
     session_id, n_frames = _BATCH_HEADER.unpack_from(body)
     return session_id, n_frames
+
+
+def check_reply_fits(opcode: int, n_frames: int, n: int, k: int) -> None:
+    """Refuse a data-plane request whose reply would exceed the frame cap.
+
+    Replies outgrow their requests (packed words widen on encode; decode
+    adds two flag bytes per frame), so this runs before any kernel work.
+    """
+    if opcode == OP_ENCODE:
+        per_frame = (n + 7) // 8
+    elif opcode == OP_MEM_WRITE:
+        per_frame = 2  # two flag bytes per line
+    elif opcode == OP_MEM_SCRUB:
+        per_frame = 0  # a small JSON report, whatever the line count
+    else:
+        # A decode row: packed message, corrected count, detected flag,
+        # and on a stream push one status byte more.
+        per_frame = (k + 7) // 8 + 2 + (opcode == OP_DECODE_STREAM)
+    needed = 4 + n_frames * per_frame
+    if needed > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"response of {needed} bytes for {n_frames} frames would exceed "
+            f"the {MAX_FRAME_BYTES}-byte frame cap; send fewer "
+            "frames per request"
+        )
 
 
 def build_soft_batch_body(session_id: int, confidences: np.ndarray) -> bytes:
@@ -568,6 +606,18 @@ def parse_json_body(body: bytes) -> Dict[str, Any]:
     if not isinstance(parsed, dict):
         raise ProtocolError("JSON body must be an object")
     return parsed
+
+
+def parse_close_body(body: bytes) -> int:
+    """The session id a CLOSE body names; a missing or non-integer id is
+    the client's mistake, a :class:`~repro.errors.SessionError`."""
+    session_id = parse_json_body(body).get("session_id")
+    try:
+        return int(session_id)
+    except (TypeError, ValueError, OverflowError):
+        raise SessionError(
+            f"close request must name an integer 'session_id', got {session_id!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------

@@ -18,12 +18,9 @@ drives graceful drain/restart and chaos kills.  With ``workers=0`` (the
 default) everything runs in-process on a single
 :class:`~repro.service.workers.DispatchCore` — the degenerate pool of
 size zero — which keeps tests and benchmarks able to drive the exact
-same path via :meth:`CodecServer.dispatch`.
-
-The server is transport-thin on purpose: all scheduling policy lives in
-the batcher, all codec state in the registry (or the workers), so tests
-and benchmarks can drive the exact same path in-process via
-:meth:`CodecServer.dispatch`.
+same path via :meth:`CodecServer.dispatch`.  Either way
+:attr:`CodecServer.registry` is the one session table: the core's, or
+the pool's, which assigns ids exactly as the core's does.
 """
 
 from __future__ import annotations
@@ -38,35 +35,11 @@ from repro.obs.metrics import merge_snapshots, render_prometheus
 from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy
-from repro.service.session import SessionConfig, catalog
+from repro.service.session import SessionConfig
 from repro.service.telemetry import ServiceTelemetry, stats_view
 from repro.service.workers import DispatchCore, WorkerFaults, WorkerPool
 
 logger = logging.getLogger(__name__)
-
-#: Data-plane opcodes the pooled front end forwards without parsing.
-_FORWARDED_OPS = frozenset(
-    {
-        protocol.OP_ENCODE,
-        protocol.OP_DECODE,
-        protocol.OP_DECODE_SOFT,
-        protocol.OP_DECODE_STREAM,
-        protocol.OP_MEM_WRITE,
-        protocol.OP_MEM_READ,
-        protocol.OP_MEM_SCRUB,
-    }
-)
-
-#: Span-event op names of the traceable (data-plane) opcodes.
-_TRACED_OP_NAMES = {
-    protocol.OP_ENCODE: "encode",
-    protocol.OP_DECODE: "decode",
-    protocol.OP_DECODE_SOFT: "decode_soft",
-    protocol.OP_DECODE_STREAM: "decode_stream",
-    protocol.OP_MEM_WRITE: "mem_write",
-    protocol.OP_MEM_READ: "mem_read",
-    protocol.OP_MEM_SCRUB: "mem_scrub",
-}
 
 
 class CodecServer:
@@ -85,9 +58,6 @@ class CodecServer:
         in-process on one core.
     faults : WorkerFaults, optional
         Deterministic fault injection for chaos tests (pooled mode only).
-    start_method : str, optional
-        Multiprocessing start method for the pool; defaults to ``fork``
-        where available (overridable via ``REPRO_WORKER_START_METHOD``).
     stream_deadline_us : float, optional
         Server-wide default latency deadline of the streaming decode
         lane (``OP_DECODE_STREAM``): codewords still open after this
@@ -103,7 +73,6 @@ class CodecServer:
         policy: Optional[BatchPolicy] = None,
         workers: int = 0,
         faults: Optional[WorkerFaults] = None,
-        start_method: Optional[str] = None,
         stream_deadline_us: Optional[float] = None,
     ):
         self.host = host
@@ -112,21 +81,19 @@ class CodecServer:
         self.core = DispatchCore(
             policy, telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
         )
-        # Back-compat aliases: the single-process server's registry and
-        # batcher remain reachable exactly where they always were.
-        self.registry = self.core.registry
         self.batcher = self.core.batcher
         self.pool: Optional[WorkerPool] = (
             WorkerPool(
                 workers,
                 policy=policy,
                 faults=faults,
-                start_method=start_method,
                 stream_deadline_us=stream_deadline_us,
             )
             if workers
             else None
         )
+        #: The session table: the core's, or the pool's in pooled mode.
+        self.registry = self.core.registry if self.pool is None else self.pool.registry
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: Set[asyncio.Task] = set()
 
@@ -237,7 +204,7 @@ class CodecServer:
     ) -> None:
         tracer = get_tracer()
         trace_id = (
-            tracer.sample() if request.opcode in _TRACED_OP_NAMES else None
+            tracer.sample() if request.opcode in protocol.DATA_OPS else None
         )
         started = time.perf_counter()
         try:
@@ -258,7 +225,7 @@ class CodecServer:
                 "front.request",
                 started,
                 (time.perf_counter() - started) * 1e6,
-                op=_TRACED_OP_NAMES[request.opcode],
+                op=protocol.DATA_OPS[request.opcode],
                 status=status,
             )
         try:
@@ -296,15 +263,11 @@ class CodecServer:
         if request.opcode == protocol.OP_OPEN:
             config = SessionConfig.from_dict(protocol.parse_json_body(request.body))
             return protocol.build_json_body(await self.pool.open_session(config))
-        if request.opcode in _FORWARDED_OPS:
+        if request.opcode in protocol.DATA_OPS:
             return await self._forward(request)
         if request.opcode == protocol.OP_CLOSE:
-            payload = protocol.parse_json_body(request.body)
-            if "session_id" not in payload:
-                raise ServiceError("close request must name a 'session_id'")
-            return protocol.build_json_body(
-                await self.pool.close_session(int(payload["session_id"]))
-            )
+            session_id = protocol.parse_close_body(request.body)
+            return protocol.build_json_body(await self.pool.close_session(session_id))
         if request.opcode == protocol.OP_STATS:
             stats = stats_view(
                 await self._merged_metrics(),
@@ -313,11 +276,10 @@ class CodecServer:
                 self.pool.status()["workers"],
             )
             return protocol.build_json_body(stats)
-        if request.opcode == protocol.OP_CODES:
-            return protocol.build_json_body(catalog())
         if request.opcode == protocol.OP_METRICS:
             return render_prometheus(await self._merged_metrics()).encode("utf-8")
-        raise protocol.ProtocolError(f"unknown opcode 0x{request.opcode:02x}")
+        # CODES, and the unknown-opcode error, are the same in both modes.
+        return await self.core.dispatch(request)
 
     async def _merged_metrics(self) -> Dict:
         """Pooled METRICS and STATS: the front's and every worker's registries.
@@ -338,24 +300,10 @@ class CodecServer:
         """Route a data-plane body to its worker, bytes in, bytes out.
 
         The front end peeks only the session id and frame count: enough
-        to route and to run the response-size admission check (using the
-        n/k recorded at open time), never enough to rebuild arrays.
+        to route and to refuse a reply over the frame cap (with the
+        session's n and k), never enough to rebuild arrays.
         """
-        session_id, n_frames = protocol.peek_batch_header(request.body)
-        entry = self.pool.session(session_id)
-        info = entry.info
-        if request.opcode == protocol.OP_ENCODE:
-            bytes_per_frame = (int(info["n"]) + 7) // 8
-        elif request.opcode == protocol.OP_DECODE_STREAM:
-            # One status byte per row on top of the decode layout.
-            bytes_per_frame = (int(info["k"]) + 7) // 8 + 3
-        elif request.opcode in (protocol.OP_MEM_WRITE, protocol.OP_MEM_SCRUB):
-            # Write replies carry two flag bytes per line; scrub replies
-            # are small JSON reports independent of the line count.
-            bytes_per_frame = 2 if request.opcode == protocol.OP_MEM_WRITE else 0
-        else:
-            bytes_per_frame = (int(info["k"]) + 7) // 8 + 2
-        DispatchCore.check_response_fits(n_frames, bytes_per_frame)
+        session_id = self.registry.admit(request.opcode, request.body).session_id
         trace_id = current_trace_id()
         if trace_id is not None:
             # Sampled requests ride an OP_W_TRACED envelope so the worker

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional
+from typing import Container, Dict, Optional
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.coding.registry import (
 )
 from repro.errors import CodingError, SessionError
 from repro.link.channel import BinaryChannel
+from repro.service import protocol
 from repro.service.telemetry import ServiceTelemetry, SessionTelemetry
 from repro.utils.rng import as_generator
 
@@ -153,26 +154,35 @@ class SessionConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SessionConfig":
-        try:
-            code = payload["code"]
-        except KeyError:
+        """The config an OPEN body describes; an absent or ``null`` field
+        takes its default, and one that does not convert to its type is a
+        :class:`~repro.errors.SessionError` naming the field."""
+        if "code" not in payload:
             raise SessionError("session config must name a 'code'")
-        stream_depth = payload.get("stream_depth")
-        stream_deadline = payload.get("stream_deadline_us")
-        memory_lines = payload.get("memory_lines")
+
+        def field(name, kind, default=None):
+            value = payload.get(name)
+            if value is None:
+                return default
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                raise SessionError(
+                    f"session config field {name!r} must be {kind.__name__}, "
+                    f"got {value!r}"
+                ) from None
+
         return cls(
-            code=str(code),
-            decoder=payload.get("decoder") or None,
-            p01=float(payload.get("p01", 0.0)),
-            p10=float(payload.get("p10", 0.0)),
-            seed=None if payload.get("seed") is None else int(payload["seed"]),
-            stream_depth=None if stream_depth is None else int(stream_depth),
-            stream_shift=int(payload.get("stream_shift", 1)),
-            stream_deadline_us=(
-                None if stream_deadline is None else float(stream_deadline)
-            ),
-            memory_lines=None if memory_lines is None else int(memory_lines),
-            memory_rot=float(payload.get("memory_rot", 0.0)),
+            code=str(payload["code"]),
+            decoder=field("decoder", str) or None,
+            p01=field("p01", float, 0.0),
+            p10=field("p10", float, 0.0),
+            seed=field("seed", int),
+            stream_depth=field("stream_depth", int),
+            stream_shift=field("stream_shift", int, 1),
+            stream_deadline_us=field("stream_deadline_us", float),
+            memory_lines=field("memory_lines", int),
+            memory_rot=field("memory_rot", float, 0.0),
         )
 
 
@@ -229,7 +239,7 @@ class CodecSession:
             raise SessionError(
                 f"stream_shift must be non-negative, got {config.stream_shift}"
             )
-        if config.stream_deadline_us is not None and config.stream_deadline_us <= 0:
+        if config.stream_deadline_us is not None and not config.stream_deadline_us > 0:
             raise SessionError(
                 f"stream_deadline_us must be positive, got "
                 f"{config.stream_deadline_us}"
@@ -255,8 +265,12 @@ class CodecSession:
         self.channel: Optional[BinaryChannel] = None
         self._rng: Optional[np.random.Generator] = None
         if config.p01 or config.p10:
-            self.channel = BinaryChannel(p01=config.p01, p10=config.p10)
-            self._rng = as_generator(config.seed)
+            # A probability outside [0, 1] or a seed numpy refuses.
+            try:
+                self.channel = BinaryChannel(p01=config.p01, p10=config.p10)
+                self._rng = as_generator(config.seed)
+            except _config_errors as exc:
+                raise SessionError(str(exc)) from exc
         self.telemetry = (
             SessionTelemetry()
             if service is None
@@ -383,8 +397,9 @@ class SessionRegistry:
             )
         if session_id is None:
             session_id = free_session_id(self._next_id, self._sessions)
-        self._next_id = session_id + 1
+        # Build first: a config the session refuses uses up no id.
         session = CodecSession(session_id, config, self._telemetry)
+        self._next_id = session_id + 1
         self._sessions[session_id] = session
         self._by_config[config] = session_id
         return session
@@ -394,6 +409,17 @@ class SessionRegistry:
             return self._sessions[session_id]
         except KeyError:
             raise SessionError(f"unknown session id {session_id}")
+
+    def admit(self, opcode: int, body: bytes) -> CodecSession:
+        """The session a data-plane body names, once its reply fits the cap.
+
+        Reads only the header, so the dispatch core that parses the body
+        and the pooled front that forwards it refuse the same requests.
+        """
+        session_id, n_frames = protocol.peek_batch_header(body)
+        session = self.get(session_id)
+        protocol.check_reply_fits(opcode, n_frames, session.n, session.k)
+        return session
 
     def close(self, session_id: int) -> CodecSession:
         """Remove a session from the registry, freeing its id and config.
@@ -412,9 +438,6 @@ class SessionRegistry:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-    def describe_all(self) -> List[Dict]:
-        return [s.describe() for _, s in sorted(self._sessions.items())]
 
     def table(self) -> Dict[int, Dict]:
         """Each live session's config label and uptime, for STATS."""

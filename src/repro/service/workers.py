@@ -11,14 +11,19 @@ protocol bytes — no pickle anywhere on the hot path: the front end peeks
 the two-byte session id off an ENCODE/DECODE body and forwards the body
 verbatim to the worker that owns the session.
 
-Ownership is decided by a consistent-hash ring (:class:`HashRing`) over
-the session config's :meth:`~repro.service.session.SessionConfig.routing_key`,
-so adding a worker to a pool of N remaps only ~1/(N+1) of the keys.  The
-front end is the sole owner of the session *table* (ids, configs); the
-workers own the session *state* (decoder instances, lanes, counters).
-That split is what makes crash recovery simple: when a worker dies, the
-supervisor respawns it and replays OP_W_OPEN for every session the ring
-assigns to it, under the original wire ids.  Requests lost to the crash
+Ownership is decided once, when a session opens, by a consistent-hash
+ring (:class:`HashRing`) over the session config's
+:meth:`~repro.service.session.SessionConfig.routing_key`, so adding a
+worker to a pool of N remaps only ~1/(N+1) of the keys.  The pool records
+that worker index; routing, replay and the status tables read the record.
+The front end owns the session *table*: a
+:class:`~repro.service.session.SessionRegistry`, the same one a
+``workers=0`` server serves from, so config checks, duplicate removal and
+id assignment are identical in both modes.  The workers own the session
+*state* (lanes, injection streams, counters).  That split is what makes
+crash recovery simple: when a worker dies, the supervisor respawns it and
+replays OP_W_OPEN for every session recorded on it, under the original
+wire ids.  Requests lost to the crash
 are retried after the respawn — sound because the codec kernels are
 deterministic functions of the request bytes, so a retried decode is
 bit-identical to the answer the dead worker never sent.  (The one
@@ -30,6 +35,15 @@ Graceful drain (``restart`` admin action) loses nothing at all: the
 front stops admitting new requests to the worker, sends OP_W_DRAIN, the
 worker finishes every in-flight request, flushes its lanes, replies, and
 exits; the supervisor then respawns and replays as for a crash.
+
+Each worker pipe is a :class:`~repro.service.client.CodecClient`, built
+anew on every spawn: its disconnect is the death signal of that
+generation, and any failure of the pipe is a :class:`WorkerDied`, which
+the pool retries.  The in-flight cap, the retry count and the timeouts
+are the constants :data:`MAX_INFLIGHT`, :data:`RETRIES`,
+:data:`SPAWN_TIMEOUT_S` and :data:`DRAIN_TIMEOUT_S`.  Workers start by
+``fork`` where the platform has it, unless ``REPRO_WORKER_START_METHOD``
+names another start method.
 
 :class:`WorkerFaults` is the chaos harness's hook: deterministic
 fault injection (die after exactly K served requests, delay every
@@ -50,21 +64,20 @@ import os
 import socket
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import ServiceError, SessionError
+from repro.errors import ServiceError
 from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import get_tracer, reset_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy, MicroBatcher
+from repro.service.client import CodecClient
 from repro.service.session import (
-    MAX_SESSIONS,
     CodecSession,
     SessionConfig,
     SessionRegistry,
     catalog,
-    free_session_id,
 )
 from repro.service.telemetry import ServiceTelemetry, stats_view
 
@@ -72,6 +85,22 @@ logger = logging.getLogger(__name__)
 
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_WORKER_START_METHOD"
+
+#: Ring points per worker.
+VNODES = 64
+
+#: Requests one worker pipe carries at once; later ones wait for a slot.
+MAX_INFLIGHT = 1024
+
+#: Attempts at one request across worker deaths before it fails.
+RETRIES = 4
+
+#: Seconds a request waits for its worker to be spawned and replayed,
+#: and a replayed session open waits for its answer.
+SPAWN_TIMEOUT_S = 60.0
+
+#: Seconds a worker has to drain, or to answer a metrics request.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class WorkerDied(ServiceError):
@@ -121,33 +150,35 @@ class DispatchCore:
 
     async def dispatch(self, request: protocol.Request) -> bytes:
         """Serve one parsed request, returning the OK response body."""
-        if request.opcode == protocol.OP_OPEN:
-            return self._op_open(request.body)
-        if request.opcode == protocol.OP_ENCODE:
-            return await self._op_encode(request.body)
-        if request.opcode == protocol.OP_DECODE:
-            return await self._op_decode(request.body)
-        if request.opcode == protocol.OP_DECODE_SOFT:
-            return await self._op_decode_soft(request.body)
-        if request.opcode == protocol.OP_DECODE_STREAM:
-            return await self._op_decode_stream(request.body)
-        if request.opcode == protocol.OP_MEM_WRITE:
-            return self._op_mem_write(request.body)
-        if request.opcode == protocol.OP_MEM_READ:
-            return self._op_mem_read(request.body)
-        if request.opcode == protocol.OP_MEM_SCRUB:
-            return self._op_mem_scrub(request.body)
-        if request.opcode == protocol.OP_CLOSE:
-            return self._op_close(request.body)
-        if request.opcode == protocol.OP_STATS:
+        opcode, body = request.opcode, request.body
+        if opcode in protocol.DATA_OPS:
+            session = self.registry.admit(opcode, body)
+            if opcode == protocol.OP_ENCODE:
+                return await self._op_encode(session, body)
+            if opcode == protocol.OP_DECODE:
+                return await self._op_decode(session, body)
+            if opcode == protocol.OP_DECODE_SOFT:
+                return await self._op_decode_soft(session, body)
+            if opcode == protocol.OP_DECODE_STREAM:
+                return await self._op_decode_stream(session, body)
+            if opcode == protocol.OP_MEM_WRITE:
+                return self._op_mem_write(session, body)
+            if opcode == protocol.OP_MEM_READ:
+                return self._op_mem_read(session, body)
+            return self._op_mem_scrub(session, body)
+        if opcode == protocol.OP_OPEN:
+            return self._op_open(body)
+        if opcode == protocol.OP_CLOSE:
+            return self._op_close(body)
+        if opcode == protocol.OP_STATS:
             return protocol.build_json_body(self.stats())
-        if request.opcode == protocol.OP_METRICS:
+        if opcode == protocol.OP_METRICS:
             return render_prometheus(self.telemetry.metrics_snapshot()).encode(
                 "utf-8"
             )
-        if request.opcode == protocol.OP_CODES:
+        if opcode == protocol.OP_CODES:
             return protocol.build_json_body(catalog())
-        raise protocol.ProtocolError(f"unknown opcode 0x{request.opcode:02x}")
+        raise protocol.ProtocolError(f"unknown opcode 0x{opcode:02x}")
 
     def _op_open(self, body: bytes) -> bytes:
         # The body is a plain session config: the server assigns the id.
@@ -155,49 +186,20 @@ class DispatchCore:
         config = SessionConfig.from_dict(protocol.parse_json_body(body))
         return protocol.build_json_body(self.open_session(config).describe())
 
-    @staticmethod
-    def check_response_fits(n_frames: int, bytes_per_frame: int) -> None:
-        """Refuse a request whose *response* would exceed the frame cap.
-
-        Responses are larger than their requests (packed words widen on
-        encode; decode adds two flag bytes per frame), so a request can
-        be admitted whose reply is unsendable — catch that before any
-        kernel work is spent on it.
-        """
-        needed = 4 + n_frames * bytes_per_frame
-        if needed > protocol.MAX_FRAME_BYTES:
-            raise protocol.ProtocolError(
-                f"response of {needed} bytes for {n_frames} frames would exceed "
-                f"the {protocol.MAX_FRAME_BYTES}-byte frame cap; send fewer "
-                "frames per request"
-            )
-
-    async def _op_encode(self, body: bytes) -> bytes:
-        session_id, messages = protocol.parse_batch_body(
-            body, lambda sid: self.registry.get(sid).k
-        )
-        session = self.registry.get(session_id)
-        self.check_response_fits(len(messages), (session.n + 7) // 8)
+    async def _op_encode(self, session: CodecSession, body: bytes) -> bytes:
+        _, messages = protocol.parse_batch_body(body, lambda _: session.k)
         codewords = await self.batcher.submit(session, "encode", messages)
         return protocol.build_encode_response_body(codewords)
 
-    async def _op_decode(self, body: bytes) -> bytes:
-        session_id, received = protocol.parse_batch_body(
-            body, lambda sid: self.registry.get(sid).n
-        )
-        session = self.registry.get(session_id)
-        self.check_response_fits(len(received), (session.k + 7) // 8 + 2)
+    async def _op_decode(self, session: CodecSession, body: bytes) -> bytes:
+        _, received = protocol.parse_batch_body(body, lambda _: session.n)
         result = await self.batcher.submit(session, "decode", received)
         return protocol.build_decode_response_body(
             result.messages, result.corrected_errors, result.detected_uncorrectable
         )
 
-    async def _op_decode_soft(self, body: bytes) -> bytes:
-        session_id, confidences = protocol.parse_soft_batch_body(
-            body, lambda sid: self.registry.get(sid).n
-        )
-        session = self.registry.get(session_id)
-        self.check_response_fits(len(confidences), (session.k + 7) // 8 + 2)
+    async def _op_decode_soft(self, session: CodecSession, body: bytes) -> bytes:
+        _, confidences = protocol.parse_soft_batch_body(body, lambda _: session.n)
         result = await self.batcher.submit(session, "decode_soft", confidences)
         return protocol.build_decode_response_body(
             result.messages, result.corrected_errors, result.detected_uncorrectable
@@ -247,13 +249,10 @@ class DispatchCore:
             self._memories[session.session_id] = lane
         return lane
 
-    def _op_mem_write(self, body: bytes) -> bytes:
-        session_id, addresses, messages, masks = protocol.parse_mem_write_body(
-            body, lambda sid: self.registry.get(sid).k
+    def _op_mem_write(self, session: CodecSession, body: bytes) -> bytes:
+        _, addresses, messages, masks = protocol.parse_mem_write_body(
+            body, lambda _: session.k
         )
-        session = self.registry.get(session_id)
-        # Response carries two flag bytes per line (plus the count word).
-        self.check_response_fits(len(addresses), 2)
         lane = self.memory_lane(session)
         op = "mem_write" if masks is None else "mem_rmw"
         session.telemetry.record_request(op, len(addresses))
@@ -264,10 +263,8 @@ class DispatchCore:
             raise ServiceError(str(exc)) from exc
         return protocol.build_mem_write_response_body(corrected, detected)
 
-    def _op_mem_read(self, body: bytes) -> bytes:
-        session_id, addresses = protocol.parse_mem_read_body(body)
-        session = self.registry.get(session_id)
-        self.check_response_fits(len(addresses), (session.k + 7) // 8 + 2)
+    def _op_mem_read(self, session: CodecSession, body: bytes) -> bytes:
+        _, addresses = protocol.parse_mem_read_body(body)
         lane = self.memory_lane(session)
         session.telemetry.record_request("mem_read", len(addresses))
         try:
@@ -278,22 +275,18 @@ class DispatchCore:
             result.messages, result.corrected_errors, result.detected_uncorrectable
         )
 
-    def _op_mem_scrub(self, body: bytes) -> bytes:
-        session_id, count = protocol.parse_mem_scrub_body(body)
-        session = self.registry.get(session_id)
+    def _op_mem_scrub(self, session: CodecSession, body: bytes) -> bytes:
+        _, count = protocol.parse_mem_scrub_body(body)
         lane = self.memory_lane(session)
         session.telemetry.record_request("mem_scrub", count)
         return protocol.build_json_body(lane.scrub_step(count))
 
-    async def _op_decode_stream(self, body: bytes) -> bytes:
+    async def _op_decode_stream(self, session: CodecSession, body: bytes) -> bytes:
         from repro.obs.tracing import current_trace_id
 
-        session_id, first_index, final, frames = protocol.parse_stream_push_body(
-            body, lambda sid: self.registry.get(sid).n
+        _, first_index, final, frames = protocol.parse_stream_push_body(
+            body, lambda _: session.n
         )
-        session = self.registry.get(session_id)
-        # One response row (+3 flag/status bytes) per pushed frame.
-        self.check_response_fits(len(frames), (session.k + 7) // 8 + 3)
         lane = self.stream_lane(session)
         session.telemetry.record_request("decode_stream", len(frames))
         messages, corrected, detected, status = await lane.push(
@@ -330,12 +323,8 @@ class DispatchCore:
         }
 
     def _op_close(self, body: bytes) -> bytes:
-        payload = protocol.parse_json_body(body)
-        if "session_id" not in payload:
-            raise ServiceError("close request must name a 'session_id'")
-        return protocol.build_json_body(
-            self.close_session(int(payload["session_id"]))
-        )
+        session_id = protocol.parse_close_body(body)
+        return protocol.build_json_body(self.close_session(session_id))
 
 
 # ---------------------------------------------------------------------
@@ -344,7 +333,7 @@ class DispatchCore:
 class HashRing:
     """Consistent hashing of session routing keys onto worker indices.
 
-    Each worker contributes ``vnodes`` points to the ring, hashed with
+    Each worker contributes :data:`VNODES` points to the ring, hashed with
     blake2b (stable across processes and runs — unlike ``hash()``, which
     is salted per interpreter).  A key maps to the worker owning the
     first ring point at or clockwise-after the key's hash.  Growing the
@@ -354,17 +343,14 @@ class HashRing:
     (and the replay-on-respawn protocol) cheap.
     """
 
-    def __init__(self, n_nodes: int, vnodes: int = 64):
+    def __init__(self, n_nodes: int):
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
-        if vnodes < 1:
-            raise ValueError(f"need at least one vnode per node, got {vnodes}")
         self.n_nodes = n_nodes
-        self.vnodes = vnodes
         points = sorted(
             (self._hash(f"node:{node}:vnode:{v}"), node)
             for node in range(n_nodes)
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
         self._hashes = [h for h, _ in points]
         self._nodes = [node for _, node in points]
@@ -411,20 +397,6 @@ class WorkerFaults:
     def applies_to(self, index: int) -> bool:
         """Whether worker ``index`` is targeted by these faults."""
         return self.worker_index is None or self.worker_index == index
-
-
-#: Opcodes that count as data-plane traffic for fault accounting.
-_DATA_OPS = frozenset(
-    {
-        protocol.OP_ENCODE,
-        protocol.OP_DECODE,
-        protocol.OP_DECODE_SOFT,
-        protocol.OP_DECODE_STREAM,
-        protocol.OP_MEM_WRITE,
-        protocol.OP_MEM_READ,
-        protocol.OP_MEM_SCRUB,
-    }
-)
 
 
 # ---------------------------------------------------------------------
@@ -509,7 +481,7 @@ async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  #
                 await writer.wait_closed()
             os._exit(0)
         active = my_faults()
-        if active is not None and request.opcode in _DATA_OPS:
+        if active is not None and request.opcode in protocol.DATA_OPS:
             if active.request_delay_us > 0:
                 await asyncio.sleep(active.request_delay_us * 1e-6)
         try:
@@ -535,7 +507,7 @@ async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  #
                 request.opcode,
             )
             status, body = protocol.ST_ERROR, f"internal error: {exc}".encode("utf-8")
-        if active is not None and request.opcode in _DATA_OPS:
+        if active is not None and request.opcode in protocol.DATA_OPS:
             if active.die_after_requests and next(served) >= active.die_after_requests:
                 # Crash *before* answering: this request and any cohort
                 # sharing the flush are lost in flight, exactly the
@@ -582,37 +554,38 @@ async def _worker_dispatch(core, request):  # pragma: no cover - child
         return protocol.build_json_body(session.describe())
     if request.opcode == protocol.OP_W_METRICS:
         return protocol.build_json_body(core.telemetry.metrics_snapshot())
-    return await core.dispatch(request)
+    try:
+        return await core.dispatch(request)
+    except protocol.ProtocolError:
+        # A malformed body is found where it is parsed, here; the front
+        # sees only the error reply, so the count is kept on this
+        # worker's telemetry and reaches STATS through the merge.
+        core.telemetry.record_protocol_error()
+        raise
 
 
 # ---------------------------------------------------------------------
 # Parent-side worker handle and pool
 # ---------------------------------------------------------------------
 class WorkerHandle:
-    """Parent-side endpoint of one worker: pipe, in-flight map, liveness.
+    """Parent-side endpoint of one worker: its process and its pipe.
 
-    ``ready`` gates admission (cleared while the worker is down or
-    draining), ``died`` is the per-generation death signal the
-    supervisor awaits; a fresh ``died`` event is installed on every
-    spawn so one generation's EOF cannot leak into the next.
+    The pipe is a :class:`~repro.service.client.CodecClient`, built anew
+    on every spawn, so its disconnect is the death signal of that
+    generation alone.  ``ready`` gates admission (cleared while the
+    worker is down or draining).
     """
 
     def __init__(self, pool: "WorkerPool", index: int):
         self.pool = pool
         self.index = index
         self.process = None
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.client: Optional[CodecClient] = None
         self.ready = asyncio.Event()
-        self.died = asyncio.Event()
         self.restarts = 0
         self.spawns = 0
         self.spawned_at = 0.0
-        self.limiter = asyncio.Semaphore(pool.max_inflight)
-        self._inflight: Dict[int, asyncio.Future] = {}
-        self._correlation = itertools.count(1)
-        self._write_lock = asyncio.Lock()
-        self._reader_task: Optional[asyncio.Task] = None
+        self.limiter = asyncio.Semaphore(MAX_INFLIGHT)
 
     @property
     def pid(self) -> Optional[int]:
@@ -625,7 +598,7 @@ class WorkerHandle:
         return 0.0 if self.process is None else time.perf_counter() - self.spawned_at
 
     async def spawn(self) -> None:
-        """Fork a fresh worker process and connect its protocol pipe."""
+        """Fork a fresh worker process and connect a client to its pipe."""
         parent_sock, child_sock = socket.socketpair()
         faults = self.pool.faults
         if self.spawns > 0 or (faults is not None and not faults.applies_to(self.index)):
@@ -647,87 +620,37 @@ class WorkerHandle:
         self.spawns += 1
         self.process = process
         parent_sock.setblocking(False)
-        self.reader, self.writer = await asyncio.open_connection(sock=parent_sock)
-        self.died = asyncio.Event()
-        self._reader_task = asyncio.ensure_future(self._read_responses())
-
-    async def _read_responses(self) -> None:
-        try:
-            while True:
-                payload = await protocol.read_frame(self.reader)
-                if payload is None:
-                    break
-                response = protocol.parse_response(payload)
-                future = self._inflight.pop(response.request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except asyncio.CancelledError:
-            # Pool shutdown path: not a death, no respawn wanted.
-            return
-        except (protocol.ProtocolError, ConnectionResetError, OSError):
-            pass
-        failure = WorkerDied(
-            f"decode worker {self.index} (pid {self.pid}) disconnected"
-        )
-        for future in self._inflight.values():
-            if not future.done():
-                future.set_exception(failure)
-        self._inflight.clear()
-        self.died.set()
+        self.client = CodecClient(*await asyncio.open_connection(sock=parent_sock))
 
     async def request(
         self, opcode: int, body: bytes = b"", timeout: Optional[float] = None
     ) -> protocol.Response:
-        """Send one worker-plane request and await its response."""
-        if self.writer is None or self.died.is_set():
-            raise WorkerDied(f"decode worker {self.index} is down")
-        correlation = next(self._correlation)
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[correlation] = future
-        wire = protocol.frame_bytes(
-            protocol.build_request(opcode, correlation, body)
-        )
+        """Send one request to the worker and await its raw response.
+
+        Any failure of the pipe, a reply that does not parse included,
+        raises :class:`WorkerDied`, which the pool retries once the
+        worker is respawned.
+        """
+        client = self.client
         try:
-            async with self._write_lock:
-                # Re-check under the lock: cleanup() may have nulled the
-                # writer while this sender was waiting its turn.
-                if self.writer is None or self.died.is_set():
-                    raise WorkerDied(f"decode worker {self.index} is down")
-                self.writer.write(wire)
-                await self.writer.drain()
-        except WorkerDied:
-            self._inflight.pop(correlation, None)
-            raise
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            self._inflight.pop(correlation, None)
-            raise WorkerDied(
-                f"decode worker {self.index} pipe broke mid-send: {exc}"
-            ) from exc
-        except BaseException:
-            self._inflight.pop(correlation, None)
-            raise
-        if timeout is None:
-            return await future
-        try:
+            future = await client.send_request(opcode, body)
+            if timeout is None:
+                return await future
             return await asyncio.wait_for(future, timeout)
         except asyncio.TimeoutError:
-            self._inflight.pop(correlation, None)
+            client.discard(future)
             raise WorkerDied(
                 f"decode worker {self.index} did not answer within {timeout}s"
-            )
+            ) from None
+        except (protocol.ProtocolError, OSError) as exc:
+            raise WorkerDied(
+                f"decode worker {self.index} (pid {self.pid}) disconnected: {exc}"
+            ) from exc
 
     async def cleanup(self) -> None:
-        """Tear down the pipe and reap the process (join off-loop)."""
-        if self._reader_task is not None and not self._reader_task.done():
-            self._reader_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reader_task
-        self._reader_task = None
-        if self.writer is not None:
-            self.writer.close()
-            with contextlib.suppress(Exception):
-                await self.writer.wait_closed()
-        self.reader = self.writer = None
+        """Close the pipe and reap the process (join off-loop)."""
+        if self.client is not None:
+            await self.client.close()
         process, self.process = self.process, None
         if process is None:
             return
@@ -742,65 +665,48 @@ class WorkerHandle:
             process.close()
 
 
-@dataclass
-class _PooledSession:
-    """The front end's record of one session: id, config, ring key."""
-
-    session_id: int
-    config: SessionConfig
-    key: str
-    info: Dict = field(default_factory=dict)
-    opened_at: float = field(default_factory=time.perf_counter)
-
-
 class WorkerPool:
-    """N decode worker processes with routing, supervision and replay."""
+    """N decode worker processes with routing, supervision and replay.
+
+    The front's session table is :attr:`registry`, the same
+    :class:`~repro.service.session.SessionRegistry` a ``workers=0``
+    server serves from: it validates configs, removes duplicates and
+    assigns ids.  Each session's worker index is fixed by the ring when
+    it opens and recorded; routing, replay and the status tables read
+    that record.
+    """
 
     def __init__(
         self,
         workers: int,
         policy: Optional[BatchPolicy] = None,
         faults: Optional[WorkerFaults] = None,
-        start_method: Optional[str] = None,
-        max_inflight: int = 1024,
-        retries: int = 4,
-        spawn_timeout: float = 60.0,
-        drain_timeout: float = 30.0,
         stream_deadline_us: Optional[float] = None,
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        method = start_method or os.environ.get(START_METHOD_ENV)
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
+        method = os.environ.get(START_METHOD_ENV)
+        if method is None and "fork" in multiprocessing.get_all_start_methods():
+            method = "fork"
         self.mp_context = multiprocessing.get_context(method)
-        self.start_method = method
+        self.start_method = self.mp_context.get_start_method()
         self.worker_policy = policy if policy is not None else BatchPolicy()
         self.faults = faults
         self.stream_deadline_us = stream_deadline_us
-        self.max_inflight = max_inflight
-        self.retries = retries
-        self.spawn_timeout = spawn_timeout
-        self.drain_timeout = drain_timeout
         self.ring = HashRing(workers)
         self.handles = [WorkerHandle(self, index) for index in range(workers)]
+        self.registry = SessionRegistry()
+        self._worker_of: Dict[int, int] = {}
         self._supervisors: List[asyncio.Task] = []
-        self._sessions: Dict[int, _PooledSession] = {}
-        self._by_config: Dict[SessionConfig, int] = {}
-        self._next_id = 1
-        # Serialises the reserve-id -> worker-open -> commit sequence:
-        # without it two concurrent opens read the same next id and race
-        # conflicting OP_W_OPENs into the workers.
+        # Serialises open -> worker open -> commit: a concurrent open of
+        # the same config waits, so it never rejoins a session its
+        # worker has not built yet.
         self._open_lock = asyncio.Lock()
         self._closed = False
 
     @property
     def n_workers(self) -> int:
         return len(self.handles)
-
-    def __len__(self) -> int:
-        return len(self._sessions)
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> "WorkerPool":
@@ -829,7 +735,7 @@ class WorkerPool:
     async def _supervise(self, handle: WorkerHandle) -> None:
         """Respawn ``handle`` whenever its current generation dies."""
         while True:
-            await handle.died.wait()
+            await handle.client.wait_disconnected()
             if self._closed:
                 return
             handle.ready.clear()
@@ -850,7 +756,7 @@ class WorkerPool:
             except Exception:
                 # Spawn or replay failed (e.g. the replacement died
                 # instantly under a stuck fault); back off and let the
-                # fresh generation's death event drive another attempt.
+                # fresh generation's disconnect drive another attempt.
                 logger.exception(
                     "decode worker %d respawn failed; retrying", handle.index
                 )
@@ -859,20 +765,23 @@ class WorkerPool:
             handle.ready.set()
 
     async def _replay_sessions(self, handle: WorkerHandle) -> None:
-        """Rebuild every session the ring assigns to ``handle``.
+        """Rebuild every session recorded on ``handle``'s worker.
 
         Replayed under the original wire ids, so clients keep using the
         session ids they already hold.  Sessions with error injection
         restart their seeded streams from the seed (documented caveat).
         """
-        for session_id, entry in sorted(self._sessions.items()):
-            if self.ring.lookup(entry.key) != handle.index:
-                continue
-            body = protocol.build_json_body(
-                {"session_id": session_id, "config": entry.config.to_dict()}
-            )
+        owned = [
+            (session_id, self.registry.get(session_id).config)
+            for session_id, index in sorted(self._worker_of.items())
+            if index == handle.index
+        ]
+        for session_id, config in owned:
+            body = {"session_id": session_id, "config": config.to_dict()}
             response = await handle.request(
-                protocol.OP_W_OPEN, body, timeout=self.spawn_timeout
+                protocol.OP_W_OPEN,
+                protocol.build_json_body(body),
+                timeout=SPAWN_TIMEOUT_S,
             )
             if response.status != protocol.ST_OK:
                 logger.error(
@@ -882,95 +791,75 @@ class WorkerPool:
                     response.body.decode("utf-8", "replace"),
                 )
 
-    # -- routing and data plane ----------------------------------------
-    def handle_for_key(self, key: str) -> WorkerHandle:
-        """The handle of the worker owning routing key ``key``."""
-        return self.handles[self.ring.lookup(key)]
-
-    def session(self, session_id: int) -> _PooledSession:
-        """The pooled session record, or :class:`SessionError`."""
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise SessionError(f"unknown session id {session_id}")
-
+    # -- sessions and data plane ---------------------------------------
     async def open_session(self, config: SessionConfig) -> Dict:
         """Open (or rejoin) a session on its ring-assigned worker.
 
-        The front end assigns the wire id, the first free one after the
-        last it handed out (:func:`~repro.service.session.free_session_id`),
-        and records the config before asking the worker to build the
-        session, mirroring the dedup semantics of
-        :meth:`SessionRegistry.open`.
+        :attr:`registry` opens it first, exactly as at ``workers=0``;
+        the worker then builds it under the registry's id.  If the
+        worker refuses, the registry entry is closed again.  The reply
+        is the session's description plus its ``worker`` index.
         """
         async with self._open_lock:
-            existing = self._by_config.get(config)
-            if existing is not None:
-                return self._sessions[existing].info
-            if len(self._sessions) >= MAX_SESSIONS:
-                raise SessionError(
-                    f"session limit reached ({MAX_SESSIONS}); "
-                    "close the server"
-                )
-            session_id = free_session_id(self._next_id, self._sessions)
-            key = config.routing_key()
-            body = protocol.build_json_body(
-                {"session_id": session_id, "config": config.to_dict()}
-            )
-            response_body = await self._request_routed(
-                key, protocol.OP_W_OPEN, body
-            )
-            info = protocol.parse_json_body(response_body)
-            info["worker"] = self.ring.lookup(key)
-            self._next_id = session_id + 1
-            self._sessions[session_id] = _PooledSession(
-                session_id, config, key, info
-            )
-            self._by_config[config] = session_id
-            return info
+            session = self.registry.open(config)
+            session_id = session.session_id
+            if session_id not in self._worker_of:
+                self._worker_of[session_id] = self.ring.lookup(config.routing_key())
+                # Shielded: an opener cancelled after the worker got the
+                # open must not drop a session that the worker then holds.
+                await asyncio.shield(self._build_session(session_id, config))
+            return dict(session.describe(), worker=self._worker_of[session_id])
 
-    async def forward(self, session_id: int, opcode: int, body: bytes) -> bytes:
-        """Forward a preserialized data-plane body to the owning worker."""
-        entry = self.session(session_id)
-        return await self._request_routed(entry.key, opcode, body)
+    async def _build_session(self, session_id: int, config: SessionConfig) -> None:
+        """Build a registered session on its worker; unregister it if refused."""
+        body = {"session_id": session_id, "config": config.to_dict()}
+        try:
+            await self.forward(
+                session_id, protocol.OP_W_OPEN, protocol.build_json_body(body)
+            )
+        except BaseException:
+            del self._worker_of[session_id]
+            self.registry.close(session_id)
+            raise
 
     async def close_session(self, session_id: int) -> Dict:
-        """Close a session on its owning worker and drop the front's record.
+        """Close a session on its worker, then drop it from the front's table.
 
         The worker drains the session's batch lanes and stream windows
-        and frees its state; the front end then forgets the id/config
-        mapping, so a closed session is never replayed into a respawned
-        worker.  Stream state is shared-nothing: if the worker crashes
-        *before* the close lands, the retry reaches its respawned
-        replacement, whose replayed session has a fresh (empty) stream —
-        the close still succeeds.
+        and frees its state; the front then closes its registry entry,
+        so a closed session is never replayed into a respawned worker.
+        Stream state is shared-nothing: if the worker crashes *before*
+        the close lands, the retry reaches its respawned replacement,
+        whose replayed session has a fresh (empty) stream — the close
+        still succeeds.
         """
-        entry = self.session(session_id)
-        body = protocol.build_json_body({"session_id": session_id})
-        response_body = await self._request_routed(
-            entry.key, protocol.OP_CLOSE, body
+        self.registry.get(session_id)  # unknown ids fail here
+        response_body = await self.forward(
+            session_id,
+            protocol.OP_CLOSE,
+            protocol.build_json_body({"session_id": session_id}),
         )
-        self._sessions.pop(session_id, None)
-        self._by_config.pop(entry.config, None)
+        self.registry.close(session_id)
+        del self._worker_of[session_id]
         return protocol.parse_json_body(response_body)
 
-    async def _request_routed(self, key: str, opcode: int, body: bytes) -> bytes:
-        """Send to the key's worker, retrying across worker deaths.
+    async def forward(self, session_id: int, opcode: int, body: bytes) -> bytes:
+        """Send to the session's worker, retrying across worker deaths.
 
         Retries are sound because every pooled opcode is a deterministic
         function of the request bytes and the session config — a decode
         retried on the respawned worker returns the bit-identical answer
         the dead worker never sent.
         """
+        handle = self.handles[self._worker_of[session_id]]
         last_error: Optional[WorkerDied] = None
-        for _ in range(self.retries):
-            handle = self.handle_for_key(key)
+        for _ in range(RETRIES):
             try:
-                await asyncio.wait_for(handle.ready.wait(), self.spawn_timeout)
+                await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
             except asyncio.TimeoutError:
                 raise ServiceError(
                     f"decode worker {handle.index} unavailable for "
-                    f"{self.spawn_timeout}s"
+                    f"{SPAWN_TIMEOUT_S}s"
                 )
             try:
                 async with handle.limiter:
@@ -985,7 +874,7 @@ class WorkerPool:
                 raise ServiceError(response.body.decode("utf-8", "replace"))
             return response.body
         raise ServiceError(
-            f"request failed after {self.retries} attempts across worker "
+            f"request failed after {RETRIES} attempts across worker "
             f"restarts: {last_error}"
         )
 
@@ -1009,15 +898,15 @@ class WorkerPool:
         session and no admitted request is lost.
         """
         handle = self._handle_at(index)
-        await asyncio.wait_for(handle.ready.wait(), self.spawn_timeout)
+        await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
         handle.ready.clear()
         try:
-            await handle.request(protocol.OP_W_DRAIN, timeout=self.drain_timeout)
+            await handle.request(protocol.OP_W_DRAIN, timeout=DRAIN_TIMEOUT_S)
         except WorkerDied:
             # It crashed instead of draining; the supervisor's recovery
             # path is the same either way.
             pass
-        await asyncio.wait_for(handle.ready.wait(), self.spawn_timeout)
+        await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
         return {"restarted": index, "restarts": handle.restarts, "pid": handle.pid}
 
     async def kill_worker(self, index: int) -> Dict:
@@ -1043,7 +932,7 @@ class WorkerPool:
                 continue
             try:
                 response = await handle.request(
-                    protocol.OP_W_METRICS, timeout=self.drain_timeout
+                    protocol.OP_W_METRICS, timeout=DRAIN_TIMEOUT_S
                 )
             except WorkerDied:
                 continue
@@ -1055,15 +944,10 @@ class WorkerPool:
         return snapshots
 
     def session_table(self) -> Dict[int, Dict]:
-        """Each session's config label, uptime and owning worker, for STATS."""
-        now = time.perf_counter()
+        """The registry's table with each session's worker, for STATS."""
         return {
-            sid: {
-                "config": entry.config.label(),
-                "uptime_s": now - entry.opened_at,
-                "worker": self.ring.lookup(entry.key),
-            }
-            for sid, entry in self._sessions.items()
+            session_id: dict(row, worker=self._worker_of[session_id])
+            for session_id, row in self.registry.table().items()
         }
 
     def status(self) -> Dict:
@@ -1071,7 +955,7 @@ class WorkerPool:
         return {
             "mode": "pool",
             "start_method": self.start_method,
-            "sessions": len(self._sessions),
+            "sessions": len(self.registry),
             "workers": [
                 {
                     "index": handle.index,
@@ -1081,9 +965,9 @@ class WorkerPool:
                     "spawns": handle.spawns,
                     "uptime_s": round(handle.uptime_s, 3),
                     "sessions": sorted(
-                        sid
-                        for sid, entry in self._sessions.items()
-                        if self.ring.lookup(entry.key) == handle.index
+                        session_id
+                        for session_id, index in self._worker_of.items()
+                        if index == handle.index
                     ),
                 }
                 for handle in self.handles

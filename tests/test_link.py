@@ -225,6 +225,16 @@ class TestBinaryChannel:
         with pytest.raises(ValueError):
             channel.transmit(np.zeros(8, dtype=np.uint8), 0)
 
+    @pytest.mark.parametrize(
+        "p01", [np.nan, np.inf, -np.inf, np.array([0.1, np.nan])]
+    )
+    def test_rejects_non_finite_probabilities(self, p01):
+        """Regression: NaN passed the range test, which NaN compares false to."""
+        with pytest.raises(ValueError, match="p01 must lie in"):
+            BinaryChannel(p01=p01)
+        with pytest.raises(ValueError, match="p10 must lie in"):
+            BinaryChannel(p10=p01)
+
 
 class TestLinkBudget:
     def test_healthy_link_is_nearly_noiseless(self):

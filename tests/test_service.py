@@ -226,10 +226,9 @@ class TestSessions:
 
         async def scenario():
             async with CodecServer(workers=workers) as server:
-                allocator = server.pool if workers else server.registry
                 client = await CodecClient.connect(port=server.port)
                 sessions = [await client.open_session(codes[0])]
-                allocator._next_id = MAX_SESSION_ID  # skip 65,533 lifetimes
+                server.registry._next_id = MAX_SESSION_ID  # skip 65,533 lifetimes
                 for code in codes[1:]:
                     sessions.append(await client.open_session(code))
                 blocks = [await s.decode(words[c]) for s, c in zip(sessions, codes)]

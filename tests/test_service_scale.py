@@ -12,6 +12,7 @@ instead of sleeping a guessed length.
 
 import asyncio
 import bisect
+import logging
 import time
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.service import (
     MicroBatcher,
     SessionConfig,
     SessionRegistry,
+    WorkerDied,
     WorkerFaults,
     WorkerPool,
     make_scenario,
@@ -87,8 +89,6 @@ class TestHashRing:
     def test_rejects_empty_ring(self):
         with pytest.raises(ValueError):
             HashRing(0)
-        with pytest.raises(ValueError):
-            HashRing(2, vnodes=0)
 
 
 # ---------------------------------------------------------------------
@@ -222,9 +222,12 @@ class TestWorkerPoolBasics:
         for config, info in zip(configs, infos):
             assert info.session_id in by_worker[expected[config.routing_key()]]
 
-    def test_bad_configs_and_unknown_sessions_stay_clean_errors(self):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_bad_configs_and_unknown_sessions_stay_clean_errors(self, workers):
+        """Regression: at workers=0 the refused open used up id 1."""
+
         async def scenario():
-            async with CodecServer(workers=1) as server:
+            async with CodecServer(workers=workers) as server:
                 client = await CodecClient.connect(port=server.port)
                 with pytest.raises(protocol.ProtocolError, match="[Uu]nknown code"):
                     await client.open_session("golay")
@@ -242,6 +245,175 @@ class TestWorkerPoolBasics:
                 await client.close()
 
         run(scenario())
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_bad_open_and_close_fields_are_client_errors(self, workers, caplog):
+        """Regression: these bodies got "internal error" and an ERROR log.
+
+        Bare ``int()``/``float()`` conversions, a channel built outside
+        the config guard and a NaN that passed the probability range
+        test let client mistakes escape as server faults.
+        """
+        bad_opens = [
+            {"p01": "x"}, {"seed": "x"}, {"stream_shift": "a"},
+            {"memory_rot": "z"}, {"stream_depth": [1]}, {"p01": 2.0},
+            {"p01": -0.5}, {"p01": float("nan")},
+            {"stream_deadline_us": float("nan"), "stream_depth": 2},
+        ]
+        words, reference = chaos.seeded_words("hamming84", frames=4, seed=2)
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                replies = []
+                for fields in bad_opens:
+                    body = protocol.build_json_body(dict(code="hamming84", **fields))
+                    future = await client.send_request(protocol.OP_OPEN, body)
+                    replies.append(await future)
+                body = protocol.build_json_body({"session_id": "x"})
+                future = await client.send_request(protocol.OP_CLOSE, body)
+                replies.append(await future)
+                # The connection still serves, and no id was used up.
+                session = await client.open_session("hamming84")
+                block = await session.decode(words)
+                live = len(server.registry)
+                await client.close()
+                return replies, session.session_id, block, live
+
+        with caplog.at_level(logging.ERROR):
+            replies, session_id, block, live = run(scenario())
+        for fields, reply in zip(bad_opens + [{"session_id": "x"}], replies):
+            message = reply.body.decode("utf-8")
+            assert reply.status == protocol.ST_ERROR, fields
+            assert "internal error" not in message, (fields, message)
+            assert next(iter(fields)) in message, (fields, message)
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert (session_id, live) == (1, 1)
+        assert np.array_equal(block.messages, reference.messages)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_malformed_data_body_counts_one_protocol_error(self, workers):
+        """Regression: a pool answered a body one byte short with an
+        error but counted no protocol error; a local server counted one."""
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                words = np.zeros((3, 8), dtype=np.uint8)
+                body = protocol.build_batch_body(session.session_id, words)[:-1]
+                with pytest.raises(
+                    protocol.ProtocolError, match="expected 3 packed bytes"
+                ):
+                    await client.request(protocol.OP_DECODE, body)
+                stats = await client.stats()
+                scrape = await client.metrics()
+                await client.close()
+                return stats, scrape
+
+        stats, scrape = run(scenario())
+        assert stats["protocol_errors"] == 1
+        scraped = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in scrape.splitlines()
+            if line.startswith("repro_service_protocol_errors_total")
+        )
+        assert scraped == 1
+
+    def test_timed_out_worker_request_leaves_nothing_in_flight(self):
+        """A request the pool stops waiting for is dropped from the pipe's
+        in-flight map, and its late reply harms nothing."""
+        words, reference = chaos.seeded_words("hamming84", frames=2, seed=6)
+
+        async def scenario():
+            faults = WorkerFaults(request_delay_us=200_000.0)
+            async with CodecServer(workers=1, faults=faults) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                handle = server.pool.handles[0]
+                body = protocol.build_batch_body(session.session_id, words)
+                with pytest.raises(WorkerDied, match="did not answer"):
+                    await handle.request(protocol.OP_DECODE, body, timeout=0.02)
+                left = dict(handle.client._inflight)
+                block = await session.decode(words)
+                await client.close()
+                return left, block
+
+        left, block = run(scenario())
+        assert left == {}
+        assert np.array_equal(block.messages, reference.messages)
+
+    def test_cancelled_open_leaves_no_session_on_the_worker_alone(self):
+        """Regression: an opener cancelled once its OP_W_OPEN was on the
+        pipe dropped the session at the front while the worker built it,
+        so every later open of that config was refused."""
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                config = SessionConfig(code="hamming84", seed=1)
+                opener = asyncio.ensure_future(server.pool.open_session(config))
+                client = server.pool.handles[0].client
+                send_request = client.send_request
+
+                async def send_then_cancel(opcode, body=b""):
+                    future = await send_request(opcode, body)
+                    opener.cancel()
+                    return future
+
+                client.send_request = send_then_cancel
+                with pytest.raises(asyncio.CancelledError):
+                    await opener
+                client.send_request = send_request
+                other = await server.pool.open_session(SessionConfig(code="rm13"))
+                again = await server.pool.open_session(config)
+                return other, again, len(server.registry)
+
+        other, again, live = run(scenario())
+        assert (again["session_id"], other["session_id"], live) == (1, 2, 2)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_session_churn_keeps_every_table_bounded(self, workers):
+        """Open, decode one frame, close: 300 times, local and pooled."""
+        lifetimes = 300
+        words, reference = chaos.seeded_words("hamming84", frames=lifetimes, seed=8)
+
+        def series(scrape):
+            return sum(
+                1 for line in scrape.splitlines() if line and not line.startswith("#")
+            )
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                served, blocks, live = set(), [], []
+                baseline = None
+                for seed in range(lifetimes):
+                    session = await client.open_session("hamming84", seed=seed)
+                    live.append(len(server.registry))
+                    blocks.append(await session.decode(words[seed:seed + 1]))
+                    await session.close()
+                    served.add(session.info.get("worker"))
+                    if baseline is None and len(served) == max(workers, 1):
+                        baseline = series(await client.metrics())
+                last = series(await client.metrics())
+                stats = await client.stats()
+                status = await client.admin("status")
+                remaining = len(server.registry)
+                await client.close()
+                return blocks, live, baseline, last, stats, status, remaining
+
+        blocks, live, baseline, last, stats, status, remaining = run(scenario())
+        assert live == [1] * lifetimes
+        assert remaining == 0
+        assert status["sessions"] == 0
+        assert [w["sessions"] for w in status["workers"]] == [[]] * workers
+        assert stats["sessions"] == {}
+        assert stats["frames_total"] == lifetimes
+        assert baseline is not None and last == baseline
+        got = np.concatenate([b.messages for b in blocks])
+        corrected = np.concatenate([b.corrected_errors for b in blocks])
+        assert np.array_equal(got, reference.messages)
+        assert np.array_equal(corrected, reference.corrected_errors)
 
     def test_admin_validation_errors(self):
         async def scenario():
