@@ -255,8 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="backpressure bound on queued frames per lane")
     serve.add_argument("--workers", type=_nonnegative_int, default=0, metavar="N",
                        help="decode worker processes (0 = in-process on one "
-                            "core); sessions are consistent-hash routed and "
-                            "each worker micro-batches independently")
+                            "core); each new session goes to the worker with "
+                            "the fewest, and each worker micro-batches "
+                            "independently")
     serve.add_argument("--trace", default=None, metavar="FILE",
                        help="append sampled request traces to FILE as JSONL "
                             "(exported as REPRO_TRACE_FILE so pool workers "
@@ -629,8 +630,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if args.workers:
                 print(
-                    f"  decode workers: {args.workers} process(es), consistent-hash "
-                    "session routing ('repro admin' drives drain/restart)",
+                    f"  decode workers: {args.workers} process(es), least-loaded "
+                    "session placement ('repro admin' drives drain/restart)",
                     flush=True,
                 )
             if args.trace is not None:

@@ -11,7 +11,7 @@ the PR 1 bit-packed batch kernels, and exposes per-session telemetry.
 
 ``serve --workers N`` scales the same service across a shared-nothing
 pool of N decode worker processes (:mod:`repro.service.workers`):
-consistent-hash session routing, pickle-free frame handoff, STATS and
+least-loaded session placement, pickle-free frame handoff, STATS and
 METRICS merged across workers, and graceful drain/restart with crash
 supervision.
 """
@@ -45,7 +45,6 @@ from repro.service.stream import StreamLane
 from repro.service.telemetry import ServiceTelemetry, SessionTelemetry, stats_view
 from repro.service.workers import (
     DispatchCore,
-    HashRing,
     WorkerDied,
     WorkerFaults,
     WorkerPool,
@@ -77,7 +76,6 @@ __all__ = [
     "SessionTelemetry",
     "stats_view",
     "DispatchCore",
-    "HashRing",
     "WorkerDied",
     "WorkerFaults",
     "WorkerPool",

@@ -16,6 +16,7 @@ typical loop::
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -443,10 +444,19 @@ class CodecClient:
         response = await self.request(protocol.OP_CODES)
         return protocol.parse_json_body(response.body)
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has been called."""
+        return self._closed
+
     async def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        # Half-close first: the peer sees EOF even where a forked
+        # process still holds a copy of this socket.
+        with contextlib.suppress(OSError):
+            self._writer.write_eof()
         self._reader_task.cancel()
         try:
             await self._reader_task

@@ -609,15 +609,14 @@ def parse_json_body(body: bytes) -> Dict[str, Any]:
 
 
 def parse_close_body(body: bytes) -> int:
-    """The session id a CLOSE body names; a missing or non-integer id is
-    the client's mistake, a :class:`~repro.errors.SessionError`."""
+    """The session id a CLOSE body names; a missing id or one that is not
+    a JSON integer is the client's mistake, a :class:`~repro.errors.SessionError`."""
     session_id = parse_json_body(body).get("session_id")
-    try:
-        return int(session_id)
-    except (TypeError, ValueError, OverflowError):
+    if type(session_id) is not int:
         raise SessionError(
             f"close request must name an integer 'session_id', got {session_id!r}"
-        ) from None
+        )
+    return session_id
 
 
 # ---------------------------------------------------------------------

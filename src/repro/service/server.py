@@ -10,23 +10,23 @@ the JSON telemetry snapshot (the stats endpoint), CODES the discovery
 catalog.
 
 With ``workers=N`` the server becomes the front end of a shared-nothing
-process pool (:mod:`repro.service.workers`): sessions are
-consistent-hash routed to N decode worker processes, data-plane bodies
-are forwarded as the preserialized bytes they arrived in, STATS and
-METRICS read one merge of every worker's registry, and the ADMIN opcode
-drives graceful drain/restart and chaos kills.  With ``workers=0`` (the
-default) everything runs in-process on a single
+process pool (:mod:`repro.service.workers`): each new session goes to
+the decode worker process with the fewest live sessions, data-plane
+bodies are forwarded as the preserialized bytes they arrived in, STATS
+and METRICS read one merge of every worker's registry, and the ADMIN
+opcode drives graceful drain/restart and chaos kills.  With
+``workers=0`` (the default) everything runs in-process on a single
 :class:`~repro.service.workers.DispatchCore` — the degenerate pool of
 size zero — which keeps tests and benchmarks able to drive the exact
-same path via :meth:`CodecServer.dispatch`.  Either way
-:attr:`CodecServer.registry` is the one session table: the core's, or
-the pool's, which assigns ids exactly as the core's does.
+same path via :meth:`CodecServer.dispatch`; a pooled front builds no
+core.  Either way :attr:`CodecServer.registry` is the one session
+table, and :func:`~repro.service.workers.serve_connection`, the loop
+each pool worker runs on its pipe, serves every TCP connection.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
 from typing import Dict, Optional, Set
 
@@ -35,11 +35,14 @@ from repro.obs.metrics import merge_snapshots, render_prometheus
 from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service import protocol
 from repro.service.batcher import BatchPolicy
-from repro.service.session import SessionConfig
+from repro.service.session import SessionConfig, catalog
 from repro.service.telemetry import ServiceTelemetry, stats_view
-from repro.service.workers import DispatchCore, WorkerFaults, WorkerPool
-
-logger = logging.getLogger(__name__)
+from repro.service.workers import (
+    DispatchCore,
+    WorkerFaults,
+    WorkerPool,
+    serve_connection,
+)
 
 
 class CodecServer:
@@ -78,22 +81,21 @@ class CodecServer:
         self.host = host
         self._requested_port = port
         self.telemetry = ServiceTelemetry()
-        self.core = DispatchCore(
-            policy, telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
-        )
-        self.batcher = self.core.batcher
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(
-                workers,
-                policy=policy,
-                faults=faults,
+        # Exactly one of these serves: the in-process core at workers=0,
+        # the pool otherwise.  Its registry is the one session table.
+        self.core: Optional[DispatchCore] = None
+        self.pool: Optional[WorkerPool] = None
+        if workers:
+            self.pool = WorkerPool(
+                workers, policy=policy, faults=faults,
                 stream_deadline_us=stream_deadline_us,
             )
-            if workers
-            else None
-        )
-        #: The session table: the core's, or the pool's in pooled mode.
-        self.registry = self.core.registry if self.pool is None else self.pool.registry
+            self.registry = self.pool.registry
+        else:
+            self.core = DispatchCore(
+                policy, telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
+            )
+            self.registry = self.core.registry
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: Set[asyncio.Task] = set()
 
@@ -127,7 +129,8 @@ class CodecServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        self.batcher.flush_all()
+        if self.core is not None:
+            self.core.batcher.flush_all()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -154,121 +157,54 @@ class CodecServer:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self.telemetry.connection_opened()
-        write_lock = asyncio.Lock()
-        request_tasks: Set[asyncio.Task] = set()
         try:
-            while True:
-                try:
-                    payload = await protocol.read_frame(reader)
-                except protocol.ProtocolError:
-                    # Framing-level violation (oversized prefix, torn frame).
-                    self.telemetry.record_protocol_error()
-                    raise
-                if payload is None:
-                    break
-                try:
-                    request = protocol.parse_request(payload)
-                except protocol.ProtocolError:
-                    self.telemetry.record_protocol_error()
-                    raise
-                # Dispatch concurrently: a request awaiting its batch
-                # must not stall the read loop, or pipelined requests
-                # could never coalesce.
-                rtask = asyncio.ensure_future(
-                    self._serve_request(request, writer, write_lock)
-                )
-                request_tasks.add(rtask)
-                rtask.add_done_callback(request_tasks.discard)
-        except (protocol.ProtocolError, ConnectionResetError) as exc:
-            logger.debug("connection dropped: %s", exc)
+            await serve_connection(
+                reader, writer, self._traced_dispatch, self.telemetry
+            )
         except asyncio.CancelledError:
-            pass
+            pass  # stop() cancels; asyncio would log a cancelled handler
         finally:
-            for rtask in list(request_tasks):
-                rtask.cancel()
-            if request_tasks:
-                await asyncio.gather(*request_tasks, return_exceptions=True)
             self.telemetry.connection_closed()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
             self._conn_tasks.discard(task)
 
-    async def _serve_request(
-        self,
-        request: protocol.Request,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _traced_dispatch(self, request: protocol.Request) -> bytes:
+        """:meth:`dispatch`, under a ``front.request`` span when sampled."""
         tracer = get_tracer()
-        trace_id = (
-            tracer.sample() if request.opcode in protocol.DATA_OPS else None
-        )
-        started = time.perf_counter()
+        trace_id = tracer.sample() if request.opcode in protocol.DATA_OPS else None
+        if trace_id is None:
+            return await self.dispatch(request)
+        started, status = time.perf_counter(), protocol.ST_ERROR
         try:
             with trace_scope(trace_id):
-                status, body = protocol.ST_OK, await self.dispatch(request)
-        except (ServiceError, protocol.ProtocolError) as exc:
-            if isinstance(exc, protocol.ProtocolError):
-                self.telemetry.record_protocol_error()
-            status, body = protocol.ST_ERROR, str(exc).encode("utf-8")
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # defensive: never kill the connection task
-            logger.exception("internal error serving opcode 0x%02x", request.opcode)
-            status, body = protocol.ST_ERROR, f"internal error: {exc}".encode("utf-8")
-        if trace_id is not None:
+                body = await self.dispatch(request)
+            status = protocol.ST_OK
+            return body
+        finally:
+            elapsed_us = (time.perf_counter() - started) * 1e6
+            op = protocol.DATA_OPS[request.opcode]
             tracer.emit(
-                trace_id,
-                "front.request",
-                started,
-                (time.perf_counter() - started) * 1e6,
-                op=protocol.DATA_OPS[request.opcode],
-                status=status,
+                trace_id, "front.request", started, elapsed_us, op=op, status=status
             )
-        try:
-            response = protocol.frame_bytes(
-                protocol.build_response(request.opcode, request.request_id, status, body)
-            )
-        except protocol.ProtocolError as exc:
-            # The success body itself is over the frame cap; the client
-            # must still get *a* response or it awaits this id forever.
-            self.telemetry.record_protocol_error()
-            response = protocol.frame_bytes(
-                protocol.build_response(
-                    request.opcode,
-                    request.request_id,
-                    protocol.ST_ERROR,
-                    str(exc).encode("utf-8"),
-                )
-            )
-        async with write_lock:
-            writer.write(response)
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # ------------------------------------------------------------------
     # Opcode dispatch (shared by TCP and in-process callers)
     # ------------------------------------------------------------------
     async def dispatch(self, request: protocol.Request) -> bytes:
         """Serve one parsed request, returning the OK response body."""
-        if request.opcode == protocol.OP_ADMIN:
+        opcode = request.opcode
+        if opcode == protocol.OP_ADMIN:
             return await self._op_admin(request.body)
         if self.pool is None:
             return await self.core.dispatch(request)
-        if request.opcode == protocol.OP_OPEN:
+        if opcode in protocol.DATA_OPS:
+            return await self._forward(request)
+        if opcode == protocol.OP_OPEN:
             config = SessionConfig.from_dict(protocol.parse_json_body(request.body))
             return protocol.build_json_body(await self.pool.open_session(config))
-        if request.opcode in protocol.DATA_OPS:
-            return await self._forward(request)
-        if request.opcode == protocol.OP_CLOSE:
+        if opcode == protocol.OP_CLOSE:
             session_id = protocol.parse_close_body(request.body)
             return protocol.build_json_body(await self.pool.close_session(session_id))
-        if request.opcode == protocol.OP_STATS:
+        if opcode == protocol.OP_STATS:
             stats = stats_view(
                 await self._merged_metrics(),
                 self.pool.session_table(),
@@ -276,10 +212,11 @@ class CodecServer:
                 self.pool.status()["workers"],
             )
             return protocol.build_json_body(stats)
-        if request.opcode == protocol.OP_METRICS:
+        if opcode == protocol.OP_METRICS:
             return render_prometheus(await self._merged_metrics()).encode("utf-8")
-        # CODES, and the unknown-opcode error, are the same in both modes.
-        return await self.core.dispatch(request)
+        if opcode == protocol.OP_CODES:
+            return protocol.build_json_body(catalog())
+        raise protocol.ProtocolError(f"unknown opcode 0x{opcode:02x}")
 
     async def _merged_metrics(self) -> Dict:
         """Pooled METRICS and STATS: the front's and every worker's registries.

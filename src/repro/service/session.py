@@ -18,7 +18,9 @@ they are reproducible only in aggregate, not frame-for-frame.
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Container, Dict, Optional
@@ -62,6 +64,10 @@ def free_session_id(start: int, live: Container[int]) -> int:
 @dataclass(frozen=True)
 class SessionConfig:
     """Everything needed to (re)build one codec session.
+
+    A config is canonical from construction: without ``stream_depth``
+    the other stream fields change nothing and take their defaults, so
+    configs that serve alike compare (and dedupe) alike everywhere.
 
     Attributes
     ----------
@@ -111,6 +117,11 @@ class SessionConfig:
     memory_lines: Optional[int] = None
     memory_rot: float = 0.0
 
+    def __post_init__(self):
+        if self.stream_depth is None:
+            object.__setattr__(self, "stream_shift", 1)
+            object.__setattr__(self, "stream_deadline_us", None)
+
     def label(self) -> str:
         parts = [self.code, self.decoder or "default"]
         if self.p01 or self.p10:
@@ -122,58 +133,36 @@ class SessionConfig:
         return ":".join(parts)
 
     def to_dict(self) -> Dict:
-        # Stream fields appear only when streaming is enabled, keeping
-        # every pre-existing config's dict — and therefore its
-        # consistent-hash routing key — byte-identical.
-        payload = {
-            "code": self.code,
-            "decoder": self.decoder,
-            "p01": self.p01,
-            "p10": self.p10,
-            "seed": self.seed,
-        }
-        if self.stream_depth is not None:
-            payload["stream_depth"] = self.stream_depth
-            payload["stream_shift"] = self.stream_shift
-            payload["stream_deadline_us"] = self.stream_deadline_us
-        if self.memory_lines is not None:
-            payload["memory_lines"] = self.memory_lines
-            payload["memory_rot"] = self.memory_rot
-        return payload
-
-    def routing_key(self) -> str:
-        """Canonical string identity used for consistent-hash routing.
-
-        Built from the full config dict (seed included), so two sessions
-        that differ only in their injection stream still spread across
-        the worker pool instead of piling onto one worker.  ``json`` with
-        sorted keys keeps the key stable across processes and runs —
-        unlike ``hash()``, which is salted per interpreter.
-        """
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Every field, so that ``from_dict(to_dict(c)) == c``: the pool
+        ships this dict to the worker that builds the session."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SessionConfig":
         """The config an OPEN body describes; an absent or ``null`` field
-        takes its default, and one that does not convert to its type is a
-        :class:`~repro.errors.SessionError` naming the field."""
-        if "code" not in payload:
-            raise SessionError("session config must name a 'code'")
+        takes its default.  Fields are type-checked, never converted: one
+        that is not a JSON integer, finite number or string as due (a bool
+        is none of them) is a :class:`~repro.errors.SessionError` naming it."""
 
         def field(name, kind, default=None):
             value = payload.get(name)
             if value is None:
                 return default
-            try:
-                return kind(value)
-            except (TypeError, ValueError, OverflowError):
+            if kind is float and type(value) is int:
+                value = float(value) if abs(value) <= sys.float_info.max else math.inf
+            if type(value) is not kind or (kind is float and not math.isfinite(value)):
+                due = {int: "an integer", float: "a finite number", str: "a string"}
                 raise SessionError(
-                    f"session config field {name!r} must be {kind.__name__}, "
-                    f"got {value!r}"
-                ) from None
+                    f"session config field {name!r} must be {due[kind]}, "
+                    f"got {payload[name]!r}"
+                )
+            return value
 
+        code = field("code", str)
+        if code is None:
+            raise SessionError("session config must name a 'code'")
         return cls(
-            code=str(payload["code"]),
+            code=code,
             decoder=field("decoder", str) or None,
             p01=field("p01", float, 0.0),
             p10=field("p10", float, 0.0),

@@ -9,13 +9,14 @@ front end by one socketpair per worker speaking the normal
 length-prefixed protocol.  Nothing crosses the pipes but preserialized
 protocol bytes — no pickle anywhere on the hot path: the front end peeks
 the two-byte session id off an ENCODE/DECODE body and forwards the body
-verbatim to the worker that owns the session.
+verbatim to the worker that owns the session.  The front's TCP
+connections and every worker's pipe are served by one connection loop,
+:func:`serve_connection`, each with its own dispatch function.
 
-Ownership is decided once, when a session opens, by a consistent-hash
-ring (:class:`HashRing`) over the session config's
-:meth:`~repro.service.session.SessionConfig.routing_key`, so adding a
-worker to a pool of N remaps only ~1/(N+1) of the keys.  The pool records
-that worker index; routing, replay and the status tables read the record.
+Ownership is decided once, when a session opens: the session goes to
+the worker with the fewest live sessions (ties rotate from the last
+pick), and the pool records that worker index; routing, replay and the
+status tables read the record.
 The front end owns the session *table*: a
 :class:`~repro.service.session.SessionRegistry`, the same one a
 ``workers=0`` server serves from, so config checks, duplicate removal and
@@ -33,8 +34,9 @@ aggregate statistics survive, per-frame draws do not.)
 
 Graceful drain (``restart`` admin action) loses nothing at all: the
 front stops admitting new requests to the worker, sends OP_W_DRAIN, the
-worker finishes every in-flight request, flushes its lanes, replies, and
-exits; the supervisor then respawns and replays as for a crash.
+worker answers every request it holds, flushes its lanes and
+acknowledges; the pool then closes the pipe, the worker exits on the
+EOF, and the supervisor respawns and replays as for a crash.
 
 Each worker pipe is a :class:`~repro.service.client.CodecClient`, built
 anew on every spawn: its disconnect is the death signal of that
@@ -56,16 +58,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import hashlib
 import itertools
 import logging
 import multiprocessing
 import os
 import socket
 import time
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 from repro.errors import ServiceError
 from repro.obs.metrics import render_prometheus
@@ -85,9 +86,6 @@ logger = logging.getLogger(__name__)
 
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_WORKER_START_METHOD"
-
-#: Ring points per worker.
-VNODES = 64
 
 #: Requests one worker pipe carries at once; later ones wait for a slot.
 MAX_INFLIGHT = 1024
@@ -277,9 +275,11 @@ class DispatchCore:
 
     def _op_mem_scrub(self, session: CodecSession, body: bytes) -> bytes:
         _, count = protocol.parse_mem_scrub_body(body)
-        lane = self.memory_lane(session)
-        session.telemetry.record_request("mem_scrub", count)
-        return protocol.build_json_body(lane.scrub_step(count))
+        step = self.memory_lane(session).scrub_step(count)
+        # The lines the step swept: a count of 0 means the default
+        # width, and a count past the store is clamped to it.
+        session.telemetry.record_request("mem_scrub", step["report"]["count"])
+        return protocol.build_json_body(step)
 
     async def _op_decode_stream(self, session: CodecSession, body: bytes) -> bytes:
         from repro.obs.tracing import current_trace_id
@@ -328,42 +328,79 @@ class DispatchCore:
 
 
 # ---------------------------------------------------------------------
-# Consistent-hash ring
+# The connection loop: the front's TCP connections and every worker pipe
 # ---------------------------------------------------------------------
-class HashRing:
-    """Consistent hashing of session routing keys onto worker indices.
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    dispatch: Callable[[protocol.Request], Awaitable[bytes]],
+    telemetry: ServiceTelemetry,
+) -> None:
+    """Serve one connection until EOF or a framing error.
 
-    Each worker contributes :data:`VNODES` points to the ring, hashed with
-    blake2b (stable across processes and runs — unlike ``hash()``, which
-    is salted per interpreter).  A key maps to the worker owning the
-    first ring point at or clockwise-after the key's hash.  Growing the
-    pool from N to N+1 workers moves only the keys captured by the new
-    worker's points — about 1/(N+1) of them — and every moved key lands
-    on the *new* worker, which is the property that makes live resize
-    (and the replay-on-respawn protocol) cheap.
+    Each request is dispatched in its own task, so one awaiting its
+    batch never stalls the read loop.  ``dispatch`` returns the OK body;
+    a ``ServiceError`` or ``ProtocolError`` becomes an ``ST_ERROR``
+    reply, anything else a logged "internal error".  Protocol errors
+    and replies over the frame cap count on ``telemetry``.
     """
+    write_lock = asyncio.Lock()
+    tasks: Set[asyncio.Task] = set()
 
-    def __init__(self, n_nodes: int):
-        if n_nodes < 1:
-            raise ValueError(f"need at least one node, got {n_nodes}")
-        self.n_nodes = n_nodes
-        points = sorted(
-            (self._hash(f"node:{node}:vnode:{v}"), node)
-            for node in range(n_nodes)
-            for v in range(VNODES)
-        )
-        self._hashes = [h for h, _ in points]
-        self._nodes = [node for _, node in points]
+    async def serve(request: protocol.Request) -> None:
+        try:
+            status, body = protocol.ST_OK, await dispatch(request)
+        except (ServiceError, protocol.ProtocolError) as exc:
+            if isinstance(exc, protocol.ProtocolError):
+                telemetry.record_protocol_error()
+            status, body = protocol.ST_ERROR, str(exc).encode("utf-8")
+        except Exception as exc:  # defensive: never kill the connection
+            logger.exception("internal error serving opcode 0x%02x", request.opcode)
+            status, body = protocol.ST_ERROR, f"internal error: {exc}".encode("utf-8")
+        opcode, request_id = request.opcode, request.request_id
+        try:
+            response = protocol.frame_bytes(
+                protocol.build_response(opcode, request_id, status, body)
+            )
+        except protocol.ProtocolError as exc:
+            # The success body itself is over the frame cap; the peer
+            # must still get *a* response or it awaits this id forever.
+            telemetry.record_protocol_error()
+            body = str(exc).encode("utf-8")
+            response = protocol.frame_bytes(
+                protocol.build_response(opcode, request_id, protocol.ST_ERROR, body)
+            )
+        async with write_lock:
+            writer.write(response)
+            try:
+                await writer.drain()
+            except ConnectionError:
+                pass
 
-    @staticmethod
-    def _hash(key: str) -> int:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def lookup(self, key: str) -> int:
-        """The worker index owning ``key``."""
-        position = bisect_right(self._hashes, self._hash(key)) % len(self._hashes)
-        return self._nodes[position]
+    try:
+        while True:
+            try:
+                payload = await protocol.read_frame(reader)
+                if payload is None:
+                    break
+                request = protocol.parse_request(payload)
+            except protocol.ProtocolError:
+                # Framing-level violation (oversized prefix, torn frame).
+                telemetry.record_protocol_error()
+                raise
+            task = asyncio.ensure_future(serve(request))
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+    except (protocol.ProtocolError, ConnectionError) as exc:
+        logger.debug("connection dropped: %s", exc)
+    finally:
+        for task in list(tasks):
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        writer.close()
+        with contextlib.suppress(ConnectionError):
+            await writer.wait_closed()
 
 
 # ---------------------------------------------------------------------
@@ -429,139 +466,69 @@ def _worker_entry(index, conn, policy, faults, stream_deadline_us=None):  # prag
 
 
 async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  # pragma: no cover - child
-    """One decode worker: a DispatchCore behind a protocol pipe."""
+    """One decode worker: a DispatchCore behind :func:`serve_connection`,
+    plus the worker-plane opcodes and ``faults`` (``None`` unless they
+    target this spawn).  It returns when the front closes the pipe."""
     conn.setblocking(False)
     reader, writer = await asyncio.open_connection(sock=conn)
     core = DispatchCore(policy, stream_deadline_us=stream_deadline_us)
-    write_lock = asyncio.Lock()
-    tasks: set = set()
+    held: Set[asyncio.Task] = set()
     served = itertools.count(1)
 
-    def my_faults() -> Optional[WorkerFaults]:
-        if faults is not None and faults.applies_to(index):
-            return faults
-        return None
+    async def drain() -> bytes:
+        # Answer every request already held (their replies are written
+        # when their tasks finish), flush what is still queued, then
+        # acknowledge; the pool closes the pipe on the ack.
+        while held:
+            core.batcher.flush_all()
+            await asyncio.wait(held, timeout=0.05)
+        await core.batcher.drain()
+        return protocol.build_json_body({"drained": True, "worker": index})
 
-    async def respond(opcode, request_id, status, body):
-        response = protocol.frame_bytes(
-            protocol.build_response(opcode, request_id, status, body)
-        )
-        async with write_lock:
-            writer.write(response)
-            await writer.drain()
-
-    async def serve(request):
+    async def dispatch(request: protocol.Request) -> bytes:
         trace_id = None
         if request.opcode == protocol.OP_W_TRACED:
             # Sampled requests arrive wrapped; unwrap before any
             # accounting so faults and dispatch see the real opcode.
             trace_id, opcode, body = protocol.parse_traced_body(request.body)
             request = protocol.Request(opcode, request.request_id, body)
-        if request.opcode == protocol.OP_W_DRAIN:
-            # Wait for every *other* in-flight request to finish (their
-            # responses are written when their tasks are done), flush
-            # whatever is still queued, acknowledge, then exit; the
-            # supervisor treats the EOF as permission to respawn.
-            me = asyncio.current_task()
-            while True:
-                others = [t for t in tasks if t is not me and not t.done()]
-                if not others:
-                    break
-                core.batcher.flush_all()
-                await asyncio.wait(others, timeout=0.05)
-            await core.batcher.drain()
-            await respond(
-                request.opcode,
-                request.request_id,
-                protocol.ST_OK,
-                protocol.build_json_body({"drained": True, "worker": index}),
-            )
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            os._exit(0)
-        active = my_faults()
-        if active is not None and request.opcode in protocol.DATA_OPS:
-            if active.request_delay_us > 0:
-                await asyncio.sleep(active.request_delay_us * 1e-6)
+        opcode = request.opcode
+        if opcode == protocol.OP_W_DRAIN:
+            return await drain()
+        task = asyncio.current_task()
+        held.add(task)
+        task.add_done_callback(held.discard)
+        if opcode == protocol.OP_W_OPEN:
+            payload = protocol.parse_json_body(request.body)
+            config = SessionConfig.from_dict(payload["config"])
+            session = core.open_session(config, session_id=payload["session_id"])
+            return protocol.build_json_body(session.describe())
+        if opcode == protocol.OP_W_METRICS:
+            return protocol.build_json_body(core.telemetry.metrics_snapshot())
+        faulty = faults is not None and opcode in protocol.DATA_OPS
+        if faulty and faults.request_delay_us > 0:
+            await asyncio.sleep(faults.request_delay_us * 1e-6)
+        started = time.perf_counter()
         try:
-            dispatch_started = time.perf_counter()
             with trace_scope(trace_id):
-                body = await _worker_dispatch(core, request)
-            if trace_id is not None:
-                get_tracer().emit(
-                    trace_id,
-                    "worker.dispatch",
-                    dispatch_started,
-                    (time.perf_counter() - dispatch_started) * 1e6,
-                    worker=index,
-                    opcode=request.opcode,
-                )
-            status = protocol.ST_OK
-        except (ServiceError, protocol.ProtocolError) as exc:
-            status, body = protocol.ST_ERROR, str(exc).encode("utf-8")
-        except Exception as exc:
-            logger.exception(
-                "worker %d: internal error serving opcode 0x%02x",
-                index,
-                request.opcode,
-            )
-            status, body = protocol.ST_ERROR, f"internal error: {exc}".encode("utf-8")
-        if active is not None and request.opcode in protocol.DATA_OPS:
-            if active.die_after_requests and next(served) >= active.die_after_requests:
+                body = await core.dispatch(request)
+        finally:
+            if faulty and faults.die_after_requests and (
+                next(served) >= faults.die_after_requests
+            ):
                 # Crash *before* answering: this request and any cohort
                 # sharing the flush are lost in flight, exactly the
                 # mid-batch death the chaos suite drills.
                 os._exit(17)
-        try:
-            await respond(request.opcode, request.request_id, status, body)
-        except protocol.ProtocolError:
-            # Response over the frame cap: report instead of stranding.
-            await respond(
-                request.opcode,
-                request.request_id,
-                protocol.ST_ERROR,
-                b"response exceeds the frame cap; send fewer frames per request",
+        if trace_id is not None:
+            elapsed_us = (time.perf_counter() - started) * 1e6
+            get_tracer().emit(
+                trace_id, "worker.dispatch", started, elapsed_us,
+                worker=index, opcode=opcode,
             )
+        return body
 
-    try:
-        while True:
-            payload = await protocol.read_frame(reader)
-            if payload is None:
-                break
-            request = protocol.parse_request(payload)
-            task = asyncio.ensure_future(serve(request))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-    except (protocol.ProtocolError, ConnectionResetError, OSError):
-        pass
-    # Front end went away (closed the pipe or died): nothing to answer.
-    for task in list(tasks):
-        task.cancel()
-    if tasks:
-        await asyncio.gather(*tasks, return_exceptions=True)
-    with contextlib.suppress(Exception):
-        writer.close()
-
-
-async def _worker_dispatch(core, request):  # pragma: no cover - child
-    """Dispatch one worker-plane or data-plane request on the core."""
-    if request.opcode == protocol.OP_W_OPEN:
-        payload = protocol.parse_json_body(request.body)
-        session_id = int(payload["session_id"])
-        config = SessionConfig.from_dict(payload["config"])
-        session = core.open_session(config, session_id=session_id)
-        return protocol.build_json_body(session.describe())
-    if request.opcode == protocol.OP_W_METRICS:
-        return protocol.build_json_body(core.telemetry.metrics_snapshot())
-    try:
-        return await core.dispatch(request)
-    except protocol.ProtocolError:
-        # A malformed body is found where it is parsed, here; the front
-        # sees only the error reply, so the count is kept on this
-        # worker's telemetry and reaches STATS through the merge.
-        core.telemetry.record_protocol_error()
-        raise
+    await serve_connection(reader, writer, dispatch, core.telemetry)
 
 
 # ---------------------------------------------------------------------
@@ -648,18 +615,22 @@ class WorkerHandle:
             ) from exc
 
     async def cleanup(self) -> None:
-        """Close the pipe and reap the process (join off-loop)."""
+        """Close the pipe and reap the process (join off-loop).
+
+        The closed pipe ends the worker's loop, so a live worker exits
+        by itself; one still alive 5 s later is terminated, then killed.
+        """
         if self.client is not None:
             await self.client.close()
         process, self.process = self.process, None
         if process is None:
             return
         loop = asyncio.get_running_loop()
-        if process.is_alive():
-            process.terminate()
-        await loop.run_in_executor(None, functools.partial(process.join, 5.0))
-        if process.is_alive():
-            process.kill()
+        for stop in (None, process.terminate, process.kill):
+            if not process.is_alive():
+                break
+            if stop is not None:
+                stop()
             await loop.run_in_executor(None, functools.partial(process.join, 5.0))
         with contextlib.suppress(Exception):
             process.close()
@@ -671,9 +642,9 @@ class WorkerPool:
     The front's session table is :attr:`registry`, the same
     :class:`~repro.service.session.SessionRegistry` a ``workers=0``
     server serves from: it validates configs, removes duplicates and
-    assigns ids.  Each session's worker index is fixed by the ring when
-    it opens and recorded; routing, replay and the status tables read
-    that record.
+    assigns ids.  Each session's worker index is chosen when it opens
+    (:meth:`_place`) and recorded; routing, replay and the status tables
+    read that record.
     """
 
     def __init__(
@@ -693,10 +664,10 @@ class WorkerPool:
         self.worker_policy = policy if policy is not None else BatchPolicy()
         self.faults = faults
         self.stream_deadline_us = stream_deadline_us
-        self.ring = HashRing(workers)
         self.handles = [WorkerHandle(self, index) for index in range(workers)]
         self.registry = SessionRegistry()
         self._worker_of: Dict[int, int] = {}
+        self._last_pick = -1
         self._supervisors: List[asyncio.Task] = []
         # Serialises open -> worker open -> commit: a concurrent open of
         # the same config waits, so it never rejoins a session its
@@ -721,7 +692,7 @@ class WorkerPool:
         return self
 
     async def close(self) -> None:
-        """Stop supervision and terminate every worker."""
+        """Stop supervision, then close every worker's pipe and reap it."""
         self._closed = True
         for task in self._supervisors:
             task.cancel()
@@ -740,11 +711,12 @@ class WorkerPool:
                 return
             handle.ready.clear()
             handle.restarts += 1
-            logger.warning(
-                "decode worker %d died (restart #%d); respawning",
-                handle.index,
-                handle.restarts,
-            )
+            if handle.client.closed:  # by the pool itself, on a drain's ack
+                logger.info("decode worker %d restarted (restart #%d)",
+                            handle.index, handle.restarts)
+            else:
+                logger.warning("decode worker %d died (restart #%d); respawning",
+                               handle.index, handle.restarts)
             try:
                 await handle.cleanup()
                 if self._closed:
@@ -792,8 +764,17 @@ class WorkerPool:
                 )
 
     # -- sessions and data plane ---------------------------------------
+    def _place(self) -> int:
+        """The worker for a new session: the one with the fewest live
+        sessions, ties going to the first one after the last pick."""
+        load = Counter(self._worker_of.values())
+        n = self.n_workers
+        after_last = [(self._last_pick + step) % n for step in range(1, n + 1)]
+        self._last_pick = min(after_last, key=lambda index: load[index])
+        return self._last_pick
+
     async def open_session(self, config: SessionConfig) -> Dict:
-        """Open (or rejoin) a session on its ring-assigned worker.
+        """Open (or rejoin) a session; a new one goes to the least-loaded worker.
 
         :attr:`registry` opens it first, exactly as at ``workers=0``;
         the worker then builds it under the registry's id.  If the
@@ -804,7 +785,7 @@ class WorkerPool:
             session = self.registry.open(config)
             session_id = session.session_id
             if session_id not in self._worker_of:
-                self._worker_of[session_id] = self.ring.lookup(config.routing_key())
+                self._worker_of[session_id] = self._place()
                 # Shielded: an opener cancelled after the worker got the
                 # open must not drop a session that the worker then holds.
                 await asyncio.shield(self._build_session(session_id, config))
@@ -854,13 +835,14 @@ class WorkerPool:
         handle = self.handles[self._worker_of[session_id]]
         last_error: Optional[WorkerDied] = None
         for _ in range(RETRIES):
-            try:
-                await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                raise ServiceError(
-                    f"decode worker {handle.index} unavailable for "
-                    f"{SPAWN_TIMEOUT_S}s"
-                )
+            if not handle.ready.is_set():  # a ready worker costs no wait_for
+                try:
+                    await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
+                except asyncio.TimeoutError:
+                    raise ServiceError(
+                        f"decode worker {handle.index} unavailable for "
+                        f"{SPAWN_TIMEOUT_S}s"
+                    )
             try:
                 async with handle.limiter:
                     response = await handle.request(opcode, body)
@@ -893,8 +875,9 @@ class WorkerPool:
         """Gracefully drain worker ``index``, then respawn it.
 
         New requests are held (``ready`` cleared) while the worker
-        finishes everything already in flight, flushes its lanes and
-        exits; the supervisor respawns it and replays its sessions.  No
+        answers everything already in flight, flushes its lanes and
+        acknowledges; the pool then closes the pipe, the worker exits,
+        and the supervisor respawns it and replays its sessions.  No
         session and no admitted request is lost.
         """
         handle = self._handle_at(index)
@@ -906,6 +889,8 @@ class WorkerPool:
             # It crashed instead of draining; the supervisor's recovery
             # path is the same either way.
             pass
+        else:
+            await handle.client.close()
         await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
         return {"restarted": index, "restarts": handle.restarts, "pid": handle.pid}
 

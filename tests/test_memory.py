@@ -521,6 +521,29 @@ class TestMemoryWire:
         # And the trace actually exercised ECC: some scrub repaired.
         assert sum(p["report"]["repaired_lines"] for p in inline[::3]) > 0
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_scrub_counts_the_lines_it_swept(self, workers):
+        """Regression: STATS ``frames_total`` rose by the count a
+        MEM_SCRUB asked for (820,018,826 on a 16-line store), and by 0
+        for count 0, which scrubs the default 8 lines."""
+
+        async def scenario():
+            async with CodecServer(port=0, workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                try:
+                    session = await client.open_session("hamming84", memory_lines=16)
+                    totals, reports = [(await client.stats())["frames_total"]], []
+                    for count in (820_018_826, 0):
+                        reports.append((await session.mem_scrub(count))["report"])
+                        totals.append((await client.stats())["frames_total"])
+                finally:
+                    await client.close()
+            return totals, reports
+
+        totals, reports = run(scenario())
+        assert [report["count"] for report in reports] == [16, 8]
+        assert np.diff(totals).tolist() == [16, 8]
+
     def test_memory_rot_requires_memory_lines_on_the_wire(self):
         async def scenario():
             async with CodecServer(port=0, workers=0) as server:

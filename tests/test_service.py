@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.coding import get_code, get_decoder
 from repro.errors import BackpressureError, SessionError
@@ -162,6 +164,45 @@ class TestSessions:
     def test_config_from_dict_requires_code(self):
         with pytest.raises(SessionError):
             SessionConfig.from_dict({"decoder": "ml"})
+
+    @given(
+        code=st.sampled_from(["hamming84", "rm13", "golay"]),
+        decoder=st.none() | st.sampled_from(["ml", "syndrome"]),
+        p=st.floats(0.0, 1.0),
+        seed=st.none() | st.integers(-(2**70), 2**70),
+        stream_depth=st.none() | st.integers(-3, 9),
+        stream_shift=st.integers(-3, 9),
+        stream_deadline_us=st.none() | st.floats(-1e9, 1e9),
+        memory_lines=st.none() | st.integers(0, 2**21),
+        memory_rot=st.floats(-1.0, 2.0),
+    )
+    def test_config_round_trips_through_its_dict(
+        self, code, decoder, p, seed, stream_depth, stream_shift,
+        stream_deadline_us, memory_lines, memory_rot,
+    ):
+        """``from_dict(to_dict(c)) == c``, through JSON as the pool ships
+        it, for every config, valid or not."""
+        config = SessionConfig(
+            code=code, decoder=decoder, p01=p, p10=p / 2, seed=seed,
+            stream_depth=stream_depth, stream_shift=stream_shift,
+            stream_deadline_us=stream_deadline_us, memory_lines=memory_lines,
+            memory_rot=memory_rot,
+        )
+        wire = json.loads(protocol.build_json_body(config.to_dict()))
+        assert SessionConfig.from_dict(wire) == config
+
+    def test_stream_fields_without_depth_take_their_defaults(self):
+        """Regression: ``stream_shift`` or ``stream_deadline_us`` without
+        ``stream_depth`` made a distinct config at the front, which
+        ``to_dict`` dropped on its way to a pool worker."""
+        plain = SessionConfig(code="hamming84", seed=1)
+        assert SessionConfig(code="hamming84", seed=1, stream_shift=0) == plain
+        assert SessionConfig.from_dict(
+            {"code": "hamming84", "seed": 1, "stream_deadline_us": 5.0}
+        ) == plain
+        streaming = SessionConfig(code="hamming84", stream_depth=2, stream_shift=0)
+        assert streaming.stream_shift == 0
+        assert SessionConfig(code="hamming84", seed=2) != plain
 
     @pytest.mark.parametrize("session_id", [0, -1, MAX_SESSION_ID + 1, 65537])
     def test_forced_ids_must_fit_the_wire(self, session_id):

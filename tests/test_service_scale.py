@@ -13,6 +13,7 @@ instead of sleeping a guessed length.
 import asyncio
 import bisect
 import logging
+import sys
 import time
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.service import (
     BatchPolicy,
     CodecClient,
     CodecServer,
-    HashRing,
     MicroBatcher,
     SessionConfig,
     SessionRegistry,
@@ -53,44 +53,6 @@ def run(coro, timeout: float = SCENARIO_TIMEOUT_S):
     return asyncio.run(bounded())
 
 
-def ring_target(config: SessionConfig, workers: int) -> int:
-    """The worker index the pool will route ``config`` to."""
-    return HashRing(workers).lookup(config.routing_key())
-
-
-# ---------------------------------------------------------------------
-# Consistent-hash ring
-# ---------------------------------------------------------------------
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        keys = [f"session-{i}" for i in range(500)]
-        first = HashRing(5)
-        second = HashRing(5)
-        assert [first.lookup(k) for k in keys] == [second.lookup(k) for k in keys]
-
-    def test_every_node_owns_keys(self):
-        ring = HashRing(8)
-        owners = {ring.lookup(f"key-{i}") for i in range(4000)}
-        assert owners == set(range(8))
-
-    def test_resize_stability(self):
-        # Growing the pool N -> N+1 must (a) move only a ~1/(N+1) sliver
-        # of the keys and (b) move every one of them TO the new node —
-        # keys never shuffle between surviving nodes, which is what lets
-        # a respawn replay only the sessions the ring maps to it.
-        keys = [f"config-{i}" for i in range(3000)]
-        for n in (1, 2, 4, 8):
-            old = HashRing(n)
-            new = HashRing(n + 1)
-            moved = [k for k in keys if old.lookup(k) != new.lookup(k)]
-            assert all(new.lookup(k) == n for k in moved)
-            assert len(moved) / len(keys) < 2.5 / (n + 1)
-
-    def test_rejects_empty_ring(self):
-        with pytest.raises(ValueError):
-            HashRing(0)
-
-
 # ---------------------------------------------------------------------
 # Protocol and registry additions
 # ---------------------------------------------------------------------
@@ -101,12 +63,6 @@ class TestPoolPlumbing:
         assert protocol.peek_batch_header(body) == (42, 7)
         with pytest.raises(protocol.ProtocolError, match="too short"):
             protocol.peek_batch_header(b"\x00")
-
-    def test_routing_key_distinguishes_seeds(self):
-        base = SessionConfig(code="hamming84")
-        seeded = SessionConfig(code="hamming84", seed=7)
-        assert base.routing_key() != seeded.routing_key()
-        assert base.routing_key() == SessionConfig(code="hamming84").routing_key()
 
     def test_registry_forced_id_open(self):
         registry = SessionRegistry()
@@ -197,9 +153,10 @@ class TestWorkerPoolBasics:
         block = run(scenario())
         assert np.array_equal(block.messages, direct.messages)
 
-    def test_sessions_route_by_ring_and_dedup(self):
-        configs = [SessionConfig(code="hamming84", seed=i) for i in range(6)]
-        expected = {c.routing_key(): ring_target(c, 3) for c in configs}
+    def test_sessions_route_by_load_and_dedup(self):
+        # Each new session goes to the worker with the fewest live
+        # sessions, ties rotating from the last pick.
+        expected = [0, 1, 2, 0, 1, 2]
 
         async def scenario():
             async with CodecServer(workers=3) as server:
@@ -216,11 +173,11 @@ class TestWorkerPoolBasics:
         infos, rejoined, status = run(scenario())
         assert [s.session_id for s in infos] == [1, 2, 3, 4, 5, 6]
         assert rejoined.session_id == infos[0].session_id
-        for config, info in zip(configs, infos):
-            assert info.info["worker"] == expected[config.routing_key()]
+        assert rejoined.info["worker"] == infos[0].info["worker"]
+        assert [info.info["worker"] for info in infos] == expected
         by_worker = {w["index"]: w["sessions"] for w in status["workers"]}
-        for config, info in zip(configs, infos):
-            assert info.session_id in by_worker[expected[config.routing_key()]]
+        for worker, info in zip(expected, infos):
+            assert info.session_id in by_worker[worker]
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_bad_configs_and_unknown_sessions_stay_clean_errors(self, workers):
@@ -248,48 +205,88 @@ class TestWorkerPoolBasics:
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_bad_open_and_close_fields_are_client_errors(self, workers, caplog):
-        """Regression: these bodies got "internal error" and an ERROR log.
+        """Regression: these bodies got "internal error" and an ERROR log,
+        or were coerced into a different config or session id.
 
         Bare ``int()``/``float()`` conversions, a channel built outside
         the config guard and a NaN that passed the probability range
-        test let client mistakes escape as server faults.
+        test let client mistakes escape as server faults.  Coercion
+        opened ``"stream_depth": 1.7`` at depth 1, and a CLOSE naming
+        ``1.5``, ``"1"`` or ``true`` closed session 1.
         """
         bad_opens = [
             {"p01": "x"}, {"seed": "x"}, {"stream_shift": "a"},
             {"memory_rot": "z"}, {"stream_depth": [1]}, {"p01": 2.0},
             {"p01": -0.5}, {"p01": float("nan")},
             {"stream_deadline_us": float("nan"), "stream_depth": 2},
+            {"stream_depth": 1.7}, {"seed": 1.5}, {"seed": True},
+            {"p01": True}, {"p01": "0.1"}, {"memory_lines": 8.0},
+            {"decoder": 5}, {"code": 1},
+            {"stream_deadline_us": float("inf"), "stream_depth": 2},
+        ]
+        bad_closes = [
+            {"session_id": "x"}, {"session_id": 1.5}, {"session_id": "1"},
+            {"session_id": True},
         ]
         words, reference = chaos.seeded_words("hamming84", frames=4, seed=2)
 
         async def scenario():
             async with CodecServer(workers=workers) as server:
                 client = await CodecClient.connect(port=server.port)
-                replies = []
-                for fields in bad_opens:
-                    body = protocol.build_json_body(dict(code="hamming84", **fields))
-                    future = await client.send_request(protocol.OP_OPEN, body)
-                    replies.append(await future)
-                body = protocol.build_json_body({"session_id": "x"})
-                future = await client.send_request(protocol.OP_CLOSE, body)
-                replies.append(await future)
-                # The connection still serves, and no id was used up.
                 session = await client.open_session("hamming84")
+                requests = [(protocol.OP_OPEN, {"code": "hamming84", **fields})
+                            for fields in bad_opens]
+                requests += [(protocol.OP_CLOSE, fields) for fields in bad_closes]
+                replies = []
+                for opcode, fields in requests:
+                    body = protocol.build_json_body(fields)
+                    future = await client.send_request(opcode, body)
+                    replies.append(await future)
+                # The connection still serves, session 1 is still open,
+                # and no id was used up.
+                other = await client.open_session("hamming74")
                 block = await session.decode(words)
                 live = len(server.registry)
                 await client.close()
-                return replies, session.session_id, block, live
+                return replies, other.session_id, block, live
 
         with caplog.at_level(logging.ERROR):
-            replies, session_id, block, live = run(scenario())
-        for fields, reply in zip(bad_opens + [{"session_id": "x"}], replies):
+            replies, other_id, block, live = run(scenario())
+        for fields, reply in zip(bad_opens + bad_closes, replies):
             message = reply.body.decode("utf-8")
             assert reply.status == protocol.ST_ERROR, fields
             assert "internal error" not in message, (fields, message)
             assert next(iter(fields)) in message, (fields, message)
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
-        assert (session_id, live) == (1, 1)
+        assert (other_id, live) == (2, 2)
         assert np.array_equal(block.messages, reference.messages)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_configs_that_serve_alike_share_one_session(self, workers):
+        """Regression: a pool refused the second OPEN ("config already
+        open as session 1, cannot reopen as 2") and used up id 2; a local
+        server opened two sessions.  ``stream_shift`` means nothing
+        without ``stream_depth``, so both must rejoin session 1."""
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                ids = []
+                for fields in (
+                    {"code": "hamming84", "seed": 1, "stream_shift": 0},
+                    {"code": "hamming84", "seed": 1},
+                    {"code": "hamming84", "seed": 1, "stream_deadline_us": 9.0},
+                    {"code": "hamming84", "seed": 2},
+                ):
+                    response = await client.request(
+                        protocol.OP_OPEN, protocol.build_json_body(fields)
+                    )
+                    ids.append(protocol.parse_json_body(response.body)["session_id"])
+                live = len(server.registry)
+                await client.close()
+                return ids, live
+
+        assert run(scenario()) == ([1, 1, 1, 2], 2)
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_malformed_data_body_counts_one_protocol_error(self, workers):
@@ -461,12 +458,6 @@ class TestWorkerPoolBasics:
         workers, because sleeping workers need no CPU.
         """
         delay_s = 0.2
-        seed_of_worker = {}
-        seed = 0
-        while len(seed_of_worker) < 2:
-            config = SessionConfig(code="hamming84", seed=seed)
-            seed_of_worker.setdefault(ring_target(config, 2), seed)
-            seed += 1
         words, reference = chaos.seeded_words("hamming84", frames=16, seed=41)
 
         async def scenario():
@@ -474,8 +465,7 @@ class TestWorkerPoolBasics:
             async with CodecServer(workers=2, faults=faults) as server:
                 client = await CodecClient.connect(port=server.port)
                 sessions = [
-                    await client.open_session("hamming84", seed=s)
-                    for s in seed_of_worker.values()
+                    await client.open_session("hamming84", seed=s) for s in (0, 1)
                 ]
                 # One round first, so the timed round pays no first-call cost.
                 await asyncio.gather(*(s.decode(words) for s in sessions))
@@ -490,6 +480,42 @@ class TestWorkerPoolBasics:
         for block in blocks:
             assert np.array_equal(block.messages, reference.messages)
         assert elapsed < 1.5 * delay_s, f"{elapsed:.3f} s for two workers"
+
+    def test_forward_to_a_ready_worker_enters_no_wait_for(self):
+        """Regression: every forward awaited ``asyncio.wait_for`` on the
+        worker's ready event, ~23 µs of CPU each, even when it was set.
+
+        Counts the ``wait_for`` frames begun (:func:`sys.setprofile`, as
+        ``tests/test_batch_work.py`` counts calls) while N DECODEs are
+        forwarded to a ready worker; the count is exact.
+        """
+        decodes = 16
+        words, reference = chaos.seeded_words("hamming84", frames=decodes, seed=12)
+        wait_for = asyncio.wait_for.__code__
+        begun = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is wait_for:
+                begun.add(frame)
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                await session.decode(words[:1])  # warm up the whole path
+                previous = sys.getprofile()
+                sys.setprofile(profile)
+                try:
+                    blocks = [await session.decode(words[i:i + 1]) for i in range(decodes)]
+                finally:
+                    sys.setprofile(previous)
+                await client.close()
+                return blocks
+
+        blocks = run(scenario())
+        got = np.concatenate([block.messages for block in blocks])
+        assert np.array_equal(got, reference.messages)
+        assert len(begun) == 0
 
 
 # ---------------------------------------------------------------------
@@ -728,7 +754,7 @@ class TestStatsRollup:
         assert stats["frames_total"] == sum(
             w["frames_total"] for w in stats["workers"]
         )
-        # And the per-session entries point at their ring-assigned worker.
+        # And the per-session entries point at their recorded worker.
         for sid, entry in stats["sessions"].items():
             owners = [
                 w["index"] for w in stats["workers"] if int(sid) in w["sessions"]
@@ -766,8 +792,7 @@ class TestStatsRollup:
 # ---------------------------------------------------------------------
 class TestChaos:
     def test_worker_crash_mid_batch_is_retried_bit_identically(self):
-        config = SessionConfig(code="hamming84")
-        target = ring_target(config, 2)
+        target = 0  # a fresh pool's first session lands on worker 0
         # The worker serves exactly 5 data requests, then dies without
         # answering the 5th — a crash mid-batch with a cohort in flight.
         faults = WorkerFaults(worker_index=target, die_after_requests=5)
@@ -803,9 +828,7 @@ class TestChaos:
             async with CodecServer(workers=2) as server:
                 client = await CodecClient.connect(port=server.port)
                 session = await client.open_session("hamming84")
-                target = server.pool.ring.lookup(
-                    SessionConfig(code="hamming84").routing_key()
-                )
+                target = session.info["worker"]
                 tasks = [
                     asyncio.ensure_future(session.decode(words[i:i + 4]))
                     for i in range(0, 120, 4)
@@ -887,9 +910,7 @@ class TestChaos:
             async with CodecServer(workers=2, faults=faults) as server:
                 client = await CodecClient.connect(port=server.port)
                 session = await client.open_session("hamming84")
-                target = server.pool.ring.lookup(
-                    SessionConfig(code="hamming84").routing_key()
-                )
+                target = session.info["worker"]
                 tasks = [
                     asyncio.ensure_future(session.decode(words[i:i + 4]))
                     for i in range(0, 32, 4)
@@ -962,11 +983,7 @@ class TestChaos:
                     0, 2, size=(32, 4), dtype=np.uint8
                 )
                 first = await session.encode(messages)
-                target = server.pool.ring.lookup(
-                    SessionConfig(
-                        code="hamming84", p01=0.08, p10=0.08, seed=5
-                    ).routing_key()
-                )
+                target = session.info["worker"]
                 await client.admin("restart", worker=target)
                 replayed = await session.encode(messages)
                 decoded = await session.decode(replayed)
@@ -988,6 +1005,31 @@ class TestChaos:
         entry = stats["sessions"][str(1)]
         assert entry["frames"]["encode"] == 32
         assert entry["frames"]["decode"] == 32
+
+    def test_a_restart_is_not_logged_as_a_crash(self, caplog):
+        """Regression: a graceful restart logged "decode worker K died",
+        the warning a crash gets."""
+        words, reference = chaos.seeded_words("hamming84", frames=8, seed=4)
+
+        async def scenario():
+            async with CodecServer(workers=2) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                await client.admin("restart", worker=session.info["worker"])
+                restarted = caplog.get_records("call")[:]
+                await client.admin("kill", worker=session.info["worker"])
+                block = await session.decode(words)
+                await client.close()
+                return restarted, block
+
+        with caplog.at_level(logging.INFO, logger="repro.service.workers"):
+            restarted, block = run(scenario())
+        messages = [record.getMessage() for record in restarted]
+        assert any("restarted" in message for message in messages), messages
+        assert not any("died" in message for message in messages), messages
+        died = [r for r in caplog.records if "died" in r.getMessage()]
+        assert [r.levelno for r in died] == [logging.WARNING]
+        assert np.array_equal(block.messages, reference.messages)
 
     def test_loadgen_512_clients_over_shared_connections(self):
         # The ISSUE's loadgen scale drill, in-tree: 512 concurrent
@@ -1032,13 +1074,10 @@ class TestChaos:
         report = run(scenario())
         assert report.client_errors == []
         assert report.residual_frames == 0
-        # Every session sits exactly where the ring says it should (the
-        # three bare-code keys happen to hash to one node at N=4 — the
-        # ring makes no spread promise for a handful of keys, only a
-        # deterministic one).
-        scenario_configs = make_scenario("mixed").sessions
-        expected = {c.routing_key(): ring_target(c, 4) for c in scenario_configs}
+        # Least-loaded placement spreads the scenario's sessions over
+        # distinct workers, as far as there are workers.
+        sessions = len(make_scenario("mixed").sessions)
         observed = {
             entry["worker"] for entry in report.server_stats["sessions"].values()
         }
-        assert observed == set(expected.values())
+        assert observed == set(range(min(4, sessions)))
