@@ -5,11 +5,11 @@ or series the paper reports (run with ``pytest benchmarks/
 --benchmark-only -s`` to see them inline; without ``-s`` the reports
 are still emitted once via the ``paper_report`` fixture at teardown).
 
-The standalone scripts (``bench_engine.py``, ``bench_obs_overhead.py``)
-share the ``fail`` helper defined here via ``from conftest import
-fail`` — the benchmarks directory is ``sys.path[0]`` when a script runs
-directly, and pytest's prepend import mode resolves the same module
-when the directory is collected.
+The standalone script ``bench_engine.py`` shares the ``fail`` helper
+defined here via ``from conftest import fail`` — the benchmarks
+directory is ``sys.path[0]`` when a script runs directly, and pytest's
+prepend import mode resolves the same module when the directory is
+collected.
 """
 
 from __future__ import annotations

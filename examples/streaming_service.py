@@ -15,19 +15,13 @@ import json
 
 import numpy as np
 
-from repro.service import (
-    BatchPolicy,
-    CodecClient,
-    CodecServer,
-    make_scenario,
-    run_scenario,
-)
+from repro.service import CodecClient, CodecServer, make_scenario, run_scenario
 from repro.service.loadgen import render
 
 
 async def demo(clients: int, requests: int) -> None:
-    # --- a server with a latency-bounded micro-batching policy --------
-    server = CodecServer(policy=BatchPolicy(max_batch=256, max_delay_us=200.0))
+    # --- a server with a latency-bounded micro-batcher ---------------
+    server = CodecServer()
     await server.start()
     print(f"codec service listening on 127.0.0.1:{server.port}")
 

@@ -245,14 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=_port_number, default=7350,
                        help="TCP port (0 picks a free port; default 7350)")
-    serve.add_argument("--max-batch", type=_positive_int, default=256, metavar="FRAMES",
-                       help="flush a lane once this many frames are queued")
-    serve.add_argument("--max-delay-us", type=_nonnegative_float, default=200.0,
-                       metavar="US",
-                       help="deadline flush: max queueing delay for the oldest frame")
-    serve.add_argument("--max-pending", type=_positive_int, default=8192,
-                       metavar="FRAMES",
-                       help="backpressure bound on queued frames per lane")
     serve.add_argument("--workers", type=_nonnegative_int, default=0, metavar="N",
                        help="decode worker processes (0 = in-process on one "
                             "core); each new session goes to the worker with "
@@ -574,15 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import asyncio
         import os as _os
 
-        from repro.service import BatchPolicy, CodecServer
-
-        if args.max_pending < args.max_batch:
-            print(
-                f"repro serve: error: --max-pending ({args.max_pending}) must be "
-                f">= --max-batch ({args.max_batch})",
-                file=sys.stderr,
-            )
-            return 2
+        from repro.service import CodecServer
 
         if args.trace_sample is not None and args.trace is None:
             print(
@@ -612,22 +596,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             server = CodecServer(
                 host=args.host,
                 port=args.port,
-                policy=BatchPolicy(
-                    max_batch=args.max_batch,
-                    max_delay_us=args.max_delay_us,
-                    max_pending_frames=args.max_pending,
-                ),
                 workers=args.workers,
                 stream_deadline_us=args.stream_deadline_us,
             )
             await server.start()
             print(f"serving codec sessions on {args.host}:{server.port}", flush=True)
-            print(
-                f"  policy: max_batch={args.max_batch} "
-                f"max_delay_us={args.max_delay_us:g} "
-                f"max_pending={args.max_pending}",
-                flush=True,
-            )
             if args.workers:
                 print(
                     f"  decode workers: {args.workers} process(es), least-loaded "

@@ -61,10 +61,6 @@ class SessionError(ServiceError):
     """A codec session id or configuration is unknown or invalid."""
 
 
-class BackpressureError(ServiceError):
-    """A bounded scheduler queue rejected work (non-blocking admission)."""
-
-
 class ExperimentError(ReproError):
     """Base class for experiment-harness errors."""
 

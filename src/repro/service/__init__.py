@@ -16,7 +16,7 @@ METRICS merged across workers, and graceful drain/restart with crash
 supervision.
 """
 
-from repro.service.batcher import BatchPolicy, MicroBatcher
+from repro.service.batcher import MicroBatcher
 from repro.service.client import (
     CodecClient,
     DecodedBlock,
@@ -51,7 +51,6 @@ from repro.service.workers import (
 )
 
 __all__ = [
-    "BatchPolicy",
     "MicroBatcher",
     "CodecClient",
     "DecodedBlock",

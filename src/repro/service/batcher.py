@@ -7,16 +7,15 @@ bridges the two regimes: requests for the same (session, op) lane are
 queued, and the lane flushes as one ``encode_batch`` /
 ``decode_batch_detailed`` call when either
 
-* the lane has accumulated ``max_batch`` frames (**size flush**), or
-* ``max_delay_us`` has elapsed since the oldest queued frame arrived
-  (**deadline flush** — the latency bound).
+* the lane holds :data:`MAX_BATCH` frames (**size flush**, run inline by
+  the submit that reaches it), or
+* :data:`MAX_DELAY_US` has elapsed since the first enqueue of a
+  sub-``MAX_BATCH`` lane (**deadline flush** — the latency bound).
 
-Backpressure is a hard bound on queued frames per lane
-(``max_pending_frames``): ``submit`` awaits capacity before enqueueing,
-so a slow kernel propagates as client-visible latency instead of
-unbounded memory growth, and ``try_submit`` refuses immediately with
-:class:`~repro.errors.BackpressureError` for callers that prefer
-load-shedding.
+There is nothing to tune.  The inline size flush is the backpressure: a
+lane never holds :data:`MAX_BATCH` frames across an await, and a request
+over :data:`MAX_CHUNK_FRAMES` is fed through in chunks of that size, so
+one kernel call sees at most ``MAX_BATCH - 1 + MAX_CHUNK_FRAMES`` rows.
 
 Batches are concatenated in arrival order and results are sliced back
 row-for-row, so decode outputs are bit-identical to calling the batch
@@ -28,93 +27,44 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
+from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.coding.decoders.base import BatchDecodeResult
-from repro.errors import BackpressureError
 from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service.session import CodecSession
 
-from collections import deque
+#: A lane flushes inline once it holds this many frames.
+MAX_BATCH = 256
 
+#: A lane holding fewer frames flushes this long after its first
+#: enqueue.  The selector rounds its sleep up to whole milliseconds,
+#: so on an otherwise idle loop the flush comes about 1 ms later.
+MAX_DELAY_US = 200.0
 
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Flush and admission rules of one scheduler lane.
-
-    Attributes
-    ----------
-    max_batch : int
-        Flush as soon as at least this many frames are queued.  A lane
-        flushes *everything* queued at flush time, so a single
-        multi-frame request can push one batch past ``max_batch``; the
-        hard bound on batch size is ``max_pending_frames``.
-    max_delay_us : float
-        Upper bound on how long the oldest queued frame may wait before
-        a deadline flush — the knob trading latency for batch size.
-    max_pending_frames : int
-        Backpressure bound: frames queued but not yet flushed.
-    """
-
-    max_batch: int = 256
-    max_delay_us: float = 200.0
-    max_pending_frames: int = 8192
-
-    def __post_init__(self):
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_us < 0:
-            raise ValueError(f"max_delay_us must be >= 0, got {self.max_delay_us}")
-        if self.max_pending_frames < self.max_batch:
-            raise ValueError(
-                "max_pending_frames must be >= max_batch "
-                f"({self.max_pending_frames} < {self.max_batch})"
-            )
-
+#: Largest block one submit enqueues; bigger requests are split.
+MAX_CHUNK_FRAMES = 8192
 
 #: A lane kernel: (batch, width) block in, array or BatchDecodeResult out.
 LaneKernel = Callable[[np.ndarray], object]
 
 
 class _Lane:
-    """One (session, op) queue with its flush timer and capacity gate."""
+    """One (session, op) queue with its deadline timer."""
 
-    __slots__ = (
-        "kernel", "policy", "telemetry", "op", "loop", "items",
-        "pending_frames", "timer", "capacity_waiters",
-    )
+    __slots__ = ("kernel", "telemetry", "op", "loop", "items", "pending_frames", "timer")
 
-    def __init__(self, kernel, policy, telemetry, op, loop):
+    def __init__(self, kernel, telemetry, op, loop):
         self.kernel: LaneKernel = kernel
-        self.policy = policy
         self.telemetry = telemetry
         self.op = op
         self.loop = loop
         self.items: Deque[Tuple[np.ndarray, asyncio.Future, float, Optional[str]]] = deque()
         self.pending_frames = 0
         self.timer: Optional[asyncio.TimerHandle] = None
-        self.capacity_waiters: Deque[asyncio.Future] = deque()
 
-    # -- admission ------------------------------------------------------
-    def has_capacity(self, n_frames: int) -> bool:
-        return self.pending_frames + n_frames <= self.policy.max_pending_frames
-
-    async def wait_for_capacity(self, n_frames: int) -> None:
-        while not self.has_capacity(n_frames):
-            waiter = self.loop.create_future()
-            self.capacity_waiters.append(waiter)
-            await waiter
-
-    def _release_capacity(self) -> None:
-        while self.capacity_waiters:
-            waiter = self.capacity_waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-
-    # -- enqueue + flush ------------------------------------------------
     def enqueue(
         self,
         frames: np.ndarray,
@@ -122,18 +72,14 @@ class _Lane:
         trace: Optional[str] = None,
     ) -> asyncio.Future:
         future = self.loop.create_future()
-        # Latency is measured from *arrival* (before any backpressure
-        # wait), so a saturated lane shows up in the percentiles.
         self.items.append(
             (frames, future, time.perf_counter() if arrival is None else arrival, trace)
         )
         self.pending_frames += len(frames)
-        if self.pending_frames >= self.policy.max_batch:
+        if self.pending_frames >= MAX_BATCH:
             self.flush("size")
         elif self.timer is None:
-            self.timer = self.loop.call_later(
-                self.policy.max_delay_us * 1e-6, self.flush, "deadline"
-            )
+            self.timer = self.loop.call_later(MAX_DELAY_US * 1e-6, self.flush, "deadline")
         return future
 
     def flush(self, reason: str) -> None:
@@ -146,7 +92,6 @@ class _Lane:
         items = self.items
         self.items = deque()
         self.pending_frames = 0
-        self._release_capacity()
 
         traced = [trace for _, _, _, trace in items if trace is not None]
         flush_started = time.perf_counter()
@@ -240,8 +185,7 @@ class MicroBatcher:
     frame widths differ).
     """
 
-    def __init__(self, policy: Optional[BatchPolicy] = None):
-        self.policy = policy if policy is not None else BatchPolicy()
+    def __init__(self):
         self._lanes: Dict[Tuple[int, str], _Lane] = {}
 
     #: Lane ops and the session kernel each dispatches to.
@@ -256,10 +200,7 @@ class MicroBatcher:
         lane = self._lanes.get(key)
         if lane is None:
             kernel = getattr(session, self._OP_KERNELS[op])
-            lane = _Lane(
-                kernel, self.policy, session.telemetry, op,
-                asyncio.get_running_loop(),
-            )
+            lane = _Lane(kernel, session.telemetry, op, asyncio.get_running_loop())
             self._lanes[key] = lane
         return lane
 
@@ -268,9 +209,9 @@ class MicroBatcher:
     ) -> object:
         """Queue ``frames`` on the (session, op) lane and await the result.
 
-        Awaits lane capacity first (backpressure), then the flush that
-        carries this request.  Returns the request's row-slice of the
-        batch result: a ``(len(frames), n)`` array for encode, a
+        Awaits the flush that carries this request and returns the
+        request's row-slice of the batch result: a ``(len(frames), n)``
+        array for encode, a
         :class:`~repro.coding.decoders.base.BatchDecodeResult` for
         decode and decode_soft (whose frames are float confidence rows
         rather than packed bits).
@@ -286,39 +227,18 @@ class MicroBatcher:
             return _slice_result(
                 lane.kernel(np.zeros((0, width), dtype)), slice(0, 0)
             )
-        # A request larger than the lane's whole capacity could never be
-        # admitted in one piece; feed it through in capacity-sized chunks
-        # (each a normal batch) and reassemble row-for-row.
+        # A request over MAX_CHUNK_FRAMES goes through in chunks of that
+        # size (each flushes inline, a normal batch) and is reassembled
+        # row-for-row, so no kernel call grows with the request.
         arrival = time.perf_counter()
         trace = current_trace_id()
-        step = self.policy.max_pending_frames
-        if len(frames) <= step:
-            await lane.wait_for_capacity(len(frames))
+        if len(frames) <= MAX_CHUNK_FRAMES:
             return await lane.enqueue(frames, arrival, trace)
         parts = []
-        for start in range(0, len(frames), step):
-            chunk = frames[start:start + step]
-            await lane.wait_for_capacity(len(chunk))
+        for start in range(0, len(frames), MAX_CHUNK_FRAMES):
+            chunk = frames[start:start + MAX_CHUNK_FRAMES]
             parts.append(await lane.enqueue(chunk, arrival, trace))
         return _concat_results(parts)
-
-    async def try_submit(
-        self, session: CodecSession, op: str, frames: np.ndarray
-    ) -> object:
-        """Like :meth:`submit` but refuse instead of waiting for capacity.
-
-        For requests larger than ``max_pending_frames`` the admission
-        check covers the first chunk; later chunks may still wait (the
-        lane is draining by then).
-        """
-        lane = self._lane(session, op)
-        first = min(len(frames), self.policy.max_pending_frames)
-        if first and not lane.has_capacity(first):
-            raise BackpressureError(
-                f"lane ({session.session_id}, {op}) is full: "
-                f"{lane.pending_frames} frames pending"
-            )
-        return await self.submit(session, op, frames)
 
     def close_session(self, session_id: int) -> int:
         """Drop every lane of ``session_id``, flushing queued items first.
@@ -338,7 +258,7 @@ class MicroBatcher:
         return len(keys)
 
     def flush_all(self) -> None:
-        """Flush every lane immediately (server drain/shutdown path).
+        """Flush every lane immediately (server shutdown path).
 
         Iterates a snapshot of the lane map: a flush completes futures
         synchronously, and a completion callback may open a *new* lane
@@ -347,20 +267,6 @@ class MicroBatcher:
         """
         for lane in list(self._lanes.values()):
             lane.flush("drain")
-
-    async def drain(self) -> None:
-        """Flush repeatedly until no lane holds a queued frame.
-
-        One :meth:`flush_all` is not enough when flushing wakes
-        backpressured submitters, whose chunks land in lanes *after* the
-        flush ran; the loop yields to the event loop between rounds so
-        those submitters get to enqueue, then flushes again.  Used by a
-        draining worker to guarantee every admitted frame is answered
-        before it exits.
-        """
-        while self.pending_frames():
-            self.flush_all()
-            await asyncio.sleep(0)
 
     def pending_frames(self) -> int:
         return sum(lane.pending_frames for lane in self._lanes.values())

@@ -34,7 +34,6 @@ from repro.errors import ServiceError
 from repro.obs.metrics import merge_snapshots, render_prometheus
 from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service import protocol
-from repro.service.batcher import BatchPolicy
 from repro.service.session import SessionConfig, catalog
 from repro.service.telemetry import ServiceTelemetry, stats_view
 from repro.service.workers import (
@@ -53,9 +52,6 @@ class CodecServer:
     host, port : str, int
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
-    policy : BatchPolicy, optional
-        Flush/backpressure policy shared by every lane (in pooled mode,
-        by every lane of every worker).
     workers : int
         Number of decode worker processes; ``0`` serves everything
         in-process on one core.
@@ -73,7 +69,6 @@ class CodecServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        policy: Optional[BatchPolicy] = None,
         workers: int = 0,
         faults: Optional[WorkerFaults] = None,
         stream_deadline_us: Optional[float] = None,
@@ -87,13 +82,12 @@ class CodecServer:
         self.pool: Optional[WorkerPool] = None
         if workers:
             self.pool = WorkerPool(
-                workers, policy=policy, faults=faults,
-                stream_deadline_us=stream_deadline_us,
+                workers, faults=faults, stream_deadline_us=stream_deadline_us
             )
             self.registry = self.pool.registry
         else:
             self.core = DispatchCore(
-                policy, telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
+                telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
             )
             self.registry = self.core.registry
         self._server: Optional[asyncio.base_events.Server] = None

@@ -34,9 +34,10 @@ aggregate statistics survive, per-frame draws do not.)
 
 Graceful drain (``restart`` admin action) loses nothing at all: the
 front stops admitting new requests to the worker, sends OP_W_DRAIN, the
-worker answers every request it holds, flushes its lanes and
-acknowledges; the pool then closes the pipe, the worker exits on the
-EOF, and the supervisor respawns and replays as for a crash.
+worker closes its streams (open windows resolve as flushed), answers
+every request it holds and acknowledges; the pool then closes the pipe,
+the worker exits on the EOF, and the supervisor respawns and replays as
+for a crash.  A worker that does not drain in time is killed instead.
 
 Each worker pipe is a :class:`~repro.service.client.CodecClient`, built
 anew on every spawn: its disconnect is the death signal of that
@@ -72,7 +73,7 @@ from repro.errors import ServiceError
 from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import get_tracer, reset_tracer, trace_scope
 from repro.service import protocol
-from repro.service.batcher import BatchPolicy, MicroBatcher
+from repro.service.batcher import MicroBatcher
 from repro.service.client import CodecClient
 from repro.service.session import (
     CodecSession,
@@ -119,13 +120,12 @@ class DispatchCore:
 
     def __init__(
         self,
-        policy: Optional[BatchPolicy] = None,
         telemetry: Optional[ServiceTelemetry] = None,
         stream_deadline_us: Optional[float] = None,
     ):
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
         self.registry = SessionRegistry(telemetry=self.telemetry)
-        self.batcher = MicroBatcher(policy)
+        self.batcher = MicroBatcher()
         #: Server-wide default stream deadline; a session config's own
         #: ``stream_deadline_us`` takes precedence.
         self.stream_deadline_us = stream_deadline_us
@@ -326,6 +326,11 @@ class DispatchCore:
         session_id = protocol.parse_close_body(body)
         return protocol.build_json_body(self.close_session(session_id))
 
+    def close_streams(self) -> None:
+        """Close every stream lane, resolving its open windows as flushed."""
+        for lane in self._streams.values():
+            lane.close()
+
 
 # ---------------------------------------------------------------------
 # The connection loop: the front's TCP connections and every worker pipe
@@ -439,7 +444,7 @@ class WorkerFaults:
 # ---------------------------------------------------------------------
 # Worker child process (runs outside the parent's coverage view)
 # ---------------------------------------------------------------------
-def _worker_entry(index, conn, policy, faults, stream_deadline_us=None):  # pragma: no cover - child process
+def _worker_entry(index, conn, faults, stream_deadline_us=None):  # pragma: no cover - child process
     """Process entry point: run the worker loop on a fresh event loop.
 
     The child may have been forked from inside a running event loop (the
@@ -458,31 +463,31 @@ def _worker_entry(index, conn, policy, faults, stream_deadline_us=None):  # prag
     reset_tracer()
     code = 0
     try:
-        asyncio.run(_worker_main(index, conn, policy, faults, stream_deadline_us))
+        asyncio.run(_worker_main(index, conn, faults, stream_deadline_us))
     except BaseException:
         code = 1
     finally:
         os._exit(code)
 
 
-async def _worker_main(index, conn, policy, faults, stream_deadline_us=None):  # pragma: no cover - child
+async def _worker_main(index, conn, faults, stream_deadline_us=None):  # pragma: no cover - child
     """One decode worker: a DispatchCore behind :func:`serve_connection`,
     plus the worker-plane opcodes and ``faults`` (``None`` unless they
     target this spawn).  It returns when the front closes the pipe."""
     conn.setblocking(False)
     reader, writer = await asyncio.open_connection(sock=conn)
-    core = DispatchCore(policy, stream_deadline_us=stream_deadline_us)
+    core = DispatchCore(stream_deadline_us=stream_deadline_us)
     held: Set[asyncio.Task] = set()
     served = itertools.count(1)
 
     async def drain() -> bytes:
-        # Answer every request already held (their replies are written
-        # when their tasks finish), flush what is still queued, then
-        # acknowledge; the pool closes the pipe on the ack.
-        while held:
-            core.batcher.flush_all()
-            await asyncio.wait(held, timeout=0.05)
-        await core.batcher.drain()
+        # Close every stream first (open windows resolve FLUSHED, as on
+        # CLOSE), so no held push waits for frames that will never come;
+        # then await every held request (batch lanes flush on their
+        # deadline) and acknowledge.  The pool closes the pipe on the ack.
+        core.close_streams()
+        if held:
+            await asyncio.wait(held)
         return protocol.build_json_body({"drained": True, "worker": index})
 
     async def dispatch(request: protocol.Request) -> bytes:
@@ -572,10 +577,7 @@ class WorkerHandle:
             faults = None
         process = self.pool.mp_context.Process(
             target=_worker_entry,
-            args=(
-                self.index, child_sock, self.pool.worker_policy, faults,
-                self.pool.stream_deadline_us,
-            ),
+            args=(self.index, child_sock, faults, self.pool.stream_deadline_us),
             name=f"repro-codec-worker-{self.index}",
             daemon=True,
         )
@@ -650,7 +652,6 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        policy: Optional[BatchPolicy] = None,
         faults: Optional[WorkerFaults] = None,
         stream_deadline_us: Optional[float] = None,
     ):
@@ -661,7 +662,6 @@ class WorkerPool:
             method = "fork"
         self.mp_context = multiprocessing.get_context(method)
         self.start_method = self.mp_context.get_start_method()
-        self.worker_policy = policy if policy is not None else BatchPolicy()
         self.faults = faults
         self.stream_deadline_us = stream_deadline_us
         self.handles = [WorkerHandle(self, index) for index in range(workers)]
@@ -875,20 +875,25 @@ class WorkerPool:
         """Gracefully drain worker ``index``, then respawn it.
 
         New requests are held (``ready`` cleared) while the worker
-        answers everything already in flight, flushes its lanes and
-        acknowledges; the pool then closes the pipe, the worker exits,
-        and the supervisor respawns it and replays its sessions.  No
-        session and no admitted request is lost.
+        answers everything already in flight (open stream windows
+        resolve as flushed) and acknowledges; the pool then closes the
+        pipe, the worker exits, and the supervisor respawns it and
+        replays its sessions.  No session and no admitted request is
+        lost.  A worker that crashes or does not drain within
+        :data:`DRAIN_TIMEOUT_S` is killed and recovered as a crash.
         """
         handle = self._handle_at(index)
         await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)
         handle.ready.clear()
+        process = handle.process
         try:
             await handle.request(protocol.OP_W_DRAIN, timeout=DRAIN_TIMEOUT_S)
         except WorkerDied:
-            # It crashed instead of draining; the supervisor's recovery
-            # path is the same either way.
-            pass
+            # A hung worker keeps its pipe open, and only a closed pipe
+            # wakes the supervisor.  One that crashed may already have
+            # been replaced: never kill its successor.
+            if handle.process is process:
+                await self.kill_worker(index)
         else:
             await handle.client.close()
         await asyncio.wait_for(handle.ready.wait(), SPAWN_TIMEOUT_S)

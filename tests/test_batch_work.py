@@ -19,9 +19,6 @@ by row, so bit identity is pinned at the batch size where the counts
 are taken.
 """
 
-import gc
-import sys
-
 import numpy as np
 import pytest
 
@@ -32,49 +29,13 @@ from repro.link.burst import (
     bursty_flux_reference,
     gilbert_elliott_reference,
 )
+from stepcount import count_steps
 
 #: The paper codes plus a composite whose encode bit-slices (n = 56).
 CODES = ["hamming74", "hamming84", "rm13", "interleaved:hamming74:8"]
 SMALL, LARGE = 64, 4096
 #: One interleaved:hamming74:8 word per frame.
 FRAME_BITS = 56
-
-
-def count_steps(fn) -> int:
-    """Calls made and Python lines run by one ``fn()``, after a warm-up.
-
-    The warm-up builds whatever the kernel memoises (decode tables,
-    codebooks).  The garbage collector is off while counting, so no
-    finaliser can add steps.  Any tracer already installed (a coverage
-    run's) is put back afterwards.
-    """
-    fn()
-    steps = 0
-
-    def profile(frame, event, arg):
-        nonlocal steps
-        if event in ("call", "c_call"):
-            steps += 1
-
-    def trace(frame, event, arg):
-        nonlocal steps
-        if event == "line":
-            steps += 1
-        return trace
-
-    previous_profile, previous_trace = sys.getprofile(), sys.gettrace()
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.settrace(trace)
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous_profile)
-        sys.settrace(previous_trace)
-        if collecting:
-            gc.enable()
-    return steps
 
 
 def _inputs(code, size: int, seed: int):

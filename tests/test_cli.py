@@ -75,11 +75,6 @@ class TestCli:
                          "sec-ded", "decoder strategies:"):
             assert expected in out
 
-    def test_serve_rejects_inconsistent_policy(self, capsys):
-        assert main(["serve", "--max-batch", "64", "--max-pending", "8"]) == 2
-        err = capsys.readouterr().err
-        assert "--max-pending" in err and ">= --max-batch" in err
-
     def test_loadgen_against_live_server(self, capsys):
         import asyncio
         import threading

@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.coding import get_code, get_decoder
-from repro.errors import BackpressureError, SessionError
+from repro.errors import SessionError
 from repro.service import (
-    BatchPolicy,
     CodecClient,
     CodecServer,
     MicroBatcher,
@@ -22,6 +21,7 @@ from repro.service import (
     run_scenario,
 )
 from repro.service import DispatchCore, LatencyReservoir, protocol
+from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES
 from repro.service.session import MAX_SESSION_ID, CodecSession
 
 
@@ -336,7 +336,7 @@ def _flush_reasons(core, session) -> dict:
 class TestMicroBatcher:
     def test_size_flush_coalesces_into_one_kernel_call(self):
         async def scenario():
-            session = _session()
+            session, core = _core_session()
             calls = []
             kernel = session.encode_frames
 
@@ -345,19 +345,24 @@ class TestMicroBatcher:
                 return kernel(batch)
 
             session.encode_frames = spy
-            batcher = MicroBatcher(BatchPolicy(max_batch=8, max_delay_us=50_000))
-            msgs = np.random.default_rng(0).integers(0, 2, (8, 4)).astype(np.uint8)
+            batcher = MicroBatcher()
+            rng = np.random.default_rng(0)
+            msgs = rng.integers(0, 2, (MAX_BATCH, 4)).astype(np.uint8)
             results = await asyncio.gather(
-                *(batcher.submit(session, "encode", msgs[i:i + 1]) for i in range(8))
+                *(
+                    batcher.submit(session, "encode", msgs[i:i + 1])
+                    for i in range(MAX_BATCH)
+                )
             )
-            return calls, np.concatenate(results), session.code.encode_batch(msgs)
+            return calls, np.concatenate(results), msgs, _flush_reasons(core, session)
 
-        calls, got, want = run(scenario())
-        assert calls == [8], "eight 1-frame requests must flush as one batch"
-        assert np.array_equal(got, want)
+        calls, got, msgs, reasons = run(scenario())
+        assert calls == [MAX_BATCH], "MAX_BATCH 1-frame requests must share one batch"
+        assert reasons == {"size": 1}
+        assert np.array_equal(got, get_code("hamming84").encode_batch(msgs))
 
     def test_closed_loop_clients_share_every_kernel_call(self):
-        """64 closed-loop clients of one-frame decodes, default policy.
+        """64 closed-loop clients of one-frame decodes.
 
         Each client sends its next frame only when the last one is
         answered, as a TCP client awaiting replies does.  Every kernel
@@ -382,7 +387,7 @@ class TestMicroBatcher:
                 return kernel(batch)
 
             session.decode_frames = spy
-            batcher = MicroBatcher(BatchPolicy())
+            batcher = MicroBatcher()
             results = [None] * len(words)
 
             async def client(c):
@@ -412,7 +417,7 @@ class TestMicroBatcher:
     def test_deadline_flush_fires_without_filling(self):
         async def scenario():
             session, core = _core_session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=2_000))
+            batcher = MicroBatcher()
             msgs = np.ones((2, 4), dtype=np.uint8)
             result = await asyncio.wait_for(
                 batcher.submit(session, "encode", msgs), timeout=2.0
@@ -426,7 +431,7 @@ class TestMicroBatcher:
     def test_decode_slices_are_bit_identical_to_direct_call(self):
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=64, max_delay_us=1_000))
+            batcher = MicroBatcher()
             rng = np.random.default_rng(3)
             words = rng.integers(0, 2, (40, 8)).astype(np.uint8)
             chunks = [words[i:i + 5] for i in range(0, 40, 5)]
@@ -447,7 +452,7 @@ class TestMicroBatcher:
     def test_empty_request_completes_immediately(self):
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=4, max_delay_us=60e6))
+            batcher = MicroBatcher()
             empty = await batcher.submit(
                 session, "decode", np.zeros((0, 8), dtype=np.uint8)
             )
@@ -457,38 +462,18 @@ class TestMicroBatcher:
         assert len(empty) == 0
         assert empty.messages.shape == (0, 4)
 
-    def test_backpressure_try_submit_refuses_when_full(self):
+    def test_request_larger_than_a_chunk_is_chunked(self):
+        # A request over MAX_CHUNK_FRAMES flows through in chunks of that
+        # size and comes back whole, row for row.
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(
-                BatchPolicy(max_batch=4, max_delay_us=50_000, max_pending_frames=4)
-            )
-            msgs = np.zeros((3, 4), dtype=np.uint8)
-            first = asyncio.ensure_future(batcher.submit(session, "encode", msgs))
-            await asyncio.sleep(0)  # let it enqueue (3 < 4: no size flush yet)
-            with pytest.raises(BackpressureError):
-                await batcher.try_submit(session, "encode", msgs)
-            batcher.flush_all()
-            await first
-            # After the flush there is capacity again.
-            await batcher.try_submit(session, "encode", np.zeros((4, 4), np.uint8))
-
-        run(scenario())
-
-    def test_request_larger_than_lane_capacity_is_chunked(self):
-        # A single request bigger than max_pending_frames can never be
-        # admitted whole; it must flow through in chunks, not deadlock.
-        async def scenario():
-            session = _session()
-            batcher = MicroBatcher(
-                BatchPolicy(max_batch=8, max_delay_us=1_000, max_pending_frames=8)
-            )
+            batcher = MicroBatcher()
             rng = np.random.default_rng(9)
-            msgs = rng.integers(0, 2, (37, 4)).astype(np.uint8)
+            msgs = rng.integers(0, 2, (2 * MAX_CHUNK_FRAMES + 37, 4)).astype(np.uint8)
             encoded = await asyncio.wait_for(
                 batcher.submit(session, "encode", msgs), timeout=5.0
             )
-            words = rng.integers(0, 2, (21, 8)).astype(np.uint8)
+            words = rng.integers(0, 2, (MAX_CHUNK_FRAMES + 21, 8)).astype(np.uint8)
             decoded = await asyncio.wait_for(
                 batcher.submit(session, "decode", words), timeout=5.0
             )
@@ -500,33 +485,13 @@ class TestMicroBatcher:
         assert np.array_equal(decoded.messages, direct.messages)
         assert np.array_equal(decoded.corrected_errors, direct.corrected_errors)
 
-    def test_submit_waits_for_capacity_then_proceeds(self):
-        async def scenario():
-            session = _session()
-            batcher = MicroBatcher(
-                BatchPolicy(max_batch=8, max_delay_us=1_000, max_pending_frames=8)
-            )
-            big = np.zeros((6, 4), dtype=np.uint8)
-            small = np.zeros((6, 4), dtype=np.uint8)
-            first = asyncio.ensure_future(batcher.submit(session, "encode", big))
-            await asyncio.sleep(0)
-            # 6 pending + 6 > 8: the second submit must wait for the
-            # deadline flush of the first, then complete on its own.
-            second = await asyncio.wait_for(
-                batcher.submit(session, "encode", small), timeout=2.0
-            )
-            await first
-            return second
-
-        assert run(scenario()).shape == (6, 8)
-
     def test_kernel_error_propagates_to_every_request(self):
         async def scenario():
             session = _session()
             session.decode_frames = lambda batch: (_ for _ in ()).throw(
                 RuntimeError("kernel exploded")
             )
-            batcher = MicroBatcher(BatchPolicy(max_batch=2, max_delay_us=50_000))
+            batcher = MicroBatcher()
             words = np.zeros((1, 8), dtype=np.uint8)
             futures = [
                 asyncio.ensure_future(batcher.submit(session, "decode", words))
@@ -544,7 +509,7 @@ class TestMicroBatcher:
         # be stranded (regression: concat ran outside the try/except).
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=4, max_delay_us=50_000))
+            batcher = MicroBatcher()
             good = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.zeros((2, 4), np.uint8))
             )
@@ -688,8 +653,8 @@ class TestStatsShape:
 # ---------------------------------------------------------------------
 # Server + client end to end
 # ---------------------------------------------------------------------
-async def _with_server(policy, fn):
-    server = CodecServer(policy=policy)
+async def _with_server(fn):
+    server = CodecServer()
     await server.start()
     try:
         return await fn(server)
@@ -713,7 +678,7 @@ class TestServerEndToEnd:
             await client.close()
             return stats
 
-        stats = run(_with_server(BatchPolicy(max_batch=16, max_delay_us=500), scenario))
+        stats = run(_with_server(scenario))
         session_stats = stats["sessions"]["1"]
         assert session_stats["frames"] == {"encode": 50, "decode": 50}
         assert session_stats["accepted_frames"] == 50
@@ -731,9 +696,7 @@ class TestServerEndToEnd:
             await client.close()
             return blocks, words
 
-        blocks, words = run(
-            _with_server(BatchPolicy(max_batch=32, max_delay_us=200), scenario)
-        )
+        blocks, words = run(_with_server(scenario))
         direct = get_decoder(get_code("hamming84")).decode_batch_detailed(words)
         assert np.array_equal(
             np.concatenate([b.messages for b in blocks]), direct.messages
@@ -757,9 +720,7 @@ class TestServerEndToEnd:
             await client.close()
             return blocks, msgs, stats
 
-        blocks, msgs, stats = run(
-            _with_server(BatchPolicy(max_batch=64, max_delay_us=5_000), scenario)
-        )
+        blocks, msgs, stats = run(_with_server(scenario))
         assert np.array_equal(np.concatenate([b.messages for b in blocks]), msgs)
         decode_batches = stats["sessions"]["1"]["max_batch_frames"]
         assert decode_batches > 1, "pipelined frames never coalesced"
@@ -776,9 +737,7 @@ class TestServerEndToEnd:
             clean = get_code("hamming84").encode_batch(msgs)
             return words, decoded, stats, clean
 
-        words, decoded, stats, clean = run(
-            _with_server(BatchPolicy(max_batch=512, max_delay_us=200), scenario)
-        )
+        words, decoded, stats, clean = run(_with_server(scenario))
         assert (words != clean).any(), "injection session returned clean words"
         session_stats = stats["sessions"]["1"]
         assert session_stats["corrected_frames"] + session_stats["detected_frames"] > 0
@@ -801,7 +760,7 @@ class TestServerEndToEnd:
             assert session.k == 4
             await client.close()
 
-        run(_with_server(None, scenario))
+        run(_with_server(scenario))
 
     def test_response_over_frame_cap_yields_error_not_hang(self, monkeypatch):
         # Decode responses are larger than their requests; when one
@@ -823,7 +782,7 @@ class TestServerEndToEnd:
             # so read the counter off the server object.)
             return server.core.stats()["protocol_errors"]
 
-        errors = run(_with_server(BatchPolicy(max_batch=256, max_delay_us=100), scenario))
+        errors = run(_with_server(scenario))
         assert errors >= 1
 
     def test_client_rejects_wrong_frame_width(self):
@@ -838,7 +797,7 @@ class TestServerEndToEnd:
                 await session.decode(np.ones((2, 7), dtype=np.uint8))
             await client.close()
 
-        run(_with_server(None, scenario))
+        run(_with_server(scenario))
 
     def test_request_after_server_gone_fails_fast(self):
         async def scenario():
@@ -867,7 +826,7 @@ class TestServerEndToEnd:
             await client.close()
             return listing
 
-        listing = run(_with_server(None, scenario))
+        listing = run(_with_server(scenario))
         assert listing == catalog()
 
 
@@ -878,7 +837,7 @@ class TestLoadgen:
     @pytest.mark.parametrize("name", ["steady", "bursty", "mixed"])
     def test_noiseless_scenarios_have_zero_residual(self, name):
         async def scenario():
-            server = CodecServer(policy=BatchPolicy(max_batch=64, max_delay_us=300))
+            server = CodecServer()
             await server.start()
             try:
                 return await run_scenario(
@@ -897,7 +856,7 @@ class TestLoadgen:
 
     def test_burst_scenario_corrupts_and_reports_both_lanes(self):
         async def scenario():
-            server = CodecServer(policy=BatchPolicy(max_batch=64, max_delay_us=300))
+            server = CodecServer()
             await server.start()
             try:
                 return await run_scenario(
@@ -934,7 +893,7 @@ class TestLoadgen:
 
     def test_adversarial_scenario_reports_decoder_work(self):
         async def scenario():
-            server = CodecServer(policy=BatchPolicy(max_batch=64, max_delay_us=300))
+            server = CodecServer()
             await server.start()
             try:
                 return await run_scenario(
@@ -966,7 +925,7 @@ class TestSoftOp:
     def test_soft_lane_slices_match_direct_kernel(self):
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=64, max_delay_us=1_000))
+            batcher = MicroBatcher()
             rng = np.random.default_rng(6)
             confidences = rng.normal(0.0, 1.0, (40, 8))
             chunks = [confidences[i:i + 5] for i in range(0, 40, 5)]
@@ -994,7 +953,7 @@ class TestSoftOp:
     def test_empty_soft_request_completes_immediately(self):
         async def scenario():
             session = _session()
-            batcher = MicroBatcher(BatchPolicy(max_batch=4, max_delay_us=60e6))
+            batcher = MicroBatcher()
             return await batcher.submit(
                 session, "decode_soft", np.zeros((0, 8), dtype=np.float64)
             )
@@ -1021,9 +980,7 @@ class TestSoftOp:
             await client.close()
             return decoded, msgs, stats
 
-        decoded, msgs, stats = run(
-            _with_server(BatchPolicy(max_batch=32, max_delay_us=300), scenario)
-        )
+        decoded, msgs, stats = run(_with_server(scenario))
         assert np.array_equal(decoded.messages, msgs)
         assert not decoded.detected_uncorrectable.any()
         session_stats = stats["sessions"]["1"]
@@ -1045,9 +1002,7 @@ class TestSoftOp:
             await client.close()
             return blocks, confidences
 
-        blocks, confidences = run(
-            _with_server(BatchPolicy(max_batch=32, max_delay_us=200), scenario)
-        )
+        blocks, confidences = run(_with_server(scenario))
         # The wire quantises to float32; the direct call must see the
         # same quantised values to be bit-comparable.
         quantised = confidences.astype(np.float32).astype(np.float64)
@@ -1075,9 +1030,7 @@ class TestSoftOp:
             await client.close()
             return decoded, msgs, stats
 
-        decoded, msgs, stats = run(
-            _with_server(BatchPolicy(max_batch=64, max_delay_us=300), scenario)
-        )
+        decoded, msgs, stats = run(_with_server(scenario))
         assert np.array_equal(decoded.messages, msgs)
         session_stats = stats["sessions"]["1"]
         # Frames whose weak bit had the wrong sign were soft-corrected.
@@ -1101,7 +1054,7 @@ class TestSoftOp:
             assert len(clean) == 2
             await client.close()
 
-        run(_with_server(None, scenario))
+        run(_with_server(scenario))
 
     def test_client_rejects_wrong_soft_width(self):
         from repro.errors import DimensionError
@@ -1113,11 +1066,11 @@ class TestSoftOp:
                 await session.decode_soft(np.zeros((2, 7)))
             await client.close()
 
-        run(_with_server(None, scenario))
+        run(_with_server(scenario))
 
     def test_soft_loadgen_steady_zero_residual(self):
         async def scenario():
-            server = CodecServer(policy=BatchPolicy(max_batch=64, max_delay_us=300))
+            server = CodecServer()
             await server.start()
             try:
                 return await run_scenario(
@@ -1150,7 +1103,7 @@ class TestServiceLifecycle:
         from repro.service import DispatchCore
 
         async def scenario():
-            core = DispatchCore(BatchPolicy(max_batch=4, max_delay_us=500))
+            core = DispatchCore()
             msgs = np.ones((2, 4), dtype=np.uint8)
             words = np.zeros((2, 8), dtype=np.uint8)
             for i in range(25):
@@ -1209,7 +1162,7 @@ class TestServiceLifecycle:
             return sum(len(family["series"]) for family in snapshot["families"])
 
         async def scenario():
-            core = DispatchCore(BatchPolicy(max_batch=1))
+            core = DispatchCore()
             await cycle(core, 0)
             first = series(core)
             for seed in range(1, 500):
@@ -1233,7 +1186,7 @@ class TestServiceLifecycle:
         """Close answers queued futures; it never strands them."""
 
         async def scenario():
-            batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=60e6))
+            batcher = MicroBatcher()
             session, core = _core_session()
             pending = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((2, 4), dtype=np.uint8))
@@ -1252,29 +1205,31 @@ class TestServiceLifecycle:
         """A recycled (session, op) key must not inherit a dead lane's timer."""
 
         async def scenario():
-            batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=30_000))
+            batcher = MicroBatcher()
             session, core = _core_session()
             first = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((1, 4), dtype=np.uint8))
             )
             await asyncio.sleep(0)
             lane = batcher._lanes[(session.session_id, "encode")]
-            assert lane.timer is not None
+            scheduled = lane.timer
+            assert scheduled is not None
             batcher.close_session(session.session_id)
-            # The old lane's timer is cancelled: when its deadline passes,
-            # it must not flush anything (the key now belongs to a new lane).
-            assert lane.timer is None
-            await first
+            assert scheduled.cancelled() and lane.timer is None
+            # Reuse the key before the closed lane's deadline would pass.
             second = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((3, 4), dtype=np.uint8))
             )
-            await asyncio.sleep(0.06)  # past the old lane's deadline
+            await asyncio.sleep(0)
+            reused = batcher._lanes[(session.session_id, "encode")]
+            assert reused is not lane and reused.pending_frames == 3
+            await first
             result = await asyncio.wait_for(second, timeout=2.0)
             return result, _flush_reasons(core, session)
 
         result, reasons = run(scenario())
         assert result.shape == (3, 8)
-        # Exactly one close flush and one deadline flush — a stale timer
+        # Exactly one close flush and one deadline flush: a stale timer
         # would have added a spurious flush against the reused key.
         assert reasons == {"close": 1, "deadline": 1}
 
@@ -1283,7 +1238,7 @@ class TestServiceLifecycle:
         must not blow up the iteration with a mutated-dict RuntimeError."""
 
         async def scenario():
-            batcher = MicroBatcher(BatchPolicy(max_batch=1024, max_delay_us=60e6))
+            batcher = MicroBatcher()
             session_a = _session()
             session_b = CodecSession(2, SessionConfig(code="hamming84", seed=99))
             kernel = session_a.encode_frames

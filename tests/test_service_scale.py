@@ -24,10 +24,8 @@ from hypothesis import strategies as st
 import chaos
 from repro.errors import SessionError, ServiceError
 from repro.service import (
-    BatchPolicy,
     CodecClient,
     CodecServer,
-    MicroBatcher,
     SessionConfig,
     SessionRegistry,
     WorkerDied,
@@ -38,7 +36,6 @@ from repro.service import (
 )
 from repro.obs.metrics import merge_snapshots
 from repro.service import ServiceTelemetry, protocol, stats_view
-from repro.service.session import CodecSession
 from repro.service.telemetry import LATENCY_BUCKETS_US
 
 #: Hard wall-clock bound on every async scenario in this file (chaos
@@ -78,25 +75,6 @@ class TestPoolPlumbing:
             registry.open(SessionConfig(code="hamming84"), session_id=3)
         with pytest.raises(SessionError, match="already bound"):
             registry.open(SessionConfig(code="rm13"), session_id=18)
-
-    def test_batcher_drain_empties_every_lane(self):
-        async def scenario():
-            policy = BatchPolicy(max_batch=64, max_delay_us=50_000)
-            batcher = MicroBatcher(policy)
-            session = CodecSession(1, SessionConfig(code="hamming84"))
-            words = np.zeros((5, 8), dtype=np.uint8)
-            pending = [
-                asyncio.ensure_future(batcher.submit(session, "decode", words))
-                for _ in range(3)
-            ]
-            await asyncio.sleep(0)  # let submits enqueue
-            assert batcher.pending_frames() == 15
-            await batcher.drain()
-            assert batcher.pending_frames() == 0
-            results = await asyncio.gather(*pending)
-            assert all(len(r.messages) == 5 for r in results)
-
-        run(scenario())
 
 
 # ---------------------------------------------------------------------
@@ -799,11 +777,7 @@ class TestChaos:
         words, reference = chaos.seeded_words("hamming84", frames=96, seed=31)
 
         async def scenario():
-            server = CodecServer(
-                policy=BatchPolicy(max_batch=16, max_delay_us=300.0),
-                workers=2,
-                faults=faults,
-            )
+            server = CodecServer(workers=2, faults=faults)
             async with server:
                 client = await CodecClient.connect(port=server.port)
                 session = await client.open_session("hamming84")
@@ -856,8 +830,7 @@ class TestChaos:
         }
 
         async def scenario():
-            policy = BatchPolicy(max_batch=32, max_delay_us=500.0)
-            async with CodecServer(policy=policy, workers=workers) as server:
+            async with CodecServer(workers=workers) as server:
                 client = await CodecClient.connect(port=server.port)
                 sessions = {
                     seed: await client.open_session("hamming84", seed=seed)
@@ -925,6 +898,68 @@ class TestChaos:
         got = np.concatenate([b.messages for b in blocks])
         assert np.array_equal(got, reference.messages)
         assert result["restarts"] >= 1
+
+    def test_restart_answers_a_held_stream_push(self):
+        """A drain resolves stream pushes that wait for later frames.
+
+        Two non-final one-frame pushes on a depth-3 stream without a
+        deadline hold their codewords open.  ``restart`` must still
+        drain the only worker (answering both pushes as flushed),
+        respawn it, and leave it serving.
+        """
+        confidences = np.random.default_rng(4).normal(0.0, 1.0, (2, 8))
+        words, reference = chaos.seeded_words("hamming74", frames=8, seed=6)
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                client = await CodecClient.connect(port=server.port)
+                stream = await client.open_session("hamming84", stream_depth=3)
+                pushes = [
+                    await stream.push_stream(confidences[i:i + 1], first_index=i)
+                    for i in range(2)
+                ]
+                report = await client.admin("restart", worker=0)
+                blocks = [await push for push in pushes]
+                later = await client.open_session("hamming74")
+                block = await later.decode(words)
+                status = await client.admin("status")
+                await client.close()
+                return report, blocks, later.info["worker"], block, status
+
+        report, blocks, worker, block, status = run(scenario(), timeout=20.0)
+        assert report["restarts"] == 1
+        for pushed in blocks:
+            assert list(pushed.status) == [protocol.STREAM_ROW_FLUSHED]
+        assert worker == 0
+        assert np.array_equal(block.messages, reference.messages)
+        assert status["workers"][0]["ready"]
+
+    def test_restart_kills_a_worker_that_does_not_drain(self, monkeypatch):
+        """A worker still busy at the drain timeout is killed and respawned;
+        the request it held is retried on the replacement."""
+        from repro.service import workers
+
+        monkeypatch.setattr(workers, "DRAIN_TIMEOUT_S", 0.5)
+        # The first spawn holds every data request far past the timeout.
+        faults = WorkerFaults(request_delay_us=30e6)
+        words, reference = chaos.seeded_words("hamming84", frames=8, seed=9)
+
+        async def scenario():
+            async with CodecServer(workers=1, faults=faults) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                held = asyncio.ensure_future(session.decode(words))
+                await asyncio.sleep(0)  # put the decode on the wire first
+                report = await client.admin("restart", worker=0)
+                block = await held
+                status = await client.admin("status")
+                await client.close()
+                return report, block, status
+
+        report, block, status = run(scenario(), timeout=20.0)
+        assert report["restarts"] == 1
+        assert np.array_equal(block.messages, reference.messages)
+        assert status["workers"][0]["ready"]
 
     def test_malformed_frames_never_kill_the_pool(self):
         words, reference = chaos.seeded_words("hamming84", frames=16, seed=3)
