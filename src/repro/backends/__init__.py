@@ -6,8 +6,8 @@ same holds one level down.  Every codec op on a code with
 ``n <= TABLE_N_LIMIT`` is a table gather or a fixed-order NumPy
 expression, and the kernels that remain — ``pack_rows``, the GF(2)
 matmul of the long composite codes, the soft correlation and Hadamard
-searches — run on one NumPy engine (:class:`KernelBackend`), reached
-through :func:`resolve_backend` so kernel profiling can wrap it.
+searches — run on one NumPy engine (:class:`KernelBackend`), fetched
+per call through :func:`resolve_backend`.
 """
 
 from __future__ import annotations

@@ -124,10 +124,10 @@ class KernelBackend:
     """The NumPy kernel engine behind every packed and soft batch path.
 
     :func:`repro.backends.registry.resolve_backend` hands out the one
-    instance (wrapped in a timing proxy when kernel profiling is on).
+    instance.
     """
 
-    #: Engine name: the ``backend`` label on the service's series.
+    #: Engine name, as :func:`~repro.backends.available_backends` lists it.
     name: str = "numpy"
 
     # ------------------------------------------------------------------

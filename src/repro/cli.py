@@ -258,10 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FRAC",
                        help="fraction of requests to trace, 0..1 "
                             "(default 1.0; only meaningful with --trace)")
-    serve.add_argument("--profile-kernels", action="store_true",
-                       help="time every kernel-engine call into the "
-                            "repro_kernel_time_us histogram (exported as "
-                            "REPRO_PROFILE_KERNELS; scrape with 'repro metrics')")
     serve.add_argument("--stream-deadline-us", type=_nonnegative_float,
                        default=None, metavar="US",
                        help="default decision deadline for streaming sessions: "
@@ -587,10 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.trace_sample is not None:
                 _os.environ[TRACE_SAMPLE_ENV] = str(args.trace_sample)
             reset_tracer()
-        if args.profile_kernels:
-            from repro.obs.profiling import PROFILE_ENV
-
-            _os.environ[PROFILE_ENV] = "1"
 
         async def _serve() -> None:
             server = CodecServer(
@@ -614,8 +606,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "'repro trace' inspects it)",
                     flush=True,
                 )
-            if args.profile_kernels:
-                print("  kernel profiling: on (see 'repro metrics')", flush=True)
             if args.stream_deadline_us is not None:
                 print(
                     f"  stream deadline: {args.stream_deadline_us:g} us "

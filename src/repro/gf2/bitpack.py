@@ -29,8 +29,7 @@ the boundary, so callers never need to know the packed layout.
 
 The packing, popcount, Hamming-distance and matmul kernels run on the
 kernel engine (:mod:`repro.backends`), fetched per call through
-:func:`~repro.backends.resolve_backend` so kernel profiling can time
-them.
+:func:`~repro.backends.resolve_backend`.
 """
 
 from __future__ import annotations

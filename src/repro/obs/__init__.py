@@ -1,6 +1,6 @@
-"""Unified observability: metrics registry, request tracing, profiling.
+"""Unified observability: a metrics registry and request tracing.
 
-Three cooperating layers, all process-local and dependency-free:
+Two cooperating layers, both process-local and dependency-free:
 
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-log-bucket
   histograms behind a :class:`~repro.obs.metrics.MetricsRegistry`, with
@@ -9,12 +9,9 @@ Three cooperating layers, all process-local and dependency-free:
   renderer (:func:`~repro.obs.metrics.render_prometheus`) behind the
   service's ``OP_METRICS`` opcode / ``repro metrics`` CLI.
 * :mod:`repro.obs.tracing` — sampled JSONL span events with a trace id
-  minted at the service front and propagated through worker pipes, the
-  micro-batcher, and kernel dispatch; ``repro trace tail/summarize``
-  reads the sink.
-* :mod:`repro.obs.profiling` — an opt-in timing proxy installed at
-  kernel-engine resolution, giving per-kernel latency histograms on
-  live servers (``REPRO_PROFILE_KERNELS=1``).
+  minted at the service front and propagated through worker pipes into
+  the micro-batcher, whose ``batch.kernel`` span times each kernel call;
+  ``repro trace tail/summarize`` reads the sink.
 """
 
 from repro.obs.metrics import (
@@ -31,14 +28,6 @@ from repro.obs.metrics import (
     merge_snapshots,
     render_prometheus,
     reset_default_registry,
-)
-from repro.obs.profiling import (
-    KERNEL_NAMES,
-    PROFILE_ENV,
-    ProfiledBackend,
-    install_kernel_profiling,
-    kernel_profiler,
-    profiling_requested,
 )
 from repro.obs.tracing import (
     TRACE_FILE_ENV,
@@ -69,12 +58,6 @@ __all__ = [
     "merge_snapshots",
     "render_prometheus",
     "reset_default_registry",
-    "KERNEL_NAMES",
-    "PROFILE_ENV",
-    "ProfiledBackend",
-    "install_kernel_profiling",
-    "kernel_profiler",
-    "profiling_requested",
     "TRACE_FILE_ENV",
     "TRACE_MAX_EVENTS_ENV",
     "TRACE_SAMPLE_ENV",

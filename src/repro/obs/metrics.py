@@ -489,7 +489,7 @@ def render_prometheus(snapshot: Dict) -> str:
 
 
 # ---------------------------------------------------------------------
-# The process-default registry (engine, cache, kernel-profiling metrics)
+# The process-default registry (experiment-engine and cache metrics)
 # ---------------------------------------------------------------------
 _DEFAULT_REGISTRY = MetricsRegistry()
 
@@ -498,8 +498,8 @@ def default_registry() -> MetricsRegistry:
     """The process-wide registry for non-service metrics.
 
     Service counters live on each server's own registry (so tests can
-    run many servers in one process without cross-talk); engine, cache,
-    and kernel-profile metrics are process-global facts and live here.
+    run many servers in one process without cross-talk); experiment-engine
+    and cache metrics are process-global facts and live here.
     A metrics scrape renders the merge of both.
     """
     return _DEFAULT_REGISTRY

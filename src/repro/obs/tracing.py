@@ -6,7 +6,8 @@ frame, and rides the micro-batcher's queue items so spans can be emitted
 from timer-driven flushes long after the request's own task yielded.
 Inside one process the ambient id lives in a :mod:`contextvars` variable
 (:func:`trace_scope` / :func:`current_trace_id`), which is how the
-kernel-profiling wrapper tags its spans without any plumbing.
+micro-batcher and the stream lane pick up a request's trace without any
+plumbing.
 
 Each event is one JSON line::
 

@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 import numpy as np
 
 from repro.coding.decoders.base import BatchDecodeResult
-from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
+from repro.obs.tracing import current_trace_id, get_tracer
 from repro.service.session import CodecSession
 
 #: A lane flushes inline once it holds this many frames.
@@ -93,16 +93,13 @@ class _Lane:
         self.items = deque()
         self.pending_frames = 0
 
-        traced = [trace for _, _, _, trace in items if trace is not None]
+        traced = any(trace is not None for _, _, _, trace in items)
         flush_started = time.perf_counter()
         try:
             blocks = [frames for frames, _, _, _ in items]
             batch = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
             kernel_started = time.perf_counter()
-            # The scope makes the batch's trace ambient for the kernel
-            # call, so the backend-profiling wrapper can tag its spans.
-            with trace_scope(traced[0] if traced else None):
-                result = self.kernel(batch)
+            result = self.kernel(batch)
         except Exception as exc:
             # Covers concatenation too: a malformed block must fail its
             # whole cohort's futures, never strand them (this runs from

@@ -33,6 +33,7 @@ from repro.coding.registry import (
     canonical_code_name,
     get_codec,
 )
+from repro.coding.stream import stream_span
 from repro.errors import CodingError, SessionError
 from repro.link.channel import BinaryChannel
 from repro.service import protocol
@@ -45,6 +46,10 @@ MAX_SESSION_ID = 0xFFFF
 #: Most sessions one registry or pool holds open at once.  Far below
 #: ``MAX_SESSION_ID``, so a free id always exists.
 MAX_SESSIONS = 1024
+
+#: Most soft values a stream window may hold: ``stream_span * n``
+#: float64s, 1 MiB.
+MAX_STREAM_WINDOW_VALUES = 1 << 17
 
 
 def free_session_id(start: int, live: Container[int]) -> int:
@@ -228,6 +233,14 @@ class CodecSession:
             raise SessionError(
                 f"stream_shift must be non-negative, got {config.stream_shift}"
             )
+        if config.stream_depth is not None:
+            span = stream_span(config.stream_depth, config.stream_shift)
+            if span * self.code.n > MAX_STREAM_WINDOW_VALUES:
+                raise SessionError(
+                    f"stream window of (stream_depth - 1) * stream_shift = {span} "
+                    f"codewords of {self.code.n} values exceeds "
+                    f"MAX_STREAM_WINDOW_VALUES ({MAX_STREAM_WINDOW_VALUES})"
+                )
         if config.stream_deadline_us is not None and not config.stream_deadline_us > 0:
             raise SessionError(
                 f"stream_deadline_us must be positive, got "
@@ -286,8 +299,6 @@ class CodecSession:
             "p10": self.config.p10,
         }
         if self.config.stream_depth is not None:
-            from repro.coding.stream import stream_span
-
             payload["stream_depth"] = self.config.stream_depth
             payload["stream_shift"] = self.config.stream_shift
             payload["stream_span"] = stream_span(

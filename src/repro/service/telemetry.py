@@ -12,7 +12,6 @@ bounded by the live sessions: closed sessions fold into ``session=""``.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, List, Optional
 
@@ -37,7 +36,7 @@ STREAM_OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 MEMORY_PATH_LABELS = ("read", "rmw", "scrub")
 
 #: Labels of every per-session series; closed sessions fold into ``session=""``.
-SESSION_LABELS = _S = ("session", "code", "backend")
+SESSION_LABELS = _S = ("session", "code")
 
 #: Every service family: (key, kind, name, labels, help[, buckets]).
 _FAMILIES = (
@@ -87,8 +86,6 @@ _FAMILIES = (
      "Client connections currently open."),
     ("protocol_errors", "counter", "repro_service_protocol_errors_total", (),
      "Malformed frames, unknown opcodes, and oversized payloads."),
-    ("backend", "gauge", "repro_backend_info", ("backend",),
-     "Resolved kernel backend of this process (value is always 1)."),
 )
 
 #: Family name -> the key :func:`stats_view` groups its series under.
@@ -233,36 +230,24 @@ class SessionTelemetry:
 class ServiceTelemetry:
     """The process's service families, connection counters and STATS view."""
 
-    def __init__(
-        self, clock=time.perf_counter, registry: Optional[MetricsRegistry] = None
-    ):
+    def __init__(self):
         # perf_counter, like the batcher and tracer, so uptime and
         # throughput share the latency attributions' timebase.
-        self._clock = clock
-        self.started_at = clock()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.started_at = time.perf_counter()
+        self.registry = MetricsRegistry()
         self.families = declare_families(self.registry)
         self._connections_total = self.families["connections"].labels()
         self._connections_open = self.families["connections_open"].labels()
         self._protocol_errors = self.families["protocol_errors"].labels()
 
-    @functools.cached_property
-    def engine(self) -> str:
-        """The kernel engine's name, published as ``repro_backend_info``."""
-        from repro.backends import resolve_backend
-
-        name = resolve_backend().name
-        self.families["backend"].labels(backend=name).set(1)
-        return name
-
     @property
     def uptime_s(self) -> float:
-        """Seconds since this telemetry started, on its clock."""
-        return self._clock() - self.started_at
+        """Seconds since this telemetry started, on ``perf_counter``."""
+        return time.perf_counter() - self.started_at
 
     def session(self, session_id: int, code: Optional[str] = None) -> SessionTelemetry:
         """A recorder for session ``session_id`` on this registry."""
-        labels = {"session": str(session_id), "code": code or "", "backend": self.engine}
+        labels = {"session": str(session_id), "code": code or ""}
         return SessionTelemetry(self.families, labels)
 
     def drop_session(self, telemetry: SessionTelemetry) -> None:
@@ -294,10 +279,9 @@ class ServiceTelemetry:
     def metrics_snapshot(self) -> Dict:
         """What ``OP_METRICS`` renders and a pool worker ships to the front.
 
-        This registry merged with the process-default one (engine, cache
-        and kernel metrics; the family names are disjoint).
+        This registry merged with the process-default one (experiment-engine
+        and cache metrics; the family names are disjoint).
         """
-        self.engine  # resolve once so repro_backend_info is populated
         registries = (self.registry, default_registry())
         return merge_snapshots([registry.snapshot() for registry in registries])
 
@@ -332,10 +316,6 @@ def _latency(group: Dict) -> Dict:
 def _memory(group: Dict) -> Dict:
     families = ("memory_" + field.removesuffix("_total") for field in _MEMORY_TOTALS)
     return {field: _total(group, key) for field, key in zip(_MEMORY_TOTALS, families)}
-
-
-def _backend_of(group: Dict) -> Optional[str]:
-    return next((s["labels"]["backend"] for s in group.get("backend", ())), None)
 
 
 def _session_entry(group: Dict, row: Dict) -> Dict:
@@ -385,7 +365,6 @@ def _worker_entry(group: Dict, row: Dict) -> Dict:
         uptime_s=round(uptime, 3),
         frames_total=frames,
         throughput_fps=round(frames / max(uptime, 1e-9), 1),
-        backend=_backend_of(group),
         flush_reasons=_by(group, "batches", "reason"),
         memory=_memory(group),
         latency=_latency(group),
@@ -429,7 +408,6 @@ def stats_view(
         "protocol_errors": _total(everything, "protocol_errors"),
         "frames_total": frames,
         "throughput_fps": round(frames / max(uptime_s, 1e-9), 1),
-        "backend": _backend_of(by_worker.get("front", {})),
         "sessions": {
             str(sid): _session_entry(by_session.get(str(sid), {}), sessions[sid])
             for sid in sorted(sessions, key=int)

@@ -403,6 +403,10 @@ async def serve_connection(
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        # Half-close first: the peer sees EOF even where a forked
+        # worker still holds a copy of this socket.
+        with contextlib.suppress(OSError):
+            writer.write_eof()
         writer.close()
         with contextlib.suppress(ConnectionError):
             await writer.wait_closed()

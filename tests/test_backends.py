@@ -186,9 +186,3 @@ class TestEncodeGather:
         out[:] = 1
         assert not table[0].any()
 
-
-class TestServiceBackend:
-    def test_stats_reports_the_active_backend(self):
-        from repro.service import DispatchCore
-
-        assert DispatchCore().stats()["backend"] == "numpy"

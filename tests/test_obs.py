@@ -1,11 +1,11 @@
-"""Observability layer: metrics registry, tracing, profiling, and scrapes.
+"""Observability layer: metrics registry, tracing, and scrapes.
 
 The load-bearing property under test is **exact mergeability**: the
 fixed-log-bucket histograms must merge across pool workers by summing
 bucket counts, so the pooled ``repro metrics`` scrape equals the legacy
 STATS rollup counter-for-counter.  Everything else — Prometheus
-rendering, deterministic trace sampling, the kernel-timing proxy's
-bit-identity — protects the paths that feed that scrape.
+rendering, deterministic trace sampling — protects the paths that feed
+that scrape.
 """
 
 import asyncio
@@ -15,7 +15,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.backends.base import KernelBackend
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
     Histogram,
@@ -25,10 +24,8 @@ from repro.obs.metrics import (
     merge_snapshots,
     render_prometheus,
 )
-from repro.obs.profiling import ProfiledBackend, kernel_profiler
 from repro.obs.tracing import (
     Tracer,
-    configure_tracer,
     current_trace_id,
     read_events,
     reset_tracer,
@@ -331,52 +328,6 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------
-# Kernel profiling proxy
-# ---------------------------------------------------------------------
-class TestProfiledBackend:
-    def test_results_are_bit_identical_and_timed(self):
-        registry = MetricsRegistry()
-        inner = KernelBackend()
-        proxy = ProfiledBackend(inner, registry)
-        assert proxy.name == inner.name
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, size=(5, 17)).astype(np.uint8)
-        assert np.array_equal(proxy.pack_rows(bits), inner.pack_rows(bits))
-        packed = inner.pack_rows(bits)
-        assert np.array_equal(proxy.popcount(packed), inner.popcount(packed))
-        family = registry.histogram(
-            "repro_kernel_time_us", labelnames=("backend", "kernel"),
-            buckets=proxy._children["pack_rows"].bounds,
-        )
-        assert family.labels(backend="numpy", kernel="pack_rows").count == 1
-        assert family.labels(backend="numpy", kernel="popcount").count == 1
-
-    def test_kernel_profiler_caches_proxies(self):
-        wrap = kernel_profiler(MetricsRegistry())
-        engine = KernelBackend()
-        proxy = wrap(engine)
-        assert wrap(engine) is proxy
-        assert wrap(proxy) is proxy  # idempotent on already-wrapped
-
-    def test_emits_kernel_span_when_trace_is_ambient(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracer(str(path))
-        try:
-            proxy = ProfiledBackend(KernelBackend(), MetricsRegistry())
-            bits = np.zeros((2, 8), dtype=np.uint8)
-            proxy.pack_rows(bits)  # no ambient trace: no event
-            with trace_scope("t-77"):
-                proxy.pack_rows(bits)
-        finally:
-            reset_tracer()
-        events = list(read_events(str(path)))
-        assert [e["span"] for e in events] == ["kernel.pack_rows"]
-        assert events[0]["trace"] == "t-77"
-        assert events[0]["backend"] == "numpy"
-        assert events[0]["dur_us"] >= 0
-
-
-# ---------------------------------------------------------------------
 # Service telemetry regressions
 # ---------------------------------------------------------------------
 class TestServiceTelemetryRegressions:
@@ -471,8 +422,6 @@ class TestMetricsScrape:
         assert frames == 6
 
     def test_pooled_scrape_equals_stats_rollup(self):
-        from repro.backends import available_backends
-
         async def scenario():
             async with CodecServer(workers=3) as server:
                 client = await CodecClient.connect(port=server.port)
@@ -490,18 +439,18 @@ class TestMetricsScrape:
         text, stats = run(scenario())
         series = parse_prometheus(text)
 
-        # Per-{op, backend, worker} labelled counters are all present.
+        # Per-{op, worker} labelled counters are all present, and no
+        # series carries a backend label (there is one kernel engine).
         frame_series = [
             (dict(labels), value)
             for (name, labels), value in series.items()
             if name == "repro_service_frames_total"
         ]
         assert all(
-            {"op", "backend", "worker", "session"} <= set(labels)
+            {"op", "worker", "session"} <= set(labels)
             for labels, _ in frame_series
         )
-        backends = {labels["backend"] for labels, _ in frame_series}
-        assert backends <= set(available_backends())
+        assert not any("backend" in dict(labels) for _, labels in series)
         assert sum(value for _, value in frame_series) == stats["frames_total"] > 0
 
         # Per-worker frame counters match the rollup exactly.

@@ -593,12 +593,12 @@ _SESSION_KEYS = dict(
     stream=dict.fromkeys(["deadline_misses", "decisions", "window_pending"]),
 )
 _TOP_KEYS = dict.fromkeys(
-    ["backend", "connections_open", "connections_total", "frames_total",
+    ["connections_open", "connections_total", "frames_total",
      "protocol_errors", "throughput_fps", "uptime_s"]
 )
 _WORKER_KEYS = dict(
     dict.fromkeys(
-        ["backend", "flush_reasons", "frames_total", "index", "pid", "ready",
+        ["flush_reasons", "frames_total", "index", "pid", "ready",
          "restarts", "sessions", "throughput_fps", "uptime_s"]
     ),
     latency=_LATENCY_KEYS,
@@ -1270,7 +1270,8 @@ class TestServiceLifecycle:
 
         from repro.service import ServiceTelemetry
 
-        assert ServiceTelemetry()._clock is _time.perf_counter
         before = _time.perf_counter()
+        telemetry = ServiceTelemetry()
+        assert before <= telemetry.started_at <= _time.perf_counter()
         session = _session()
         assert before <= session.opened_at <= _time.perf_counter()

@@ -13,6 +13,7 @@ instead of sleeping a guessed length.
 import asyncio
 import bisect
 import logging
+import struct
 import sys
 import time
 
@@ -265,6 +266,34 @@ class TestWorkerPoolBasics:
                 return ids, live
 
         assert run(scenario()) == ([1, 1, 1, 2], 2)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_stream_window_past_the_bound_is_refused_at_open(self, workers):
+        """Regression: depth and shift 10^9 opened and reported a span of
+        999999999000000000 frames, a window no server can hold."""
+        huge = {"code": "hamming84", "stream_depth": 10**9, "stream_shift": 10**9}
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                refused = await (
+                    await client.send_request(
+                        protocol.OP_OPEN, protocol.build_json_body(huge)
+                    )
+                )
+                session = await client.open_session(
+                    "hamming84", stream_depth=64, stream_shift=64
+                )
+                live = len(server.registry)
+                await client.close()
+                return refused, session, live
+
+        refused, session, live = run(scenario())
+        assert refused.status == protocol.ST_ERROR
+        assert "MAX_STREAM_WINDOW_VALUES" in refused.body.decode("utf-8")
+        # The refused OPEN used up no id.
+        assert (session.session_id, live) == (1, 1)
+        assert session.info["stream_span"] == 63 * 64
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_malformed_data_body_counts_one_protocol_error(self, workers):
@@ -1065,6 +1094,41 @@ class TestChaos:
         died = [r for r in caplog.records if "died" in r.getMessage()]
         assert [r.levelno for r in died] == [logging.WARNING]
         assert np.array_equal(block.messages, reference.messages)
+
+    def test_a_dropped_connection_sees_eof_after_a_worker_respawn(self):
+        """Regression: a worker forked while a connection was open holds a
+        copy of its socket, so the front's close sent no FIN and the
+        client never saw EOF on a connection the front had dropped."""
+        words, reference = chaos.seeded_words("hamming84", frames=4, seed=5)
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                # One answered request: the front has accepted the socket.
+                writer.write(protocol.frame_bytes(
+                    protocol.build_request(protocol.OP_STATS, 1)
+                ))
+                assert await protocol.read_frame(reader) is not None
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                await client.admin("kill", worker=0)
+                # The retried decode waits for the respawned worker.
+                block = await session.decode(words)
+                writer.write(struct.pack("!I", protocol.MAX_FRAME_BYTES + 1))
+                try:
+                    tail = await asyncio.wait_for(reader.read(), 2.0)
+                finally:
+                    writer.close()
+                    await client.close()
+                status = server.pool.status()
+                return tail, block, status
+
+        tail, block, status = run(scenario())
+        assert tail == b""
+        assert np.array_equal(block.messages, reference.messages)
+        assert status["workers"][0]["restarts"] >= 1
 
     def test_loadgen_512_clients_over_shared_connections(self):
         # The ISSUE's loadgen scale drill, in-tree: 512 concurrent

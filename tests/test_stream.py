@@ -20,10 +20,13 @@ from repro.service import (
     CodecClient,
     CodecServer,
     ProtocolError,
+    SessionConfig,
+    SessionRegistry,
     make_scenario,
     run_scenario,
 )
 from repro.service import protocol
+from repro.service.session import MAX_STREAM_WINDOW_VALUES
 
 SCENARIO_TIMEOUT_S = 20.0
 
@@ -544,6 +547,17 @@ class TestStreamService:
                 await server.stop()
 
         run(scenario())
+
+    def test_stream_window_is_bounded_at_open(self):
+        registry = SessionRegistry()
+        # hamming84 (n = 8) at depth 2: a shift of MAX / 8 is exactly the bound.
+        shift = MAX_STREAM_WINDOW_VALUES // 8
+        edge = SessionConfig("hamming84", stream_depth=2, stream_shift=shift)
+        assert registry.open(edge).session_id == 1
+        over = SessionConfig("hamming84", stream_depth=2, stream_shift=shift + 1)
+        with pytest.raises(SessionError, match="MAX_STREAM_WINDOW_VALUES"):
+            registry.open(over)
+        assert registry.open(SessionConfig("hamming74", stream_depth=3)).session_id == 2
 
     def test_stream_metric_families_render(self):
         async def scenario():
