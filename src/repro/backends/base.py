@@ -1,12 +1,13 @@
-"""The kernel engine: the repo's hot inner kernels as plain NumPy.
+"""The kernel engine: the repo's soft-decision searches as plain NumPy.
 
-A :class:`KernelBackend` bundles the bit-packed GF(2) primitives of
-:mod:`repro.gf2.bitpack` and the float soft-decision searches (codebook
-correlation, Hadamard spectrum).  Hard-decision batches need no kernel:
-they gather from a decode table
-(:meth:`repro.coding.decoders.base.Decoder.decode_batch_detailed`), and
+A :class:`KernelBackend` holds the two float searches of the soft
+decoders: codebook correlation and the Hadamard spectrum.  Everything
+else needs no kernel.  A hard-decision batch gathers from a decode
+table (:meth:`repro.coding.decoders.base.Decoder.decode_batch_detailed`),
 encoding a code with ``n <= TABLE_N_LIMIT`` gathers from its codeword
-table (:meth:`repro.coding.linear.LinearBlockCode.encode_batch`).
+table, and a longer code encodes through its constituents' tables or
+one ``uint8`` product
+(:meth:`repro.coding.linear.LinearBlockCode.encode_batch`).
 
 The soft kernels score a ``(batch, n)`` confidence block against
 ``(rows, n)`` ±1 sign rows with :func:`pairwise_scores`, which equals
@@ -15,24 +16,16 @@ adds the same terms in NumPy's pairwise summation order, so a 1-row
 call and a 4096-row call agree on every row and the scalar decoders,
 the golden vectors and the conformance matrix hold.
 
-Kernel methods assume *validated, canonical* inputs (correct dtypes,
-2-D shapes, 0/1 bit arrays): validation stays in the public wrappers
-(:mod:`repro.gf2.bitpack`, the decoder entry points).
+Kernel methods assume *validated, canonical* inputs (float64, 2-D
+shapes): validation stays in the decoder entry points.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
-
-#: Number of logical bits carried per packed word (mirrors
-#: :data:`repro.gf2.bitpack.WORD_BITS`; duplicated here so the engine
-#: never imports the layer that dispatches to it).
-WORD_BITS = 64
-
-_WORD_BYTES = WORD_BITS // 8
 
 #: NumPy's pairwise summation: below ``_PAIRWISE_UNROLL`` terms it adds
 #: in sequence; up to ``_PAIRWISE_BLOCK`` terms it keeps eight running
@@ -121,7 +114,7 @@ def pairwise_scores(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 class KernelBackend:
-    """The NumPy kernel engine behind every packed and soft batch path.
+    """The NumPy kernel engine behind every soft batch decode.
 
     :func:`repro.backends.registry.resolve_backend` hands out the one
     instance.
@@ -129,74 +122,6 @@ class KernelBackend:
 
     #: Engine name, as :func:`~repro.backends.available_backends` lists it.
     name: str = "numpy"
-
-    # ------------------------------------------------------------------
-    # Bit-packing kernels (integer-exact)
-    # ------------------------------------------------------------------
-    def pack_rows(self, bits: np.ndarray) -> np.ndarray:
-        """Pack a validated ``(rows, n)`` uint8 0/1 array along its last axis.
-
-        Returns ``(rows, ceil(n / 64))`` uint64 words, LSB-first: bit
-        ``t`` of word ``w`` is column ``64 * w + t``.
-        """
-        rows, n = bits.shape
-        words = -(-n // WORD_BITS)
-        if n == 0:
-            return np.zeros((rows, 0), dtype=np.uint64)
-        packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-        pad = words * _WORD_BYTES - packed_bytes.shape[1]
-        if pad:
-            packed_bytes = np.pad(packed_bytes, ((0, 0), (0, pad)))
-        return np.ascontiguousarray(packed_bytes).view(np.uint64)
-
-    def pack_cols(self, bits: np.ndarray) -> np.ndarray:
-        """Bit-slice a validated ``(batch, n)`` uint8 array: pack the batch axis.
-
-        Returns ``(n, ceil(batch / 64))`` uint64 words; row ``j`` is the
-        bit-slice of column ``j`` across the whole batch.
-        """
-        return self.pack_rows(np.ascontiguousarray(bits.T))
-
-    def popcount(
-        self, packed: np.ndarray, axis: Union[int, None] = -1
-    ) -> Union[np.ndarray, np.int64]:
-        """Population count of uint64 words, summed along ``axis``."""
-        return np.bitwise_count(np.asarray(packed, dtype=np.uint64)).sum(
-            axis=axis, dtype=np.int64
-        )
-
-    def hamming_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Hamming distance between packed rows (broadcasting allowed)."""
-        return self.popcount(np.bitwise_xor(a, b), axis=-1)
-
-    def gf2_matmul(
-        self, slices: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Bit-sliced GF(2) product against a precompiled column structure.
-
-        Parameters
-        ----------
-        slices : numpy.ndarray
-            ``(k, words)`` uint64 input bit-slices.
-        indptr, indices : numpy.ndarray
-            CSR-style column supports of the fixed ``(k, n)`` matrix:
-            column ``j`` of the output is the XOR of input slices
-            ``indices[indptr[j]:indptr[j + 1]]``.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(len(indptr) - 1, words)`` output bit-slices.
-        """
-        n_out = indptr.size - 1
-        out = np.zeros((n_out, slices.shape[1]), dtype=np.uint64)
-        for j in range(n_out):
-            lo, hi = indptr[j], indptr[j + 1]
-            if hi - lo == 1:
-                out[j] = slices[indices[lo]]
-            elif hi > lo:
-                np.bitwise_xor.reduce(slices[indices[lo:hi]], axis=0, out=out[j])
-        return out
 
     # ------------------------------------------------------------------
     # Float soft-decision decode kernels (pairwise-sum order matters)

@@ -258,12 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FRAC",
                        help="fraction of requests to trace, 0..1 "
                             "(default 1.0; only meaningful with --trace)")
-    serve.add_argument("--stream-deadline-us", type=_nonnegative_float,
-                       default=None, metavar="US",
-                       help="default decision deadline for streaming sessions: "
-                            "codewords still open this long after their frame "
-                            "arrived are forced to best-effort decisions "
-                            "(sessions may override; default: no deadline)")
 
     metrics = sub.add_parser(
         "metrics",
@@ -586,10 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         async def _serve() -> None:
             server = CodecServer(
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                stream_deadline_us=args.stream_deadline_us,
+                host=args.host, port=args.port, workers=args.workers
             )
             await server.start()
             print(f"serving codec sessions on {args.host}:{server.port}", flush=True)
@@ -604,12 +595,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(
                     f"  tracing: {args.trace} (sample={sample:g}, "
                     "'repro trace' inspects it)",
-                    flush=True,
-                )
-            if args.stream_deadline_us is not None:
-                print(
-                    f"  stream deadline: {args.stream_deadline_us:g} us "
-                    "(late windows forced to best-effort decisions)",
                     flush=True,
                 )
             try:

@@ -11,8 +11,7 @@ import numpy as np
 from repro.backends import resolve_backend
 from repro.coding.linear import TABLE_N_LIMIT, LinearBlockCode
 from repro.errors import DimensionError, NotBinaryError
-from repro.gf2.bitpack import row_values
-from repro.gf2.vectors import as_bit_array, read_only
+from repro.gf2.vectors import as_bit_array, read_only, row_values
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from repro.coding.decoders import default_decoder_for
 from repro.coding.decoders.base import BatchDecodeResult, Decoder, DecodeResult
 from repro.coding.linear import LinearBlockCode
 from repro.errors import DimensionError
-from repro.gf2.bitpack import pack_rows, packed_hamming_distance
 from repro.gf2.vectors import read_only
 
 
@@ -47,8 +46,8 @@ class StreamInterleaver:
 
     Subclasses only construct the reading order; this base class holds
     the permutation, its inverse, and the (de)interleaving kernels —
-    fancy-indexed column gathers that work on any dtype, so the same
-    interleaver reorders hard bits and float confidences alike.
+    column gathers (``take`` along axis 1) that work on any dtype, so
+    the same interleaver reorders hard bits and float confidences alike.
 
     Parameters
     ----------
@@ -93,7 +92,7 @@ class StreamInterleaver:
         Works on any dtype (hard ``uint8`` bits or float confidences);
         a batch of zero rows passes through as an empty array.
         """
-        return np.ascontiguousarray(self._check(frames)[:, self._perm])
+        return self._check(frames).take(self._perm, axis=1)
 
     def deinterleave(self, frames: np.ndarray) -> np.ndarray:
         """Invert :meth:`interleave` row for row.
@@ -102,7 +101,7 @@ class StreamInterleaver:
         shape — the property ``tests/test_interleave.py`` checks with
         hypothesis.
         """
-        return np.ascontiguousarray(self._check(frames)[:, self._inverse])
+        return self._check(frames).take(self._inverse, axis=1)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} n={self.n}>"
@@ -197,10 +196,12 @@ class InterleavedCode(LinearBlockCode):
 
     The composite is itself linear: its generator is the block-diagonal
     stack of the base generator with the interleaver's permutation
-    applied to the columns, so ``encode_batch``/``syndrome_batch`` and
-    every decoder in the hierarchy work on it unchanged.  A codeword is
-    the interleaved concatenation of ``depth`` base codewords; message
-    bits are the concatenation of the ``depth`` base messages in order.
+    applied to the columns, so ``syndrome_batch`` and every decoder in
+    the hierarchy work on it unchanged.  A codeword is the interleaved
+    concatenation of ``depth`` base codewords; message bits are the
+    concatenation of the ``depth`` base messages in order.  That is how
+    ``encode_batch`` builds it: ``depth`` gathers from the base code's
+    codeword table, then the permutation.
 
     Rate and minimum distance equal the base code's — what interleaving
     buys is not distance but *burst immunity*: a channel burst of
@@ -264,6 +265,14 @@ class InterleavedCode(LinearBlockCode):
         self.depth = depth
         self.interleaver = interleaver
 
+    def _encode_rows(self, msgs: np.ndarray) -> np.ndarray:
+        """``depth`` base encodes per row, then the interleaver permutation."""
+        batch = msgs.shape[0]
+        base = self.base_code.encode_batch(
+            msgs.reshape(batch * self.depth, self.base_code.k)
+        )
+        return self.interleaver.interleave(base.reshape(batch, self.n))
+
     @property
     def minimum_distance(self) -> int:
         """The base code's minimum distance, inherited exactly.
@@ -287,7 +296,8 @@ class ConcatenatedCode(LinearBlockCode):
     inner code — so ``n = (outer.n / inner.k) * inner.n`` and
     ``k = outer.k``.  Both steps are linear, hence the composite has an
     ordinary generator (``G_outer · (I ⊗ G_inner)``) and plugs into the
-    batch kernels directly.  The minimum distance is at least
+    batch kernels directly; ``encode_batch`` runs the two steps through
+    the constituents' codeword tables.  The minimum distance is at least
     ``outer.dmin``·``inner.dmin``-ish in the classical bound; for the
     short codes here the exact value is enumerated lazily as usual.
 
@@ -330,6 +340,12 @@ class ConcatenatedCode(LinearBlockCode):
         self.outer_code = outer_code
         self.inner_code = inner_code
         self.blocks = blocks
+
+    def _encode_rows(self, msgs: np.ndarray) -> np.ndarray:
+        """The outer encode, then the inner encode of each block."""
+        outer = self.outer_code.encode_batch(msgs)
+        blocks = outer.reshape(len(msgs) * self.blocks, self.inner_code.k)
+        return self.inner_code.encode_batch(blocks).reshape(len(msgs), self.n)
 
 
 class InterleavedDecoder(Decoder):
@@ -477,11 +493,10 @@ class ConcatenatedDecoder(Decoder):
         self, outer: BatchDecodeResult, words: np.ndarray, batch: int
     ) -> BatchDecodeResult:
         codewords = self.code.encode_batch(outer.messages)
-        corrected = packed_hamming_distance(pack_rows(codewords), pack_rows(words))
         return BatchDecodeResult(
             messages=outer.messages,
             codewords=codewords,
-            corrected_errors=corrected.astype(np.int64),
+            corrected_errors=(codewords != words).sum(axis=1, dtype=np.int64),
             detected_uncorrectable=outer.detected_uncorrectable.copy(),
         )
 

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import DimensionError, NotBinaryError, SingularMatrixError
-from repro.gf2.bitpack import PackedGF2Matmul, row_values
 from repro.gf2.matrix import GF2Matrix
 from repro.gf2.vectors import (
     all_binary_vectors,
@@ -23,6 +22,7 @@ from repro.gf2.vectors import (
     format_bits,
     hamming_weight,
     read_only,
+    row_values,
 )
 
 #: Longest code whose batch encode and hard batch decode are table
@@ -156,15 +156,28 @@ class LinearBlockCode:
         """Encode one k-bit message into an n-bit codeword (row-vector G)."""
         return self._generator.left_multiply_vector(as_bit_array(message, length=self.k))
 
+    # NumPy's integer matmul runs about twice as fast with its second
+    # operand column-major, so G and H^T are stored that way.
     @cached_property
-    def _packed_encode(self) -> PackedGF2Matmul:
-        """Bit-sliced multiply by G, compiled once per code."""
-        return PackedGF2Matmul(self._generator.to_array())
+    def _generator_bits(self) -> np.ndarray:
+        """G as a read-only column-major ``uint8`` array."""
+        return read_only(np.asfortranarray(self._generator.to_array()))
 
     @cached_property
-    def _packed_syndrome(self) -> PackedGF2Matmul:
-        """Bit-sliced multiply by H^T, compiled once per code."""
-        return PackedGF2Matmul(self.parity_check.to_array().T)
+    def _parity_check_columns(self) -> np.ndarray:
+        """H^T as a read-only column-major ``uint8`` array."""
+        return read_only(self.parity_check.to_array()).T
+
+    def _encode_rows(self, msgs: np.ndarray) -> np.ndarray:
+        """Codewords of validated ``(batch, k)`` messages, without a table.
+
+        One ``uint8`` product, ``(msgs @ G) & 1``.  It is exact:
+        ``uint8`` sums wrap modulo 256, which keeps their parity.  This
+        step encodes codes with ``n > TABLE_N_LIMIT`` and fills
+        :attr:`all_codewords`; the composite codes override it to
+        encode through their constituents' tables.
+        """
+        return (msgs @ self._generator_bits) & 1
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Encode a whole batch of messages in one vectorised pass.
@@ -172,12 +185,9 @@ class LinearBlockCode:
         The hot path of the streaming pipeline.  A code with
         ``n <= TABLE_N_LIMIT`` gathers each row from
         :attr:`all_codewords` by the message's MSB-first value, the
-        order :attr:`all_messages` lists them in.  Longer codes (the
-        composites) bit-slice the messages into ``uint64`` words (64
-        frames per word) and multiply by G with a handful of XORs per
-        codeword bit — see :class:`repro.gf2.bitpack.PackedGF2Matmul`,
-        which also fills the codeword table.  Bit-identical to calling
-        :meth:`encode` row by row.
+        order :attr:`all_messages` lists them in.  Longer codes have no
+        table of their own and encode through :meth:`_encode_rows`.
+        Bit-identical to calling :meth:`encode` row by row.
 
         Parameters
         ----------
@@ -193,10 +203,10 @@ class LinearBlockCode:
         msgs = np.asarray(messages, dtype=np.uint8)
         if msgs.ndim != 2 or msgs.shape[1] != self.k:
             raise DimensionError(f"expected (batch, {self.k}) messages, got {msgs.shape}")
-        if self.n > TABLE_N_LIMIT:
-            return self._packed_encode(msgs)
         if msgs.size and msgs.max() > 1:
             raise NotBinaryError("bit array contains values other than 0 and 1")
+        if self.n > TABLE_N_LIMIT:
+            return self._encode_rows(msgs)
         # A reversed row's LSB-first value is the row's MSB-first value.
         return self.all_codewords.take(row_values(msgs[:, ::-1]), axis=0)
 
@@ -206,6 +216,9 @@ class LinearBlockCode:
 
     def syndrome_batch(self, received: np.ndarray) -> np.ndarray:
         """Syndromes of a batch of received words in one vectorised pass.
+
+        One ``uint8`` product with H^T, exact for the reason
+        :meth:`_encode_rows` gives.
 
         Parameters
         ----------
@@ -222,7 +235,9 @@ class LinearBlockCode:
         r = np.asarray(received, dtype=np.uint8)
         if r.ndim != 2 or r.shape[1] != self.n:
             raise DimensionError(f"expected (batch, {self.n}) words, got {r.shape}")
-        return self._packed_syndrome(r)
+        if r.size and r.max() > 1:
+            raise NotBinaryError("bit array contains values other than 0 and 1")
+        return (r @ self._parity_check_columns) & 1
 
     def is_codeword(self, word: Sequence[int]) -> bool:
         """True iff ``word`` has zero syndrome."""
@@ -294,7 +309,7 @@ class LinearBlockCode:
     @cached_property
     def all_codewords(self) -> np.ndarray:
         """All 2^k codewords aligned with :attr:`all_messages`."""
-        return read_only(self._packed_encode(self.all_messages))
+        return read_only(self._encode_rows(self.all_messages))
 
     @cached_property
     def weight_distribution(self) -> np.ndarray:

@@ -27,12 +27,11 @@ and resumable, exactly like Fig. 5 and the soft-gain sweep (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.registry import DISPLAY_NAMES, get_code, get_decoder
+from repro.coding.registry import DISPLAY_NAMES, get_codec
 from repro.memory.frontend import MemoryEccFrontend
 from repro.memory.scrub import Scrubber
 from repro.runtime import MonteCarloEngine, register_shard_runner
@@ -104,13 +103,6 @@ class RetentionSpec:
         return spec_config_hash(self)
 
 
-@lru_cache(maxsize=None)
-def _codec_for(code_name: str, decoder_strategy: Optional[str]):
-    """Per-process memo of (code, decoder) builds, like the link memo."""
-    code = get_code(code_name)
-    return code, get_decoder(code, decoder_strategy)
-
-
 def _run_retention_shard(spec: RetentionSpec, shard: Shard) -> np.ndarray:
     """Per-chip word errors (wrong final reads) for one maintenance arm.
 
@@ -120,7 +112,7 @@ def _run_retention_shard(spec: RetentionSpec, shard: Shard) -> np.ndarray:
     arms of the same (code, rot, seed) suffer the same flux hits, bit
     for bit.
     """
-    code, decoder = _codec_for(spec.code, spec.decoder_strategy)
+    code, decoder = get_codec(spec.code, spec.decoder_strategy)
     counts = np.empty(shard.n_chips, dtype=np.int64)
     for offset, rng in enumerate(spec.seed_plan.generators(shard.start, shard.stop)):
         frontend = MemoryEccFrontend(code, decoder, spec.lines)

@@ -18,12 +18,11 @@ and resumable, exactly like Fig. 5 (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coding.registry import DISPLAY_NAMES, get_code, get_decoder
+from repro.coding.registry import DISPLAY_NAMES, get_code, get_codec
 from repro.link.awgn import AwgnFluxChannel
 from repro.runtime import MonteCarloEngine, register_shard_runner
 from repro.runtime.spec import Shard, spec_config_hash
@@ -90,13 +89,6 @@ class SoftGainSpec:
         return spec_config_hash(self)
 
 
-@lru_cache(maxsize=None)
-def _codec_for(code_name: str, decoder_strategy: Optional[str]):
-    """Per-process memo of (code, decoder) builds, like the link memo."""
-    code = get_code(code_name)
-    return code, get_decoder(code, decoder_strategy)
-
-
 def _run_soft_gain_shard(spec: SoftGainSpec, shard: Shard) -> np.ndarray:
     """Per-chip erroneous delivered message *bits* for one decision arm.
 
@@ -105,7 +97,7 @@ def _run_soft_gain_shard(spec: SoftGainSpec, shard: Shard) -> np.ndarray:
     hard and soft arms of the same (code, sigma, seed) see identical
     channel realisations, frame for frame.
     """
-    code, decoder = _codec_for(spec.code, spec.decoder_strategy)
+    code, decoder = get_codec(spec.code, spec.decoder_strategy)
     channel = AwgnFluxChannel(sigma=spec.sigma)
     counts = np.empty(shard.n_chips, dtype=np.int64)
     for offset, rng in enumerate(spec.seed_plan.generators(shard.start, shard.stop)):

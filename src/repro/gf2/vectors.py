@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.errors import NotBinaryError
+from repro.errors import DimensionError, NotBinaryError
 
 BitsLike = Union[str, int, Sequence[int], np.ndarray]
 
@@ -105,6 +105,42 @@ def hamming_distance(a: BitsLike, b: BitsLike) -> int:
             f"length mismatch: {va.size} vs {vb.size} — vectors must be equal length"
         )
     return int(np.count_nonzero(va != vb))
+
+
+def row_values(bits: np.ndarray) -> np.ndarray:
+    """The integer each row of a validated ``(batch, n)`` 0/1 array spells.
+
+    Bit ``j`` of a row is worth ``2**j`` (LSB-first), so for ``n <= 16``
+    the values index a ``2**n``-row table directly: the codeword table
+    an encode gathers from and the decode table a hard batch decode
+    gathers from.  Rows are zero-padded to whole bytes so one flat
+    ``np.packbits`` packs every row into one byte (n <= 8) or two;
+    packing row by row (``axis=1``) is several times slower on rows
+    this short.  The values come back as ``intp`` once rather than
+    converted by each ``take`` that uses them.
+
+    Parameters
+    ----------
+    bits : numpy.ndarray
+        ``(batch, n)`` array of 0/1 values with ``n <= 16``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(batch,)`` ``intp`` row values.
+    """
+    batch, n = bits.shape
+    if n > 16:
+        raise DimensionError(f"row_values packs at most 16 bits per row, got {n}")
+    width = max(-(-n // 8), 1) * 8
+    if n != width:
+        padded = np.zeros((batch, width), dtype=np.uint8)
+        padded[:, :n] = bits
+        bits = padded
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    if width > 8:
+        packed = packed.view("<u2")
+    return packed.astype(np.intp)
 
 
 def all_binary_vectors(length: int) -> np.ndarray:

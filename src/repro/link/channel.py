@@ -5,7 +5,7 @@ per-channel) bit-flip probabilities to transmitted words;
 :func:`link_budget_channel` derives those probabilities from the
 driver/cable/receiver models, closing the Fig. 1 signal path; and
 :class:`FrameStreamPipeline` runs a whole stream of frames through
-encode -> corrupt -> decode as one vectorised batch on the bit-packed
+encode -> corrupt -> decode as one vectorised batch on the table-gather
 hot paths.
 """
 
@@ -191,7 +191,7 @@ class FrameStreamPipeline:
     """Vectorised encode -> corrupt -> decode for a stream of frames.
 
     One object wires the three batched hot paths together: the
-    bit-packed :meth:`~repro.coding.linear.LinearBlockCode.encode_batch`,
+    table-gather :meth:`~repro.coding.linear.LinearBlockCode.encode_batch`,
     the vectorised :meth:`BinaryChannel.transmit`, and the decoder's
     :meth:`~repro.coding.decoders.base.Decoder.decode_batch_detailed`.
     A whole frame stream moves through the link without any per-frame

@@ -5,7 +5,8 @@ link; this subsystem is that workload in software.  An asyncio
 :class:`~repro.service.server.CodecServer` hosts many codec sessions
 (code x decoder x error-injection policy), coalesces concurrent
 requests through the :class:`~repro.service.batcher.MicroBatcher` into
-the PR 1 bit-packed batch kernels, and exposes per-session telemetry.
+the batch kernels (table gathers for every served code), and exposes
+per-session telemetry.
 :mod:`repro.service.loadgen` drives it with shaped traffic; the
 ``repro serve`` / ``repro loadgen`` CLI subcommands wrap both.
 

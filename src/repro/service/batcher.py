@@ -1,7 +1,8 @@
 """Micro-batching scheduler: coalesce concurrent requests into one kernel call.
 
-The PR 1 bit-packed kernels amortise beautifully — a batch-4096 decode
-costs ~0.06 µs/frame where a batch-1 call costs >100 µs — but an online
+The batch kernels amortise a fixed per-call cost — a hamming84 decode
+is a table gather of ~5 µs per call at one row and ~0.004 µs per frame
+at 4096 rows (CPython 3.11, NumPy 2.4, one x86-64 core) — but an online
 server receives requests one at a time.  The :class:`MicroBatcher`
 bridges the two regimes: requests for the same (session, op) lane are
 queued, and the lane flushes as one ``encode_batch`` /

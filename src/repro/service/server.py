@@ -5,9 +5,8 @@ One :class:`CodecServer` hosts many codec sessions (see
 :mod:`repro.service.protocol`.  Clients pipeline requests over a single
 connection; every ENCODE/DECODE request is handed to the shared
 :class:`~repro.service.batcher.MicroBatcher`, so frames from *all*
-connections coalesce into the bit-packed batch kernels.  STATS returns
-the JSON telemetry snapshot (the stats endpoint), CODES the discovery
-catalog.
+connections coalesce into the batch kernels.  STATS returns the JSON
+telemetry snapshot (the stats endpoint), CODES the discovery catalog.
 
 With ``workers=N`` the server becomes the front end of a shared-nothing
 process pool (:mod:`repro.service.workers`): each new session goes to
@@ -57,12 +56,6 @@ class CodecServer:
         in-process on one core.
     faults : WorkerFaults, optional
         Deterministic fault injection for chaos tests (pooled mode only).
-    stream_deadline_us : float, optional
-        Server-wide default latency deadline of the streaming decode
-        lane (``OP_DECODE_STREAM``): codewords still open after this
-        long are forced to best-effort decisions and counted as
-        deadline misses.  A session config's own ``stream_deadline_us``
-        overrides it; ``None`` leaves streams unbounded by default.
     """
 
     def __init__(
@@ -71,7 +64,6 @@ class CodecServer:
         port: int = 0,
         workers: int = 0,
         faults: Optional[WorkerFaults] = None,
-        stream_deadline_us: Optional[float] = None,
     ):
         self.host = host
         self._requested_port = port
@@ -81,14 +73,10 @@ class CodecServer:
         self.core: Optional[DispatchCore] = None
         self.pool: Optional[WorkerPool] = None
         if workers:
-            self.pool = WorkerPool(
-                workers, faults=faults, stream_deadline_us=stream_deadline_us
-            )
+            self.pool = WorkerPool(workers, faults=faults)
             self.registry = self.pool.registry
         else:
-            self.core = DispatchCore(
-                telemetry=self.telemetry, stream_deadline_us=stream_deadline_us
-            )
+            self.core = DispatchCore(telemetry=self.telemetry)
             self.registry = self.core.registry
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: Set[asyncio.Task] = set()

@@ -64,6 +64,7 @@ import logging
 import multiprocessing
 import os
 import socket
+import stat
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -118,17 +119,10 @@ class DispatchCore:
     coordination exist anywhere below the routing layer.
     """
 
-    def __init__(
-        self,
-        telemetry: Optional[ServiceTelemetry] = None,
-        stream_deadline_us: Optional[float] = None,
-    ):
+    def __init__(self, telemetry: Optional[ServiceTelemetry] = None):
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
         self.registry = SessionRegistry(telemetry=self.telemetry)
         self.batcher = MicroBatcher()
-        #: Server-wide default stream deadline; a session config's own
-        #: ``stream_deadline_us`` takes precedence.
-        self.stream_deadline_us = stream_deadline_us
         self._streams: Dict[int, "StreamLane"] = {}
         self._memories: Dict[int, "MemoryLane"] = {}
 
@@ -206,8 +200,8 @@ class DispatchCore:
     def stream_lane(self, session: CodecSession) -> "StreamLane":
         """The session's streaming lane, created on first use.
 
-        The per-session deadline is the config's ``stream_deadline_us``
-        when set, else this core's server-wide default.
+        Its deadline is the session config's ``stream_deadline_us``;
+        ``None`` leaves the stream unbounded.
         """
         lane = self._streams.get(session.session_id)
         if lane is None:
@@ -219,14 +213,11 @@ class DispatchCore:
                     f"session {session.session_id} is not configured for "
                     "streaming; open it with stream_depth set"
                 )
-            deadline = config.stream_deadline_us
-            if deadline is None:
-                deadline = self.stream_deadline_us
             lane = StreamLane(
                 session,
                 depth=config.stream_depth,
                 shift=config.stream_shift,
-                deadline_us=deadline,
+                deadline_us=config.stream_deadline_us,
             )
             self._streams[session.session_id] = lane
         return lane
@@ -448,14 +439,17 @@ class WorkerFaults:
 # ---------------------------------------------------------------------
 # Worker child process (runs outside the parent's coverage view)
 # ---------------------------------------------------------------------
-def _worker_entry(index, conn, faults, stream_deadline_us=None):  # pragma: no cover - child process
+def _worker_entry(index, conn, faults):  # pragma: no cover - child process
     """Process entry point: run the worker loop on a fresh event loop.
 
     The child may have been forked from inside a running event loop (the
     front end spawns workers from async code); the inherited loop object
-    is unusable here, so detach from it before ``asyncio.run``.  Exit
-    with ``os._exit`` so the child never runs the parent's inherited
-    atexit/test-harness machinery.
+    is unusable here, so detach from it before ``asyncio.run``.  A fork
+    also copies every socket the front held (its listener, each client
+    connection, the other workers' pipes); the child closes all of them
+    but its own pipe and the standard streams.  Exit with ``os._exit``
+    so the child never runs the parent's inherited atexit/test-harness
+    machinery.
     """
     try:
         asyncio.events._set_running_loop(None)
@@ -465,22 +459,27 @@ def _worker_entry(index, conn, faults, stream_deadline_us=None):  # pragma: no c
     # The fork may have copied a tracer built before the front end's
     # environment was final; rebuild from the (inherited) env here.
     reset_tracer()
+    inherited = os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else []
+    for fd in map(int, inherited):
+        with contextlib.suppress(OSError):
+            if fd > 2 and fd != conn.fileno() and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
     code = 0
     try:
-        asyncio.run(_worker_main(index, conn, faults, stream_deadline_us))
+        asyncio.run(_worker_main(index, conn, faults))
     except BaseException:
         code = 1
     finally:
         os._exit(code)
 
 
-async def _worker_main(index, conn, faults, stream_deadline_us=None):  # pragma: no cover - child
+async def _worker_main(index, conn, faults):  # pragma: no cover - child
     """One decode worker: a DispatchCore behind :func:`serve_connection`,
     plus the worker-plane opcodes and ``faults`` (``None`` unless they
     target this spawn).  It returns when the front closes the pipe."""
     conn.setblocking(False)
     reader, writer = await asyncio.open_connection(sock=conn)
-    core = DispatchCore(stream_deadline_us=stream_deadline_us)
+    core = DispatchCore()
     held: Set[asyncio.Task] = set()
     served = itertools.count(1)
 
@@ -581,7 +580,7 @@ class WorkerHandle:
             faults = None
         process = self.pool.mp_context.Process(
             target=_worker_entry,
-            args=(self.index, child_sock, faults, self.pool.stream_deadline_us),
+            args=(self.index, child_sock, faults),
             name=f"repro-codec-worker-{self.index}",
             daemon=True,
         )
@@ -653,12 +652,7 @@ class WorkerPool:
     read that record.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        faults: Optional[WorkerFaults] = None,
-        stream_deadline_us: Optional[float] = None,
-    ):
+    def __init__(self, workers: int, faults: Optional[WorkerFaults] = None):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         method = os.environ.get(START_METHOD_ENV)
@@ -667,7 +661,6 @@ class WorkerPool:
         self.mp_context = multiprocessing.get_context(method)
         self.start_method = self.mp_context.get_start_method()
         self.faults = faults
-        self.stream_deadline_us = stream_deadline_us
         self.handles = [WorkerHandle(self, index) for index in range(workers)]
         self.registry = SessionRegistry()
         self._worker_of: Dict[int, int] = {}

@@ -9,8 +9,10 @@ path replaced and require exact equality:
   all three of NumPy's summation regimes and on rows built to tie;
 * every registry code's soft decoders against the reference scores,
   argmax and tie rule, a re-encode of the chosen messages and a
-  packed correction count;
-* the encode gather against :class:`~repro.gf2.bitpack.PackedGF2Matmul`.
+  per-row correction count;
+* the batch encode, gathered or composed from constituent tables,
+  against the scalar :meth:`~repro.coding.linear.LinearBlockCode.encode`
+  row by row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.coding import get_code, get_decoder
 from repro.coding.decoders.fht import FhtDecoder, hadamard_matrix
 from repro.coding.registry import available_codes, available_decoders
 from repro.errors import DimensionError, NotBinaryError
-from repro.gf2.bitpack import PackedGF2Matmul, pack_rows, packed_hamming_distance
+from repro.gf2.vectors import hamming_distance
 
 BATCHES = (0, 1, 33, 4096)
 
@@ -101,8 +103,8 @@ def _reference_soft(decoder, values):
 
     Correlation decoders score every codeword; the FHT decoders take
     the first largest-magnitude spectrum index and its sign.  Codewords
-    re-encode the messages row by row and corrections count packed
-    differences from the sign-sliced input.
+    re-encode the messages row by row and corrections count, row by
+    row, the differences from the sign-sliced input.
     """
     code = decoder.code
     rows = np.arange(len(values))
@@ -125,8 +127,9 @@ def _reference_soft(decoder, values):
         messages = code.all_messages[index]
     codewords = np.array([code.encode(m) for m in messages], dtype=np.uint8)
     codewords = codewords.reshape(len(values), code.n)
-    corrected = packed_hamming_distance(
-        pack_rows(codewords), pack_rows((values < 0).astype(np.uint8))
+    hard = (values < 0).astype(np.uint8)
+    corrected = np.array(
+        [hamming_distance(c, h) for c, h in zip(codewords, hard)], dtype=np.int64
     )
     return messages, codewords, corrected, ties
 
@@ -150,21 +153,27 @@ class TestSoftDecodersMatchReference:
 
 
 #: The registry codes plus a composite short enough for the gather
-#: (n = 14) and one that keeps the bit-sliced multiply (n = 24).
-ENCODE_CODES = [*available_codes(), "interleaved:hamming74:2", "interleaved:hamming84:3"]
+#: (n = 14) and two longer ones that encode through their constituents'
+#: tables: interleaved (n = 24) and concatenated (n = 16).
+ENCODE_CODES = [
+    *available_codes(),
+    "interleaved:hamming74:2",
+    "interleaved:hamming84:3",
+    "concatenated:hamming84:hamming84",
+]
 
 
 class TestEncodeGather:
     @pytest.mark.parametrize("name", ENCODE_CODES)
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_equals_the_bit_sliced_multiply(self, name, batch):
+    def test_equals_the_scalar_encode(self, name, batch):
         code = get_code(name)
         rng = np.random.default_rng(batch)
         messages = rng.integers(0, 2, size=(batch, code.k)).astype(np.uint8)
         got = code.encode_batch(messages)
-        want = PackedGF2Matmul(code.generator.to_array())(messages)
         assert got.dtype == np.uint8 and got.shape == (batch, code.n)
-        assert np.array_equal(got, want)
+        for row, message in zip(got, messages):
+            assert np.array_equal(row, code.encode(message))
 
     @pytest.mark.parametrize("name", ENCODE_CODES)
     def test_validates_like_the_multiply(self, name):

@@ -14,12 +14,17 @@ from hypothesis import strategies as st
 
 from repro.coding import LinearBlockCode, get_code, get_decoder
 from repro.coding.decoders import BatchDecodeResult
-from repro.errors import DimensionError
+from repro.errors import DimensionError, NotBinaryError
 from repro.gf2.matrix import GF2Matrix
 from repro.gf2.vectors import all_binary_vectors
 from repro.link import BinaryChannel, FrameStreamPipeline
 
 CODES = ["hamming74", "hamming84", "rm13"]
+
+#: The paper codes plus two composites whose encode is built from their
+#: constituents' tables; only the scalar ``encode`` and ``syndrome``
+#: check them independently of that construction.
+ENCODE_CODES = [*CODES, "interleaved:hamming84:3", "concatenated:hamming84:hamming84"]
 
 #: Decoder strategies applicable to each paper code.
 STRATEGIES = {
@@ -39,7 +44,7 @@ def random_batch(seed: int, batch: int, width: int) -> np.ndarray:
 
 
 class TestEncodeBatch:
-    @pytest.mark.parametrize("name", CODES)
+    @pytest.mark.parametrize("name", ENCODE_CODES)
     @given(seed=st.integers(0, 10_000), batch=st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_encode(self, name, seed, batch):
@@ -51,13 +56,23 @@ class TestEncodeBatch:
         for i in range(batch):
             assert np.array_equal(batched[i], code.encode(msgs[i]))
 
-    @pytest.mark.parametrize("name", CODES)
+    @pytest.mark.parametrize("name", ENCODE_CODES)
     def test_syndrome_batch_matches_scalar(self, name):
         code = get_code(name)
         words = random_batch(99, 256, code.n)
         batched = code.syndrome_batch(words)
         for i in range(len(words)):
             assert np.array_equal(batched[i], code.syndrome(words[i]))
+
+    @pytest.mark.parametrize("name", ENCODE_CODES)
+    def test_syndrome_batch_validates_its_input(self, name):
+        code = get_code(name)
+        words = np.zeros((3, code.n), dtype=np.uint8)
+        words[1, 0] = 2
+        with pytest.raises(NotBinaryError):
+            code.syndrome_batch(words)
+        with pytest.raises(DimensionError):
+            code.syndrome_batch(np.zeros((3, code.n + 1), dtype=np.uint8))
 
     @pytest.mark.parametrize("name", CODES)
     def test_extract_message_batch_roundtrip(self, name):

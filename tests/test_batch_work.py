@@ -11,9 +11,6 @@ the count at batch 4096 to be no greater than at batch 64.  The count
 is exact and the same on every machine, which a speed ratio against a
 Python loop is not; a per-row path adds at least 4,032 steps and fails.
 
-Batch 1 is no baseline: composite encode packs 64 rows per machine
-word and pads a partial word, which costs extra calls below 64 rows.
-
 Each test also checks the 4096-row output against the scalar path row
 by row, so bit identity is pinned at the batch size where the counts
 are taken.
@@ -31,7 +28,8 @@ from repro.link.burst import (
 )
 from stepcount import count_steps
 
-#: The paper codes plus a composite whose encode bit-slices (n = 56).
+#: The paper codes plus a composite too long for a codeword table
+#: (n = 56), whose encode gathers from its base code's table.
 CODES = ["hamming74", "hamming84", "rm13", "interleaved:hamming74:8"]
 SMALL, LARGE = 64, 4096
 #: One interleaved:hamming74:8 word per frame.

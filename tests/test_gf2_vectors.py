@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import NotBinaryError
+from repro.errors import DimensionError, NotBinaryError
 from repro.gf2.vectors import (
     all_binary_vectors,
     all_weight_w_vectors,
@@ -15,6 +15,7 @@ from repro.gf2.vectors import (
     hamming_distance,
     hamming_weight,
     parse_bits,
+    row_values,
     xor_reduce,
 )
 
@@ -151,3 +152,27 @@ class TestXorReduce:
 
     def test_self_inverse(self):
         assert xor_reduce(["1011", "1011"], 4).tolist() == [0, 0, 0, 0]
+
+
+class TestRowValues:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16])
+    def test_matches_lsb_first_integers(self, n):
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2, size=(50, n)).astype(np.uint8)
+        values = row_values(bits)
+        assert values.dtype == np.intp and values.shape == (50,)
+        assert values.tolist() == [bits_to_int(row, msb_first=False) for row in bits]
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_reversed_enumeration_counts_up(self, n):
+        # The index a batch encode gathers its codeword table by.
+        vectors = all_binary_vectors(n)[:, ::-1]
+        assert np.array_equal(row_values(vectors), np.arange(2**n))
+
+    def test_empty_batch(self):
+        values = row_values(np.zeros((0, 9), dtype=np.uint8))
+        assert values.dtype == np.intp and values.shape == (0,)
+
+    def test_rejects_rows_longer_than_sixteen_bits(self):
+        with pytest.raises(DimensionError):
+            row_values(np.zeros((2, 17), dtype=np.uint8))

@@ -78,6 +78,17 @@ class TestInterleaverConstruction:
         with pytest.raises(DimensionError):
             interleaver.deinterleave(np.zeros(8, dtype=np.uint8))
 
+    def test_gathers_return_fresh_c_contiguous_arrays(self):
+        interleaver = BlockInterleaver(8, 2)
+        frames = np.arange(48, dtype=np.uint8).reshape(3, 16)[:, ::2]
+        for layout in (frames, np.asfortranarray(frames)):
+            out = interleaver.interleave(layout)
+            assert out.flags.c_contiguous and not np.shares_memory(out, layout)
+            assert np.array_equal(out, frames[:, interleaver.permutation])
+            back = interleaver.deinterleave(np.asfortranarray(out))
+            assert back.flags.c_contiguous
+            assert np.array_equal(back, frames)
+
 
 class TestRoundTripProperty:
     @given(
@@ -139,6 +150,18 @@ class TestInterleavedCode:
         words = code.encode_batch(msgs)
         stacked = base.encode_batch(msgs.reshape(-1, base.k)).reshape(50, code.n)
         assert np.array_equal(words, code.interleaver.interleave(stacked))
+
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_convolutional_interleaver_encode_matches_scalar(self, shift):
+        code = InterleavedCode(
+            get_code("hamming84"), 3, ConvolutionalInterleaver(24, 3, shift)
+        )
+        rng = np.random.default_rng(shift)
+        msgs = rng.integers(0, 2, (40, code.k)).astype(np.uint8)
+        words = code.encode_batch(msgs)
+        for word, msg in zip(words, msgs):
+            assert np.array_equal(word, code.encode(msg))
+        assert np.array_equal(words[:, code.message_positions], msgs)
 
     def test_message_positions_survive_composition(self):
         code = InterleavedCode(get_code("hamming74"), 3)
@@ -251,6 +274,21 @@ class TestConcatenatedCode:
         result = decoder.decode_batch_detailed(received)
         assert np.array_equal(result.messages, msgs)
         assert (result.corrected_errors == 2).all()
+
+    def test_corrected_errors_count_the_flipped_bits(self):
+        code = ConcatenatedCode(get_code("hamming84"), get_code("hamming74"))
+        decoder = ConcatenatedDecoder(code)
+        rng = np.random.default_rng(10)
+        msgs = rng.integers(0, 2, (30, 4)).astype(np.uint8)
+        received = code.encode_batch(msgs)
+        # 0, 1 or 2 flips per row, never two in one inner block.
+        flips = np.arange(30) % 3
+        received[flips >= 1, 1] ^= 1
+        received[flips == 2, 7 + 5] ^= 1
+        result = decoder.decode_batch_detailed(received)
+        assert np.array_equal(result.messages, msgs)
+        assert result.corrected_errors.dtype == np.int64
+        assert result.corrected_errors.tolist() == flips.tolist()
 
     def test_scalar_batch_identity(self):
         code = ConcatenatedCode(get_code("hamming84"), get_code("hamming74"))

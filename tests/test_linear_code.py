@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coding.linear import LinearBlockCode
 from repro.errors import DimensionError, SingularMatrixError
@@ -78,6 +80,69 @@ class TestParityCheck:
     def test_syndrome_batch(self, small_code):
         words = small_code.all_codewords
         assert small_code.syndrome_batch(words).sum() == 0
+
+
+def _systematic_code(parity: np.ndarray) -> LinearBlockCode:
+    k = parity.shape[0]
+    return LinearBlockCode(np.concatenate([np.eye(k, dtype=np.uint8), parity], axis=1))
+
+
+def _rows_of_weight(weights, n: int) -> np.ndarray:
+    rows = np.zeros((len(weights), n), dtype=np.uint8)
+    for row, weight in zip(rows, weights):
+        row[:weight] = 1
+    return rows
+
+
+#: Row weights either side of 256, where a ``uint8`` sum wraps.
+WRAP_WEIGHTS = (0, 1, 255, 256, 257, 299, 300)
+
+
+class TestBatchProducts:
+    """Batch encode and syndromes against an ``int64`` product mod 2.
+
+    Random systematic codes reach both encode paths: the codeword-table
+    gather (n <= 15) and the ``uint8`` product (n > 15).  A k = 300
+    single parity check sums up to 300 ones per bit, past the wrap.
+    """
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_encode_batch_matches_integer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        k, r = int(rng.integers(1, 11)), int(rng.integers(1, 21))
+        code = _systematic_code(rng.integers(0, 2, size=(k, r)).astype(np.uint8))
+        msgs = rng.integers(0, 2, size=(int(rng.integers(0, 100)), k)).astype(np.uint8)
+        want = (msgs.astype(np.int64) @ code.generator.to_array().astype(np.int64)) % 2
+        got = code.encode_batch(msgs)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_syndrome_batch_matches_integer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        k, r = int(rng.integers(1, 11)), int(rng.integers(1, 21))
+        code = _systematic_code(rng.integers(0, 2, size=(k, r)).astype(np.uint8))
+        words = rng.integers(0, 2, size=(int(rng.integers(0, 100)), code.n))
+        words = words.astype(np.uint8)
+        h = code.parity_check.to_array().astype(np.int64)
+        got = code.syndrome_batch(words)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, (words.astype(np.int64) @ h.T) % 2)
+
+    def test_parity_survives_uint8_wraparound(self):
+        code = _systematic_code(np.ones((300, 1), dtype=np.uint8))
+        msgs = _rows_of_weight(WRAP_WEIGHTS, code.k)
+        words = code.encode_batch(msgs)
+        assert np.array_equal(words[:, : code.k], msgs)
+        assert words[:, code.k].tolist() == [w % 2 for w in WRAP_WEIGHTS]
+
+    def test_syndrome_survives_uint8_wraparound(self):
+        code = _systematic_code(np.ones((300, 1), dtype=np.uint8))
+        words = _rows_of_weight(WRAP_WEIGHTS, code.n)
+        syndromes = code.syndrome_batch(words)
+        assert syndromes[:, 0].tolist() == [w % 2 for w in WRAP_WEIGHTS]
 
 
 class TestStructure:

@@ -12,7 +12,9 @@ instead of sleeping a guessed length.
 
 import asyncio
 import bisect
+import contextlib
 import logging
+import os
 import struct
 import sys
 import time
@@ -1129,6 +1131,51 @@ class TestChaos:
         assert tail == b""
         assert np.array_equal(block.messages, reference.messages)
         assert status["workers"][0]["restarts"] >= 1
+
+    def test_a_respawned_worker_holds_no_front_sockets(self):
+        """Regression: a worker forked while clients were connected kept
+        a copy of every socket the front held (listener, connections)
+        for as long as it lived, even after the clients closed."""
+        if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+            pytest.skip("needs /proc/<pid>/fd to count a process's sockets")
+        words, reference = chaos.seeded_words("hamming84", frames=4, seed=6)
+
+        def sockets_of(pid):
+            count = 0
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                with contextlib.suppress(OSError):
+                    count += os.readlink(f"/proc/{pid}/fd/{fd}").startswith("socket:")
+            return count
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                await session.decode(words)  # the worker's loop is up
+                first = sockets_of(server.pool.handles[0].pid)
+                raw = []
+                for _ in range(20):
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(protocol.frame_bytes(
+                        protocol.build_request(protocol.OP_STATS, 1)
+                    ))
+                    assert await protocol.read_frame(reader) is not None
+                    raw.append(writer)
+                await client.admin("kill", worker=0)
+                # The retried decode waits for the respawned worker.
+                block = await session.decode(words)
+                respawned = sockets_of(server.pool.handles[0].pid)
+                for writer in raw:
+                    writer.close()
+                await client.close()
+                return first, respawned, block, server.pool.status()
+
+        first, respawned, block, status = run(scenario())
+        assert status["workers"][0]["restarts"] >= 1
+        assert np.array_equal(block.messages, reference.messages)
+        assert respawned <= first, (first, respawned)
 
     def test_loadgen_512_clients_over_shared_connections(self):
         # The ISSUE's loadgen scale drill, in-tree: 512 concurrent

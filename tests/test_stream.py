@@ -454,12 +454,13 @@ class TestStreamService:
 
     def test_deadline_fires_without_any_followup_push(self):
         async def scenario():
-            server = CodecServer(port=0, stream_deadline_us=15_000.0)
+            server = CodecServer(port=0)
             await server.start()
             try:
                 client = await CodecClient.connect(port=server.port)
-                # No per-session deadline: the server-wide default applies.
-                session = await client.open_session("hamming84", stream_depth=4)
+                session = await client.open_session(
+                    "hamming84", stream_depth=4, stream_deadline_us=15_000.0
+                )
                 _, _, _, confidences = _case(count=4, depth=4, seed=19)
                 block = await asyncio.wait_for(
                     await session.push_stream(confidences[:2], 0), timeout=10.0
