@@ -10,8 +10,15 @@ queued, and the lane flushes as one ``encode_batch`` /
 
 * the lane holds :data:`MAX_BATCH` frames (**size flush**, run inline by
   the submit that reaches it), or
-* :data:`MAX_DELAY_US` has elapsed since the first enqueue of a
-  sub-``MAX_BATCH`` lane (**deadline flush** — the latency bound).
+* the event loop takes its next turn after the first enqueue of a
+  sub-``MAX_BATCH`` lane (**turn flush**, a ``call_soon`` callback).
+
+A turn flush still coalesces: the request tasks one read pass of a
+connection creates all run, and enqueue, before the callback queued
+behind them, so they share one kernel call.  What it never does is
+wait for traffic that has not arrived yet; a lone request is answered
+one loop turn after it is queued, like a word leaving a clocked
+encoder on the next pulse.
 
 There is nothing to tune.  The inline size flush is the backpressure: a
 lane never holds :data:`MAX_BATCH` frames across an await, and a request
@@ -40,11 +47,6 @@ from repro.service.session import CodecSession
 #: A lane flushes inline once it holds this many frames.
 MAX_BATCH = 256
 
-#: A lane holding fewer frames flushes this long after its first
-#: enqueue.  The selector rounds its sleep up to whole milliseconds,
-#: so on an otherwise idle loop the flush comes about 1 ms later.
-MAX_DELAY_US = 200.0
-
 #: Largest block one submit enqueues; bigger requests are split.
 MAX_CHUNK_FRAMES = 8192
 
@@ -53,9 +55,9 @@ LaneKernel = Callable[[np.ndarray], object]
 
 
 class _Lane:
-    """One (session, op) queue with its deadline timer."""
+    """One (session, op) queue with its pending turn flush."""
 
-    __slots__ = ("kernel", "telemetry", "op", "loop", "items", "pending_frames", "timer")
+    __slots__ = ("kernel", "telemetry", "op", "loop", "items", "pending_frames", "scheduled")
 
     def __init__(self, kernel, telemetry, op, loop):
         self.kernel: LaneKernel = kernel
@@ -64,7 +66,7 @@ class _Lane:
         self.loop = loop
         self.items: Deque[Tuple[np.ndarray, asyncio.Future, float, Optional[str]]] = deque()
         self.pending_frames = 0
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.scheduled: Optional[asyncio.Handle] = None
 
     def enqueue(
         self,
@@ -79,15 +81,15 @@ class _Lane:
         self.pending_frames += len(frames)
         if self.pending_frames >= MAX_BATCH:
             self.flush("size")
-        elif self.timer is None:
-            self.timer = self.loop.call_later(MAX_DELAY_US * 1e-6, self.flush, "deadline")
+        elif self.scheduled is None:
+            self.scheduled = self.loop.call_soon(self.flush, "turn")
         return future
 
     def flush(self, reason: str) -> None:
         """Run the kernel on everything queued and complete the futures."""
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
+        if self.scheduled is not None:
+            self.scheduled.cancel()
+            self.scheduled = None
         if not self.items:
             return
         items = self.items
@@ -104,7 +106,7 @@ class _Lane:
         except Exception as exc:
             # Covers concatenation too: a malformed block must fail its
             # whole cohort's futures, never strand them (this runs from
-            # timer callbacks, where an escaping exception would only
+            # loop callbacks, where an escaping exception would only
             # reach the event-loop exception handler).
             for _, future, _, _ in items:
                 if not future.done():
@@ -243,17 +245,21 @@ class MicroBatcher:
 
         The session-lifecycle counterpart of lane creation: without it a
         front end serving session churn grows ``_lanes`` without bound
-        (each closed session leaves up to one dead lane per op, timer
-        and all).  Flushing before removal answers every queued frame —
-        close never strands a future — and cancels the lane's deadline
-        timer, so no stale ``call_later`` callback can fire against a
-        recycled (session, op) key.  Returns the number of lanes
-        removed.
+        (each closed session leaves up to one dead lane per op).
+        Flushing before removal answers every queued frame — close
+        never strands a future — and cancels the lane's pending turn
+        flush, so no stale callback can run against a recycled
+        (session, op) key.  Looks up one key per op, so a close costs
+        the same whatever the number of other live sessions.  Returns
+        the number of lanes removed.
         """
-        keys = [key for key in self._lanes if key[0] == session_id]
-        for key in keys:
-            self._lanes.pop(key).flush("close")
-        return len(keys)
+        removed = 0
+        for op in self._OP_KERNELS:
+            lane = self._lanes.pop((session_id, op), None)
+            if lane is not None:
+                lane.flush("close")
+                removed += 1
+        return removed
 
     def flush_all(self) -> None:
         """Flush every lane immediately (server shutdown path).

@@ -8,8 +8,8 @@ Each scenario shapes what a fleet of concurrent clients sends at a
     one noiseless session — the throughput-ceiling workload.
 ``bursty``
     On/off traffic: clients fire a burst of requests, go idle, repeat.
-    Exercises the deadline-flush path (batches never fill during the
-    quiet tail of a burst).
+    Exercises the turn-flush path (batches never fill during the quiet
+    tail of a burst).
 ``mixed``
     Clients round-robin across all registered codes with their default
     decoders — one server, heterogeneous lanes.

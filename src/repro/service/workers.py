@@ -486,8 +486,8 @@ async def _worker_main(index, conn, faults):  # pragma: no cover - child
     async def drain() -> bytes:
         # Close every stream first (open windows resolve FLUSHED, as on
         # CLOSE), so no held push waits for frames that will never come;
-        # then await every held request (batch lanes flush on their
-        # deadline) and acknowledge.  The pool closes the pipe on the ack.
+        # then await every held request (batch lanes flush on the next
+        # loop turn) and acknowledge.  The pool closes the pipe on the ack.
         core.close_streams()
         if held:
             await asyncio.wait(held)

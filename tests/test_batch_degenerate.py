@@ -1,7 +1,7 @@
 """Degenerate batch sizes: the batch kernels on 0 and 1 frames.
 
 The streaming service dispatches whatever a flush happens to contain —
-including a single frame (deadline flush under light load) and nothing
+including a single frame (a turn flush under light load) and nothing
 at all (an empty client request).  Every batch kernel must round-trip
 these shapes exactly like large batches do.
 """

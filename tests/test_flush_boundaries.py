@@ -1,7 +1,7 @@
 """Where the micro-batcher cuts its flushes changes no answer and no bound.
 
 A lane flushes inline once it holds ``MAX_BATCH`` frames and otherwise
-``MAX_DELAY_US`` after its first enqueue; a request over
+on the event loop's next turn after its first enqueue; a request over
 ``MAX_CHUNK_FRAMES`` is fed through in chunks of that size.  So the same frames can reach the
 kernel in very different batches.  Decoding works row by row, and
 encode injects its errors with one ``rng.random`` draw per bit over the
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.coding import get_code
 from repro.service import MicroBatcher, SessionConfig
-from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES, MAX_DELAY_US, _Lane
+from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES, _Lane
 from repro.service.session import CodecSession
 
 #: An encode session that flips bits: every frame consumes seeded draws.
@@ -43,7 +43,7 @@ def _submit_in_rounds(rounds, messages):
 
     ``rounds`` is a list of rounds, each a list of request sizes; the
     requests of a round are submitted concurrently, in order, and the
-    next round's once the lane's deadline has passed.  Returns the
+    next round's once the lane's turn flush has run.  Returns the
     codewords in request order, the rows of every kernel call, and how
     many frames each lane held whenever a submit had just enqueued.
     """
@@ -66,9 +66,10 @@ def _submit_in_rounds(rounds, messages):
                 offset += size
                 submit = batcher.submit(session, "encode", block)
                 tasks.append(asyncio.ensure_future(submit))
-            # Let the round enqueue, then outlast the deadline it set.
+            # Let the round enqueue, then yield until its turn flush ran.
             await asyncio.sleep(0)
-            await asyncio.sleep(2 * MAX_DELAY_US * 1e-6)
+            while batcher.pending_frames():
+                await asyncio.sleep(0)
         return await asyncio.gather(*tasks)
 
     enqueue = _Lane.enqueue
@@ -92,7 +93,7 @@ def _submit_in_rounds(rounds, messages):
     [
         pytest.param([[300]], [300], id="one-request"),
         pytest.param([[1] * 300], [MAX_BATCH, 44], id="one-frame-submits"),
-        pytest.param([[1] * 100] * 3, [100, 100, 100], id="deadline-flushes"),
+        pytest.param([[1] * 100] * 3, [100, 100, 100], id="turn-flushes"),
         pytest.param([[100, 100, 60, 40]], [260, 40], id="crosses-size-flush"),
         pytest.param(
             [[2 * MAX_CHUNK_FRAMES + 37]],

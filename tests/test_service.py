@@ -23,6 +23,7 @@ from repro.service import (
 from repro.service import DispatchCore, LatencyReservoir, protocol
 from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES
 from repro.service.session import MAX_SESSION_ID, CodecSession
+from stepcount import count_steps
 
 
 #: Hard wall-clock bound on every async scenario in this file.  All
@@ -414,7 +415,7 @@ class TestMicroBatcher:
             direct.detected_uncorrectable,
         )
 
-    def test_deadline_flush_fires_without_filling(self):
+    def test_turn_flush_fires_without_filling(self):
         async def scenario():
             session, core = _core_session()
             batcher = MicroBatcher()
@@ -426,7 +427,83 @@ class TestMicroBatcher:
 
         result, reasons = run(scenario())
         assert result.shape == (2, 8)
-        assert reasons == {"deadline": 1}
+        assert reasons == {"turn": 1}
+
+    def test_batcher_arms_no_timer(self):
+        """Every flush runs within a few loop turns, and none from a timer.
+
+        The running loop refuses ``call_later`` and ``call_at``, and each
+        case must finish within a fixed count of ``asyncio.sleep(0)``
+        yields, with no wall-clock wait: a lone encode, a closed loop of
+        64 one-frame decode clients, and a close with a request queued.
+        """
+        clients, requests = 64, 5
+        rng = np.random.default_rng(31)
+        words = rng.integers(0, 2, (clients * requests, 8)).astype(np.uint8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the batcher armed a timer")
+
+        async def within(awaitable, yields):
+            task = asyncio.ensure_future(awaitable)
+            for _ in range(yields):
+                if task.done():
+                    break
+                await asyncio.sleep(0)
+            assert task.done(), f"not done within {yields} loop yields"
+            return task.result()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.call_later = loop.call_at = refuse
+
+            lone, lone_core = _core_session()
+            encoded = await within(
+                MicroBatcher().submit(lone, "encode", np.ones((2, 4), dtype=np.uint8)),
+                3,
+            )
+
+            closed_loop, loop_core = _core_session()
+            calls = []
+            kernel = closed_loop.decode_frames
+
+            def spy(batch):
+                calls.append(len(batch))
+                return kernel(batch)
+
+            closed_loop.decode_frames = spy
+            batcher = MicroBatcher()
+
+            async def client(c):
+                for row in range(c * requests, (c + 1) * requests):
+                    await batcher.submit(closed_loop, "decode", words[row:row + 1])
+
+            await within(
+                asyncio.gather(*(client(c) for c in range(clients))), 3 * requests + 2
+            )
+
+            closing, close_core = _core_session()
+            batcher = MicroBatcher()
+            queued = asyncio.ensure_future(
+                batcher.submit(closing, "encode", np.ones((3, 4), dtype=np.uint8))
+            )
+            await asyncio.sleep(0)  # let submit enqueue
+            assert batcher.close_session(closing.session_id) == 1
+            closed = await within(queued, 2)
+            for _ in range(3):  # the cancelled turn flush must stay cancelled
+                await asyncio.sleep(0)
+            return (
+                encoded.shape, _flush_reasons(lone_core, lone),
+                calls, _flush_reasons(loop_core, closed_loop),
+                closed.shape, _flush_reasons(close_core, closing),
+            )
+
+        (encoded, lone_reasons, calls, loop_reasons,
+         closed, close_reasons) = asyncio.run(scenario())
+        assert encoded == (2, 8) and lone_reasons == {"turn": 1}
+        assert calls == [clients] * requests
+        assert loop_reasons == {"turn": requests}
+        assert closed == (3, 8) and close_reasons == {"close": 1}
 
     def test_decode_slices_are_bit_identical_to_direct_call(self):
         async def scenario():
@@ -1122,6 +1199,32 @@ class TestServiceLifecycle:
 
         assert run(scenario()) == 0
 
+    def test_close_session_steps_do_not_grow_with_live_sessions(self):
+        """A close looks up its own lanes; it never scans every lane."""
+        ops = ("encode", "decode", "decode_soft")
+
+        def close_steps(others):
+            batcher = MicroBatcher()
+
+            async def open_lanes():
+                for session_id in range(1, others + 2):
+                    session = CodecSession(session_id, SessionConfig(code="hamming84"))
+                    for op in ops:
+                        batcher._lane(session, op)
+
+            asyncio.run(open_lanes())
+            closing = {(1, op): batcher._lanes[(1, op)] for op in ops}
+
+            def close():
+                batcher._lanes.update(closing)
+                assert batcher.close_session(1) == len(ops)
+
+            steps = count_steps(close)
+            assert len(batcher._lanes) == others * len(ops)
+            return steps
+
+        assert close_steps(512) == close_steps(1)
+
     def test_open_session_builds_no_metrics_registry(self, monkeypatch):
         """A session's telemetry is built once, on the core's registry."""
         from repro.obs import metrics
@@ -1201,8 +1304,8 @@ class TestServiceLifecycle:
         assert result.shape == (2, 8)
         assert reasons == {"close": 1}
 
-    def test_no_stale_deadline_timer_after_close_reuses_key(self):
-        """A recycled (session, op) key must not inherit a dead lane's timer."""
+    def test_no_stale_turn_flush_after_close_reuses_key(self):
+        """A recycled (session, op) key must not inherit a dead lane's flush."""
 
         async def scenario():
             batcher = MicroBatcher()
@@ -1212,11 +1315,11 @@ class TestServiceLifecycle:
             )
             await asyncio.sleep(0)
             lane = batcher._lanes[(session.session_id, "encode")]
-            scheduled = lane.timer
+            scheduled = lane.scheduled
             assert scheduled is not None
             batcher.close_session(session.session_id)
-            assert scheduled.cancelled() and lane.timer is None
-            # Reuse the key before the closed lane's deadline would pass.
+            assert scheduled.cancelled() and lane.scheduled is None
+            # Reuse the key before the closed lane's turn flush would run.
             second = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((3, 4), dtype=np.uint8))
             )
@@ -1229,9 +1332,9 @@ class TestServiceLifecycle:
 
         result, reasons = run(scenario())
         assert result.shape == (3, 8)
-        # Exactly one close flush and one deadline flush: a stale timer
+        # Exactly one close flush and one turn flush: a stale callback
         # would have added a spurious flush against the reused key.
-        assert reasons == {"close": 1, "deadline": 1}
+        assert reasons == {"close": 1, "turn": 1}
 
     def test_flush_all_survives_lane_opened_by_kernel_side_effect(self):
         """flush_all iterates a snapshot: a kernel opening a lane mid-drain

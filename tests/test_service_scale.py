@@ -538,7 +538,7 @@ _EVENTS = st.one_of(
     st.tuples(st.just("request"), _SLOT, st.sampled_from(_OPS), st.integers(0, 40)),
     st.tuples(
         st.just("batch"), _SLOT, st.sampled_from(_OPS), st.integers(1, 300),
-        st.sampled_from(["size", "deadline", "close", "drain"]),
+        st.sampled_from(["size", "turn", "close", "drain"]),
     ),
     st.tuples(
         st.just("latency"), _SLOT, st.sampled_from(_OPS),
