@@ -26,9 +26,12 @@ over :data:`MAX_CHUNK_FRAMES` is fed through in chunks of that size, so
 one kernel call sees at most ``MAX_BATCH - 1 + MAX_CHUNK_FRAMES`` rows.
 
 Batches are concatenated in arrival order and results are sliced back
-row-for-row, so decode outputs are bit-identical to calling the batch
-kernel directly on each request (decoding is deterministic; batch
-composition cannot change it).
+row-for-row, so each request's answer is bit-identical to calling the
+lane kernel on that request alone (decoding is deterministic; batch
+composition cannot change it).  The ``decode`` lane takes packed
+received words and answers with DECODE reply rows
+(:meth:`~repro.service.session.CodecSession.decode_frames`), so a reply
+is written without unpacking anything.
 """
 
 from __future__ import annotations
@@ -50,20 +53,24 @@ MAX_BATCH = 256
 #: Largest block one submit enqueues; bigger requests are split.
 MAX_CHUNK_FRAMES = 8192
 
-#: A lane kernel: (batch, width) block in, array or BatchDecodeResult out.
+#: A lane kernel: a block of frame rows in, array or BatchDecodeResult out.
 LaneKernel = Callable[[np.ndarray], object]
 
 
 class _Lane:
-    """One (session, op) queue with its pending turn flush."""
+    """One (session, op) queue with its pending turn flush.
 
-    __slots__ = ("kernel", "telemetry", "op", "loop", "items", "pending_frames", "scheduled")
+    A lane outlives any one event loop (a server may be stopped and
+    started again under a new one), so it takes the running loop
+    whenever it creates a future or schedules a flush.
+    """
 
-    def __init__(self, kernel, telemetry, op, loop):
+    __slots__ = ("kernel", "telemetry", "op", "items", "pending_frames", "scheduled")
+
+    def __init__(self, kernel, telemetry, op):
         self.kernel: LaneKernel = kernel
         self.telemetry = telemetry
         self.op = op
-        self.loop = loop
         self.items: Deque[Tuple[np.ndarray, asyncio.Future, float, Optional[str]]] = deque()
         self.pending_frames = 0
         self.scheduled: Optional[asyncio.Handle] = None
@@ -74,7 +81,8 @@ class _Lane:
         arrival: Optional[float] = None,
         trace: Optional[str] = None,
     ) -> asyncio.Future:
-        future = self.loop.create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self.items.append(
             (frames, future, time.perf_counter() if arrival is None else arrival, trace)
         )
@@ -82,7 +90,7 @@ class _Lane:
         if self.pending_frames >= MAX_BATCH:
             self.flush("size")
         elif self.scheduled is None:
-            self.scheduled = self.loop.call_soon(self.flush, "turn")
+            self.scheduled = loop.call_soon(self.flush, "turn")
         return future
 
     def flush(self, reason: str) -> None:
@@ -200,7 +208,7 @@ class MicroBatcher:
         lane = self._lanes.get(key)
         if lane is None:
             kernel = getattr(session, self._OP_KERNELS[op])
-            lane = _Lane(kernel, session.telemetry, op, asyncio.get_running_loop())
+            lane = _Lane(kernel, session.telemetry, op)
             self._lanes[key] = lane
         return lane
 
@@ -210,23 +218,20 @@ class MicroBatcher:
         """Queue ``frames`` on the (session, op) lane and await the result.
 
         Awaits the flush that carries this request and returns the
-        request's row-slice of the batch result: a ``(len(frames), n)``
-        array for encode, a
-        :class:`~repro.coding.decoders.base.BatchDecodeResult` for
-        decode and decode_soft (whose frames are float confidence rows
-        rather than packed bits).
+        request's row-slice of the batch result: ``(len(frames), n)``
+        codewords for encode (``frames`` holds k-bit messages), DECODE
+        reply rows for decode (``frames`` holds packed received words,
+        see :meth:`~repro.service.session.CodecSession.decode_frames`),
+        and a :class:`~repro.coding.decoders.base.BatchDecodeResult`
+        for decode_soft (``frames`` holds float confidence rows).
         """
         if op not in self._OP_KERNELS:
             raise ValueError(f"unknown op {op!r}")
         lane = self._lane(session, op)
         session.telemetry.record_request(op, len(frames))
         if len(frames) == 0:
-            # Nothing to queue; complete immediately with an empty slice.
-            width = session.k if op == "encode" else session.n
-            dtype = np.float64 if op == "decode_soft" else np.uint8
-            return _slice_result(
-                lane.kernel(np.zeros((0, width), dtype)), slice(0, 0)
-            )
+            # Nothing to queue; complete immediately with an empty result.
+            return lane.kernel(frames)
         # A request over MAX_CHUNK_FRAMES goes through in chunks of that
         # size (each flushes inline, a normal batch) and is reassembled
         # row-for-row, so no kernel call grows with the request.

@@ -108,8 +108,8 @@ def pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(arr, axis=1).tobytes()
 
 
-def unpack_bits(data: bytes, n_frames: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: recover the ``(n_frames, width)`` rows."""
+def _packed_rows(data: bytes, n_frames: int, width: int) -> np.ndarray:
+    """``data`` viewed as ``(n_frames, row_bytes)`` packed rows, length checked."""
     row_bytes = (width + 7) // 8
     expected = n_frames * row_bytes
     if len(data) != expected:
@@ -117,10 +117,12 @@ def unpack_bits(data: bytes, n_frames: int, width: int) -> np.ndarray:
             f"expected {expected} packed bytes for {n_frames} x {width} bits, "
             f"got {len(data)}"
         )
-    if n_frames == 0:
-        return np.zeros((0, width), dtype=np.uint8)
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(n_frames, row_bytes)
-    return np.unpackbits(raw, axis=1)[:, :width].copy()
+    return np.frombuffer(data, dtype=np.uint8).reshape(n_frames, row_bytes)
+
+
+def unpack_bits(data: bytes, n_frames: int, width: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: recover the ``(n_frames, width)`` rows."""
+    return np.unpackbits(_packed_rows(data, n_frames, width), axis=1, count=width)
 
 
 # ---------------------------------------------------------------------
@@ -199,6 +201,21 @@ def parse_batch_body(body: bytes, width_of_session) -> Tuple[int, np.ndarray]:
     width = width_of_session(session_id)
     bits = unpack_bits(body[_BATCH_HEADER.size:], n_frames, width)
     return session_id, bits
+
+
+def parse_packed_batch_body(body: bytes, width_of_session) -> Tuple[int, np.ndarray]:
+    """:func:`parse_batch_body` without the unpack: the rows stay packed.
+
+    Returns the session id and a read-only ``(n_frames, row_bytes)``
+    ``uint8`` view of the body's packed rows, one byte per frame for a
+    code with n <= 8.  The checks and their error texts are
+    :func:`parse_batch_body`'s.
+    """
+    if len(body) < _BATCH_HEADER.size:
+        raise ProtocolError(f"batch body too short ({len(body)} bytes)")
+    session_id, n_frames = _BATCH_HEADER.unpack_from(body)
+    width = width_of_session(session_id)
+    return session_id, _packed_rows(body[_BATCH_HEADER.size:], n_frames, width)
 
 
 def peek_batch_header(body: bytes) -> Tuple[int, int]:
@@ -534,6 +551,42 @@ def build_decode_response_body(
         + pack_bits(messages)
         + corrected8.tobytes()
         + detected.astype(np.uint8).tobytes()
+    )
+
+
+def decode_reply_rows(
+    messages: np.ndarray, corrected: np.ndarray, detected: np.ndarray
+) -> np.ndarray:
+    """One ``uint8`` DECODE reply row per frame: ``(batch, row_bytes + 2)``.
+
+    A row holds the frame's packed message bytes, its corrected count
+    (clamped to 255) and its detected flag: the frame's share of
+    :func:`build_decode_response_body`.  Rows slice and concatenate
+    like the frames they answer; :func:`build_decode_reply_body`
+    writes them to the wire.
+    """
+    return np.concatenate(
+        [
+            np.packbits(np.asarray(messages, dtype=np.uint8), axis=1),
+            np.minimum(corrected, 255).astype(np.uint8)[:, None],
+            np.asarray(detected).astype(np.uint8)[:, None],
+        ],
+        axis=1,
+    )
+
+
+def build_decode_reply_body(rows: np.ndarray) -> bytes:
+    """DECODE response from :func:`decode_reply_rows` rows.
+
+    Writes the frame count, every row's message bytes, then the
+    corrected column and the detected column: the bytes
+    :func:`build_decode_response_body` writes for the same frames.
+    """
+    row_bytes = rows.shape[1] - 2
+    return (
+        struct.pack("!I", rows.shape[0])
+        + rows[:, :row_bytes].tobytes()
+        + rows[:, row_bytes:].T.tobytes()
     )
 
 

@@ -23,10 +23,11 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Container, Dict, Optional
+from typing import Container, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.coding.decoders.base import Decoder
 from repro.coding.registry import (
     available_codes,
     available_decoders,
@@ -35,9 +36,10 @@ from repro.coding.registry import (
 )
 from repro.coding.stream import stream_span
 from repro.errors import CodingError, SessionError
+from repro.gf2.vectors import read_only
 from repro.link.channel import BinaryChannel
 from repro.service import protocol
-from repro.service.telemetry import ServiceTelemetry, SessionTelemetry
+from repro.service.telemetry import ServiceTelemetry, SessionTelemetry, decode_outcomes
 from repro.utils.rng import as_generator
 
 #: Session ids travel as uint16 in batch headers.
@@ -50,6 +52,52 @@ MAX_SESSIONS = 1024
 #: Most soft values a stream window may hold: ``stream_span * n``
 #: float64s, 1 MiB.
 MAX_STREAM_WINDOW_VALUES = 1 << 17
+
+
+#: Widest code whose DECODE replies come from a :func:`reply_table`:
+#: one request byte per frame.
+REPLY_TABLE_N_LIMIT = 8
+
+#: Reply tables by decoder object (see :func:`reply_table`).
+_REPLY_TABLES: Dict[Decoder, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def reply_table(decoder: Decoder) -> Tuple[np.ndarray, np.ndarray]:
+    """The DECODE reply and outcome counts of every request byte.
+
+    For a code with n <= :data:`REPLY_TABLE_N_LIMIT` a frame travels as
+    one byte, so a decoder can be sent only 256 distinct frames.  The
+    first array, ``(ceil(k / 8) + 2, 256)`` ``uint8``, holds in column
+    ``b`` the :func:`~repro.service.protocol.decode_reply_rows` row of
+    request byte ``b``: what ``parse_batch_body`` ->
+    ``decode_batch_detailed`` -> ``build_decode_response_body`` give for
+    it, the byte's spare low bits ignored as ``unpack_bits`` ignores
+    them.  The second, ``(256, 4)`` ``int64``, holds in row ``b`` the
+    :func:`~repro.service.telemetry.decode_outcomes` of that frame.
+
+    Both are filled by the decoder's own ``decode_batch_detailed`` on
+    all 256 bytes unpacked, so they are bit-identical to it by
+    construction.  Built once per decoder object, memoised
+    process-wide and read-only: every session of a
+    :func:`~repro.coding.registry.get_codec` pair shares them.
+    """
+    tables = _REPLY_TABLES.get(decoder)
+    if tables is None:
+        request = np.arange(256, dtype=np.uint8)[:, None]
+        result = decoder.decode_batch_detailed(
+            np.unpackbits(request, axis=1, count=decoder.code.n)
+        )
+        replies = protocol.decode_reply_rows(
+            result.messages, result.corrected_errors, result.detected_uncorrectable
+        )
+        outcomes = decode_outcomes(
+            result.corrected_errors, result.detected_uncorrectable
+        )
+        tables = _REPLY_TABLES[decoder] = (
+            read_only(np.ascontiguousarray(replies.T)),
+            read_only(outcomes),
+        )
+    return tables
 
 
 def free_session_id(start: int, live: Container[int]) -> int:
@@ -318,13 +366,39 @@ class CodecSession:
             codewords = self.channel.transmit(codewords, random_state=self._rng)
         return codewords
 
-    def decode_frames(self, received: np.ndarray):
-        """Decode a ``(batch, n)`` block; returns a ``BatchDecodeResult``."""
-        result = self.decoder.decode_batch_detailed(received)
+    def decode_frames(self, rows: np.ndarray) -> np.ndarray:
+        """Decode a block of packed received words into DECODE reply rows.
+
+        ``rows`` is ``(batch, ceil(n / 8))`` ``uint8``, the words as the
+        wire packs them.  Returns :func:`~repro.service.protocol.decode_reply_rows`
+        rows, ``(batch, ceil(k / 8) + 2)``.  For a code with n <= 8 each
+        frame is one byte, and the block is one gather from the
+        decoder's :func:`reply_table`; its outcome counts are a
+        ``bincount`` of the same bytes times the table's outcome
+        matrix.  Wider codes unpack the words, run
+        :meth:`~repro.coding.decoders.base.Decoder.decode_batch_detailed`
+        and pack its result.  Either way each row is what
+        :func:`~repro.service.protocol.build_decode_response_body`
+        writes for ``decode_batch_detailed`` of the unpacked word.
+        """
+        if self.n <= REPLY_TABLE_N_LIMIT:
+            columns, outcomes = reply_table(self.decoder)
+            index = rows.reshape(-1)
+            self.telemetry.record_decode_counts(
+                *(np.bincount(index, minlength=256) @ outcomes)
+            )
+            # Gathered column-major, so the reply body copies each
+            # column whole.
+            return columns.take(index, axis=1).T
+        result = self.decoder.decode_batch_detailed(
+            np.unpackbits(rows, axis=1, count=self.n)
+        )
         self.telemetry.record_decode_outcome(
             result.corrected_errors, result.detected_uncorrectable
         )
-        return result
+        return protocol.decode_reply_rows(
+            result.messages, result.corrected_errors, result.detected_uncorrectable
+        )
 
     def decode_soft_frames(self, confidences: np.ndarray):
         """Soft-decode a ``(batch, n)`` float confidence block.

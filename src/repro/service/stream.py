@@ -74,6 +74,10 @@ class _PushRecord:
 class StreamLane:
     """Sliding-window decode state and deadline policy of one session.
 
+    A lane outlives any one event loop (a server may be stopped and
+    started again under a new one), so each push and each deadline
+    timer takes the running loop.
+
     Parameters
     ----------
     session:
@@ -97,7 +101,6 @@ class StreamLane:
         self.session = session
         self.decoder = SlidingWindowDecoder(session.decoder, depth, shift)
         self.deadline_us = deadline_us
-        self.loop = asyncio.get_running_loop()
         self.records: Deque[_PushRecord] = deque()
         self.timer: Optional[asyncio.TimerHandle] = None
         self.closed = False
@@ -138,7 +141,8 @@ class StreamLane:
             )
         arrival = time.perf_counter()
         record = _PushRecord(
-            first_index, len(frames), self.session.k, self.loop, arrival, trace
+            first_index, len(frames), self.session.k, asyncio.get_running_loop(),
+            arrival, trace,
         )
         self.records.append(record)
         decisions = self.decoder.push(frames)
@@ -222,7 +226,7 @@ class StreamLane:
             return
         due = self.records[0].arrival + self.deadline_us * 1e-6
         delay = max(0.0, due - time.perf_counter())
-        self.timer = self.loop.call_later(delay, self._on_deadline)
+        self.timer = asyncio.get_running_loop().call_later(delay, self._on_deadline)
 
     def _on_deadline(self) -> None:
         """Force every codeword whose push is older than the deadline."""

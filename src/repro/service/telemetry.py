@@ -99,6 +99,24 @@ _MEMORY_TOTALS = ("sec_total", "ded_total", "corrected_bits_total",
                   "scrubbed_lines", "repaired_lines", "rot_bits")
 
 
+def decode_outcomes(corrected_errors, detected_uncorrectable) -> np.ndarray:
+    """Each decoded frame's outcome counts: a ``(batch, 4)`` int64 array.
+
+    The columns are ``corrected``, ``detected``, ``accepted`` and
+    ``bits``.  A frame counts once as corrected (the decoder repaired a
+    bit and raised no flag), detected (flagged uncorrectable) or
+    accepted (neither), and ``bits`` is its corrected bit count.  The
+    column sums are what :meth:`SessionTelemetry.record_decode_counts`
+    takes.
+    """
+    corrected = np.asarray(corrected_errors, dtype=np.int64)
+    detected = np.asarray(detected_uncorrectable, dtype=bool)
+    return np.stack(
+        [(corrected > 0) & ~detected, detected, ~detected & (corrected == 0), corrected],
+        axis=1,
+    )
+
+
 def declare_families(registry: MetricsRegistry) -> Dict[str, MetricFamily]:
     """Register every service family on ``registry``; returns key -> family."""
     return {
@@ -155,17 +173,29 @@ class SessionTelemetry:
         detected_uncorrectable: np.ndarray,
         soft: bool = False,
     ) -> None:
+        """Count one decoded batch, classified as :func:`decode_outcomes` does.
+
+        ``soft`` also counts the batch under the soft-path series.
+        """
         corrected = np.asarray(corrected_errors)
         detected = np.asarray(detected_uncorrectable, dtype=bool)
-        repaired = int(((corrected > 0) & ~detected).sum())
-        series = self._series
-        series["outcomes", "corrected"].inc(repaired)
-        series["outcomes", "detected"].inc(int(detected.sum()))
-        series["outcomes", "accepted"].inc(int((~detected & (corrected == 0)).sum()))
-        series[("bits",)].inc(int(corrected.sum()))
+        flagged = int(np.count_nonzero(detected))
+        repaired = int(np.count_nonzero((corrected > 0) & ~detected))
+        accepted = detected.size - flagged - repaired
+        self.record_decode_counts(repaired, flagged, accepted, int(corrected.sum()))
         if soft:
-            series["soft", "decoded"].inc(int(corrected.size))
-            series["soft", "corrected"].inc(repaired)
+            self._series["soft", "decoded"].inc(detected.size)
+            self._series["soft", "corrected"].inc(repaired)
+
+    def record_decode_counts(
+        self, corrected: int, detected: int, accepted: int, bits: int
+    ) -> None:
+        """Count pre-classified decoded frames: :func:`decode_outcomes` column sums."""
+        series = self._series
+        series["outcomes", "corrected"].inc(int(corrected))
+        series["outcomes", "detected"].inc(int(detected))
+        series["outcomes", "accepted"].inc(int(accepted))
+        series[("bits",)].inc(int(bits))
 
     def record_latency_us(self, latency_us: float, op: str = "") -> None:
         self._series["latency", op].observe(float(latency_us))

@@ -184,11 +184,9 @@ class DispatchCore:
         return protocol.build_encode_response_body(codewords)
 
     async def _op_decode(self, session: CodecSession, body: bytes) -> bytes:
-        _, received = protocol.parse_batch_body(body, lambda _: session.n)
-        result = await self.batcher.submit(session, "decode", received)
-        return protocol.build_decode_response_body(
-            result.messages, result.corrected_errors, result.detected_uncorrectable
-        )
+        _, rows = protocol.parse_packed_batch_body(body, lambda _: session.n)
+        replies = await self.batcher.submit(session, "decode", rows)
+        return protocol.build_decode_reply_body(replies)
 
     async def _op_decode_soft(self, session: CodecSession, body: bytes) -> bytes:
         _, confidences = protocol.parse_soft_batch_body(body, lambda _: session.n)

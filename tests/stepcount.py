@@ -8,38 +8,62 @@ import gc
 import sys
 
 
-def count_steps(fn) -> int:
-    """Calls made and Python lines run by one ``fn()``, after a warm-up.
+class StepCounter:
+    """Counts calls made and Python lines run between :meth:`start` and :meth:`stop`.
 
-    The warm-up builds whatever the kernel memoises (decode tables,
-    codebooks).  The garbage collector is off while counting, so no
-    finaliser can add steps.  Any tracer already installed (a coverage
-    run's) is put back afterwards.
+    Lines count in frames entered, or coroutines resumed, while the
+    count runs; calls count everywhere.  :meth:`stop` may run deep
+    inside the counted code (say, in a writer's ``write``): nothing
+    counts after it.  The garbage collector is off while counting, so
+    no finaliser can add steps, and any tracer already installed (a
+    coverage run's) is put back by :meth:`stop`.
     """
-    fn()
-    steps = 0
 
-    def profile(frame, event, arg):
-        nonlocal steps
-        if event in ("call", "c_call"):
-            steps += 1
+    def __init__(self):
+        self.steps = 0
+        self._counting = False
+        self._saved = None
 
-    def trace(frame, event, arg):
-        nonlocal steps
+    def _profile(self, frame, event, arg):
+        if self._counting and event in ("call", "c_call"):
+            self.steps += 1
+
+    def _trace(self, frame, event, arg):
+        if not self._counting:
+            return None
         if event == "line":
-            steps += 1
-        return trace
+            self.steps += 1
+        return self._trace
 
-    previous_profile, previous_trace = sys.getprofile(), sys.gettrace()
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.settrace(trace)
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
+    def start(self) -> None:
+        self._saved = (sys.getprofile(), sys.gettrace(), gc.isenabled())
+        gc.disable()
+        self._counting = True
+        sys.settrace(self._trace)
+        sys.setprofile(self._profile)
+
+    def stop(self) -> None:
+        if not self._counting:
+            return
+        self._counting = False
+        previous_profile, previous_trace, collecting = self._saved
         sys.setprofile(previous_profile)
         sys.settrace(previous_trace)
         if collecting:
             gc.enable()
-    return steps
+
+
+def count_steps(fn) -> int:
+    """Calls made and Python lines run by one ``fn()``, after a warm-up.
+
+    The warm-up builds whatever the kernel memoises (decode tables,
+    codebooks).
+    """
+    fn()
+    counter = StepCounter()
+    counter.start()
+    try:
+        fn()
+    finally:
+        counter.stop()
+    return counter.steps

@@ -132,3 +132,97 @@ def test_cpu_model_reads_the_first_model_name(tmp_path):
                        "processor\t: 1\nmodel name\t: Other\n")
     assert tool.cpu_model(str(cpuinfo)) == "Example CPU @ 2.0GHz"
     assert tool.cpu_model(str(tmp_path / "missing")) == "unknown"
+
+
+# ---------------------------------------------------------------------
+# --compare: two trajectory files side by side
+# ---------------------------------------------------------------------
+END_TO_END = [
+    {"name": "throughput_fps", "unit": "frames/s", "better": "higher", "bound": 0.25},
+    {"name": "server_cpu_us_per_frame", "unit": "us/frame", "better": "lower", "bound": 0.25},
+]
+
+HOST = {"cpu_model": "Example Xeon", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
+        "calibration_iter_per_cpu_s": {"before": 3.5e7, "after": 3.4e7}}
+
+
+def _trajectory(medians, host=HOST):
+    """A trajectory file whose change arm has these ``{workload: {metric: median}}``."""
+    return {
+        "host": host,
+        "summary": {"change": {
+            workload: {name: {"median": value, "q1": value, "q3": value, "n": 10}
+                       for name, value in metrics.items()}
+            for workload, metrics in medians.items()
+        }},
+    }
+
+
+def _flags(old, new):
+    rows = tool.compare(_trajectory(old), _trajectory(new), END_TO_END)
+    return {(row["workload"], row["metric"]): row["flagged"] for row in rows}
+
+
+def test_compare_flags_a_move_past_the_bound_when_higher_is_better():
+    old = {"wire-bulk": {"throughput_fps": 100.0}, "wire-small": {"throughput_fps": 100.0}}
+    new = {"wire-bulk": {"throughput_fps": 74.0}, "wire-small": {"throughput_fps": 76.0}}
+    assert _flags(old, new) == {
+        ("wire-bulk", "throughput_fps"): True,
+        ("wire-small", "throughput_fps"): False,
+    }
+    # A rise of any size is better, never flagged.
+    assert _flags(new, old) == {
+        ("wire-bulk", "throughput_fps"): False,
+        ("wire-small", "throughput_fps"): False,
+    }
+
+
+def test_compare_flags_a_move_past_the_bound_when_lower_is_better():
+    old = {"wire-bulk": {"server_cpu_us_per_frame": 1.0},
+           "wire-small": {"server_cpu_us_per_frame": 1.0}}
+    new = {"wire-bulk": {"server_cpu_us_per_frame": 1.26},
+           "wire-small": {"server_cpu_us_per_frame": 1.24}}
+    assert _flags(old, new) == {
+        ("wire-bulk", "server_cpu_us_per_frame"): True,
+        ("wire-small", "server_cpu_us_per_frame"): False,
+    }
+    assert not any(_flags(new, old).values())
+
+
+def test_compare_rows_carry_both_medians_and_the_move():
+    rows = tool.compare(
+        _trajectory({"wire-bulk": {"throughput_fps": 25.0e6}}),
+        _trajectory({"wire-bulk": {"throughput_fps": 68.75e6}, "new-only": {}}),
+        END_TO_END,
+    )
+    assert rows == [{
+        "workload": "wire-bulk", "metric": "throughput_fps", "old": 25.0e6,
+        "new": 68.75e6, "move": pytest.approx(1.75), "bound": 0.25, "flagged": False,
+    }]
+
+
+def test_compare_warns_when_the_hosts_differ():
+    assert tool.host_warnings(HOST, dict(HOST, calibration_iter_per_cpu_s={
+        "before": 3.2e7, "after": 3.3e7})) == []
+    other = dict(HOST, cpu_model="Other CPU", numpy="2.3.0",
+                 calibration_iter_per_cpu_s={"before": 4.0e7, "after": 4.0e7})
+    warnings = tool.host_warnings(HOST, other)
+    assert len(warnings) == 3
+    assert any("cpu_model" in warning for warning in warnings)
+    assert any("numpy" in warning for warning in warnings)
+    assert any("calibration" in warning for warning in warnings)
+    assert len(tool.host_warnings(HOST, dict(HOST, python="3.12.1"))) == 1
+
+
+def test_compare_exits_1_on_a_flag_and_prints_the_warnings(tmp_path, capsys):
+    old, new, slow = (tmp_path / name for name in ("old.json", "new.json", "slow.json"))
+    old.write_text(json.dumps(_trajectory({"wire-bulk": {"throughput_fps": 100.0}})))
+    new.write_text(json.dumps(_trajectory({"wire-bulk": {"throughput_fps": 95.0}})))
+    slow.write_text(json.dumps(_trajectory({"wire-bulk": {"throughput_fps": 50.0}},
+                                           dict(HOST, python="3.12.1"))))
+    assert tool.main(["--compare", str(old), str(new)]) == 0
+    assert "WARNING" not in capsys.readouterr().out
+    assert tool.main(["--compare", str(old), str(slow)]) == 1
+    out = capsys.readouterr().out
+    assert "WARNING: hosts differ: python" in out
+    assert "WORSE" in out and "-50.0%" in out

@@ -329,6 +329,14 @@ def _core_session(**kwargs):
     return core.open_session(SessionConfig(code="hamming84", **kwargs)), core
 
 
+def _reply_rows(code, words) -> np.ndarray:
+    """The packed reference: DECODE reply rows of the direct batch decode."""
+    direct = get_decoder(code).decode_batch_detailed(words)
+    return protocol.decode_reply_rows(
+        direct.messages, direct.corrected_errors, direct.detected_uncorrectable
+    )
+
+
 def _flush_reasons(core, session) -> dict:
     """The session's STATS flush-reason tally."""
     return core.stats()["sessions"][str(session.session_id)]["flush_reasons"]
@@ -377,6 +385,7 @@ class TestMicroBatcher:
             rng.integers(0, 2, (clients * requests, code.k)).astype(np.uint8)
         )
         words = sent ^ (rng.random(sent.shape) < 0.02).astype(np.uint8)
+        packed = np.packbits(words, axis=1)
 
         async def scenario():
             session = _session()
@@ -394,7 +403,7 @@ class TestMicroBatcher:
             async def client(c):
                 for row in range(c * requests, (c + 1) * requests):
                     results[row] = await batcher.submit(
-                        session, "decode", words[row:row + 1]
+                        session, "decode", packed[row:row + 1]
                     )
 
             await asyncio.gather(*(client(c) for c in range(clients)))
@@ -402,18 +411,7 @@ class TestMicroBatcher:
 
         calls, results = run(scenario())
         assert calls == [clients] * requests
-        direct = get_decoder(code).decode_batch_detailed(words)
-        assert np.array_equal(
-            np.concatenate([r.messages for r in results]), direct.messages
-        )
-        assert np.array_equal(
-            np.concatenate([r.corrected_errors for r in results]),
-            direct.corrected_errors,
-        )
-        assert np.array_equal(
-            np.concatenate([r.detected_uncorrectable for r in results]),
-            direct.detected_uncorrectable,
-        )
+        assert np.array_equal(np.concatenate(results), _reply_rows(code, words))
 
     def test_turn_flush_fires_without_filling(self):
         async def scenario():
@@ -439,7 +437,9 @@ class TestMicroBatcher:
         """
         clients, requests = 64, 5
         rng = np.random.default_rng(31)
-        words = rng.integers(0, 2, (clients * requests, 8)).astype(np.uint8)
+        words = np.packbits(
+            rng.integers(0, 2, (clients * requests, 8)).astype(np.uint8), axis=1
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError("the batcher armed a timer")
@@ -511,33 +511,31 @@ class TestMicroBatcher:
             batcher = MicroBatcher()
             rng = np.random.default_rng(3)
             words = rng.integers(0, 2, (40, 8)).astype(np.uint8)
-            chunks = [words[i:i + 5] for i in range(0, 40, 5)]
+            packed = np.packbits(words, axis=1)
+            chunks = [packed[i:i + 5] for i in range(0, 40, 5)]
             results = await asyncio.gather(
                 *(batcher.submit(session, "decode", chunk) for chunk in chunks)
             )
             return results, words
 
         results, words = run(scenario())
-        direct = get_decoder(get_code("hamming84")).decode_batch_detailed(words)
-        got_messages = np.concatenate([r.messages for r in results])
-        got_corrected = np.concatenate([r.corrected_errors for r in results])
-        got_detected = np.concatenate([r.detected_uncorrectable for r in results])
-        assert np.array_equal(got_messages, direct.messages)
-        assert np.array_equal(got_corrected, direct.corrected_errors)
-        assert np.array_equal(got_detected, direct.detected_uncorrectable)
+        assert [len(r) for r in results] == [5] * 8
+        assert np.array_equal(
+            np.concatenate(results), _reply_rows(get_code("hamming84"), words)
+        )
 
     def test_empty_request_completes_immediately(self):
         async def scenario():
             session = _session()
             batcher = MicroBatcher()
             empty = await batcher.submit(
-                session, "decode", np.zeros((0, 8), dtype=np.uint8)
+                session, "decode", np.zeros((0, 1), dtype=np.uint8)
             )
             return empty
 
         empty = run(scenario())
-        assert len(empty) == 0
-        assert empty.messages.shape == (0, 4)
+        assert empty.shape == (0, 3)  # a packed k=4 message and two flags
+        assert protocol.build_decode_reply_body(empty) == b"\x00" * 4
 
     def test_request_larger_than_a_chunk_is_chunked(self):
         # A request over MAX_CHUNK_FRAMES flows through in chunks of that
@@ -552,15 +550,14 @@ class TestMicroBatcher:
             )
             words = rng.integers(0, 2, (MAX_CHUNK_FRAMES + 21, 8)).astype(np.uint8)
             decoded = await asyncio.wait_for(
-                batcher.submit(session, "decode", words), timeout=5.0
+                batcher.submit(session, "decode", np.packbits(words, axis=1)),
+                timeout=5.0,
             )
             return msgs, encoded, words, decoded
 
         msgs, encoded, words, decoded = run(scenario())
         assert np.array_equal(encoded, get_code("hamming84").encode_batch(msgs))
-        direct = get_decoder(get_code("hamming84")).decode_batch_detailed(words)
-        assert np.array_equal(decoded.messages, direct.messages)
-        assert np.array_equal(decoded.corrected_errors, direct.corrected_errors)
+        assert np.array_equal(decoded, _reply_rows(get_code("hamming84"), words))
 
     def test_kernel_error_propagates_to_every_request(self):
         async def scenario():
@@ -569,7 +566,7 @@ class TestMicroBatcher:
                 RuntimeError("kernel exploded")
             )
             batcher = MicroBatcher()
-            words = np.zeros((1, 8), dtype=np.uint8)
+            words = np.zeros((1, 1), dtype=np.uint8)
             futures = [
                 asyncio.ensure_future(batcher.submit(session, "decode", words))
                 for _ in range(2)
@@ -1175,6 +1172,58 @@ class TestSoftOp:
 # Session lifecycle: lane cleanup, clocks, flush safety
 # ---------------------------------------------------------------------
 class TestServiceLifecycle:
+    def test_sessions_answer_after_a_restart_under_a_new_event_loop(self):
+        """Regression: a lane kept the loop it was built under.
+
+        A server stopped in one ``asyncio.run`` and started in another
+        answered a one-frame DECODE of an older session with "internal
+        error: Event loop is closed", and a non-final push to an older
+        depth-4 stream with an internal error naming a future attached
+        to a different loop.
+        """
+        code = get_code("hamming84")
+        words = code.encode_batch(np.array([[1, 0, 1, 1]], dtype=np.uint8))
+        confidences = 1.0 - 2.0 * np.repeat(words, 4, axis=0).astype(np.float64)
+        server = CodecServer(workers=0)
+
+        async def first_life():
+            await server.start()
+            client = await CodecClient.connect(port=server.port)
+            batch = await client.open_session("hamming84", seed=1)
+            stream = await client.open_session("hamming84", seed=2, stream_depth=4)
+            decoded = await batch.decode(words)
+            await stream.decode_stream(confidences[:1], 0, final=True)
+            await client.close()
+            await server.stop()
+            return batch.session_id, stream.session_id, decoded.messages
+
+        async def second_life(batch_id, stream_id):
+            await server.start()
+            client = await CodecClient.connect(port=server.port)
+            body = protocol.build_batch_body(batch_id, words)
+            decode = await client.request(protocol.OP_DECODE, body)
+            pushes = [
+                protocol.build_stream_push_body(stream_id, 1, confidences[1:3]),
+                protocol.build_stream_push_body(stream_id, 3, confidences[3:], final=True),
+            ]
+            sent = [
+                await client.send_request(protocol.OP_DECODE_STREAM, push)
+                for push in pushes
+            ]
+            replies = await asyncio.gather(*sent)
+            await client.close()
+            await server.stop()
+            return decode, replies
+
+        batch_id, stream_id, first = run(first_life())
+        decode, replies = run(second_life(batch_id, stream_id))
+        messages, _, _ = protocol.parse_decode_response_body(decode.body, code.k)
+        assert np.array_equal(messages, first)
+        for reply, rows in zip(replies, (2, 1)):
+            assert reply.status == protocol.ST_OK, reply.body
+            decided = protocol.parse_stream_response_body(reply.body, code.k)
+            assert len(decided[0]) == rows
+
     def test_lane_map_stays_bounded_over_session_churn(self):
         """Regression: closed sessions must not leak (session, op) lanes."""
         from repro.service import DispatchCore
@@ -1182,7 +1231,7 @@ class TestServiceLifecycle:
         async def scenario():
             core = DispatchCore()
             msgs = np.ones((2, 4), dtype=np.uint8)
-            words = np.zeros((2, 8), dtype=np.uint8)
+            words = np.zeros((2, 1), dtype=np.uint8)  # two packed hamming84 words
             for i in range(25):
                 # Distinct seeds make distinct configs, so every cycle
                 # opens a genuinely new session (no dedup rejoin).

@@ -15,10 +15,11 @@ measures mostly jitter.
   record path adds at least 4,032 steps and fails.
 * One request: in a closed loop of 64 one-frame clients, the steps
   added per request must stay at most :data:`STEPS_PER_REQUEST`.  On
-  CPython 3.11 the count is 12.7: two counter increments and one
+  CPython 3.11 the count is 12.4: two counter increments and one
   histogram observe per request, plus a 64th of each flush's batch
-  and outcome records.  One more call in a per-request hook adds at
-  least one step per request and fails; the half-step of slack only
+  record and of its outcome counts (one ``record_decode_counts`` of
+  the reply table's outcome rows).  One more call in a per-request
+  hook adds at least one step per request and fails; the slack only
   absorbs per-flush differences between interpreter versions.
 """
 
@@ -49,16 +50,20 @@ class _NoopTelemetry:
     def record_decode_outcome(self, corrected, detected, soft=False):
         pass
 
+    def record_decode_counts(self, corrected, detected, accepted, bits):
+        pass
+
     def record_latency_us(self, latency_us, op=""):
         pass
 
 
 def _words(rows: int, seed: int) -> np.ndarray:
-    """Noisy hamming84 words, so the decoder has corrections to count."""
+    """Noisy hamming84 words, packed as the wire carries them, so the
+    decoder has corrections to count."""
     code = get_code("hamming84")
     rng = np.random.default_rng(seed)
     sent = code.encode_batch(rng.integers(0, 2, (rows, code.k)).astype(np.uint8))
-    return sent ^ (rng.random(sent.shape) < 0.05).astype(np.uint8)
+    return np.packbits(sent ^ (rng.random(sent.shape) < 0.05).astype(np.uint8), axis=1)
 
 
 def _added_steps(drive) -> int:

@@ -25,6 +25,16 @@ apart.
 The parent is exported under the temporary directory (``TMPDIR``).  The
 benchmark pins its generator and server to one CPU each: run nothing
 else while it measures.
+
+``--compare OLD NEW`` runs nothing.  It sets two trajectory files side
+by side: for every workload and end-to-end metric, the change arm's
+median in each file and the relative move between them.  A move past
+the metric's ``BENCHMARK.json`` bound in the worse direction is flagged,
+and any flag makes the exit status 1.  The two files' hosts are
+compared first, with a warning for each difference that makes their
+numbers hard to set side by side (:func:`host_warnings`).
+
+    python3 tools/bench_trajectory.py --compare BENCH_31.json BENCH_32.json
 """
 
 from __future__ import annotations
@@ -50,6 +60,10 @@ ARMS = ("parent", "change")
 
 #: Times a CONTAMINATED run is run again before it is kept as it is.
 MAX_RERUNS = 3
+
+#: Largest relative gap between two hosts' calibration rates that
+#: ``--compare`` passes without a warning.
+CALIBRATION_TOLERANCE = 0.10
 
 
 def calibration_rate() -> float:
@@ -160,6 +174,81 @@ def report(command: str, perfbench: dict, host: dict, arms: dict, runs: List[dic
     }
 
 
+def host_warnings(old: dict, new: dict) -> List[str]:
+    """Why two files' hosts may not compare: CPU, versions, calibration rate.
+
+    Each host's rate is the mean of its before and after calibration;
+    rates more than :data:`CALIBRATION_TOLERANCE` apart, relative to the
+    older host's, warn.
+    """
+    warnings = [
+        f"{key} differs: {old.get(key)!r} -> {new.get(key)!r}"
+        for key in ("cpu_model", "python", "numpy")
+        if old.get(key) != new.get(key)
+    ]
+    rates = [
+        sum(host["calibration_iter_per_cpu_s"].values())
+        / len(host["calibration_iter_per_cpu_s"])
+        for host in (old, new)
+    ]
+    gap = abs(rates[1] - rates[0]) / rates[0]
+    if gap > CALIBRATION_TOLERANCE:
+        warnings.append(
+            f"calibration rates {rates[0]:.4g} -> {rates[1]:.4g} iter/CPU s differ "
+            f"by {gap:.0%}, over {CALIBRATION_TOLERANCE:.0%}"
+        )
+    return warnings
+
+
+def compare(old: dict, new: dict, end_to_end: Sequence[dict]) -> List[dict]:
+    """Change-arm medians of two files, per workload and end-to-end metric.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list (name, better, bound).
+    Each row holds both medians, the relative move from ``old`` to
+    ``new`` and whether it is past the bound in the worse direction.
+    Workloads missing from either file are left out.
+    """
+    rows = []
+    old_arm, new_arm = old["summary"]["change"], new["summary"]["change"]
+    for workload in new_arm:
+        if workload not in old_arm:
+            continue
+        for metric in end_to_end:
+            name = metric["name"]
+            if name not in old_arm[workload] or name not in new_arm[workload]:
+                continue
+            before = old_arm[workload][name]["median"]
+            after = new_arm[workload][name]["median"]
+            if before:
+                move = (after - before) / abs(before)
+            else:
+                move = 0.0 if after == before else float("inf") * (after - before)
+            worse = -move if metric["better"] == "higher" else move
+            rows.append({
+                "workload": workload, "metric": name, "old": before, "new": after,
+                "move": move, "bound": metric["bound"],
+                "flagged": worse > metric["bound"],
+            })
+    return rows
+
+
+def print_comparison(old_path: str, new_path: str, bench: dict) -> int:
+    """Print ``--compare``'s table and warnings; 1 if any move is flagged."""
+    old = json.loads(Path(old_path).read_text())
+    new = json.loads(Path(new_path).read_text())
+    for warning in host_warnings(old["host"], new["host"]):
+        print(f"WARNING: hosts differ: {warning}")
+    rows = compare(old, new, bench["end_to_end"])
+    print(f"change-arm medians, {old_path} -> {new_path}")
+    for row in rows:
+        flag = f"  WORSE past its {row['bound']:g} bound" if row["flagged"] else ""
+        print(f"{row['workload']:<14} {row['metric']:<24} {row['old']:>12.5g} -> "
+              f"{row['new']:>12.5g}  {row['move']:+8.1%}{flag}")
+    flagged = sum(row["flagged"] for row in rows)
+    print(f"{flagged} of {len(rows)} moves past their bound")
+    return 1 if flagged else 0
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args],
                           capture_output=True, text=True, check=True).stdout.strip()
@@ -193,12 +282,18 @@ def run_once(command: Sequence[str], tree: Path, workload: str, seed: int, secon
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent arm")
-    parser.add_argument("--out", required=True, help="trajectory file to write, e.g. BENCH_31.json")
+    parser.add_argument("--parent", help="git revision of the parent arm")
+    parser.add_argument("--out", help="trajectory file to write, e.g. BENCH_31.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two trajectory files instead of running")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.compare:
+        return print_comparison(*args.compare, bench)
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required unless --compare is given")
     command, seconds = bench["command"], bench["run_seconds"]
     workloads = [workload["name"] for workload in bench["workloads"]]
     host = {
