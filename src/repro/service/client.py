@@ -357,7 +357,7 @@ class CodecClient:
         memory_lines: Optional[int] = None,
         memory_rot: float = 0.0,
     ) -> SessionHandle:
-        """Open (or join) a codec session and return its handle.
+        """Open a session, live until its close or this connection's end.
 
         Passing ``stream_depth`` declares a streaming session: its
         frames are convolutionally interleaved at ``depth``/``shift``

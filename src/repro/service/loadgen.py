@@ -59,7 +59,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Awaitable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from repro.coding.stream import interleave_stream
 from repro.link.burst import GilbertElliottChannel
 from repro.memory.reference import ReferenceMemory
 from repro.service import protocol
-from repro.service.client import CodecClient
+from repro.service.client import CodecClient, SessionHandle
 from repro.service.session import SessionConfig
 from repro.utils.rng import as_generator, spawn_generators
 
@@ -108,7 +108,8 @@ class Scenario:
     name, description : str
         Identification for reports.
     sessions : tuple of SessionConfig
-        Session configs; client ``i`` uses ``sessions[i % len(sessions)]``.
+        Session configs; client ``i`` uses ``sessions[i % len(sessions)]``,
+        through the one session its connection opens for that config.
     burst_len : int, optional
         Requests per burst; ``None`` streams continuously.
     idle_s : float
@@ -118,16 +119,16 @@ class Scenario:
         is sent back for decoding (the ``burst`` scenario's drill);
         draws come from each client's own seeded stream.
     stream : bool
-        Streaming decode traffic: each client privatises its session
-        config (streams are stateful and cannot be shared) and drives
-        the sliding-window lane instead of batch round trips.
+        Streaming decode traffic: each client opens its own session
+        (a stream is per-session state) and drives the sliding-window
+        lane instead of batch round trips.
     interval_s : float
         Pacing between stream pushes (a paced source emulating a real
         link's frame cadence); 0 pushes back to back.  An interval
         longer than the session's deadline guarantees misses — that is
         the CI tight-budget drill.
     memory : bool
-        Memory-session traffic: each client privatises its config (the
+        Memory-session traffic: each client opens its own session (the
         store is per-session state) and drives write/RMW/read/scrub
         transactions against a local reference mirror instead of batch
         round trips.
@@ -257,7 +258,7 @@ def stream_scenario(
 ) -> Scenario:
     """Sliding-window streaming decode at ``depth``/``shift``.
 
-    Every client derives a private session from this config (a stream's
+    Every client opens its own session of this config (a stream's
     window is per-session state; sharing one would interleave two
     clients' frame sequences).  With ``deadline_us`` set, codewords
     still open when the budget expires are forced to best-effort
@@ -298,7 +299,7 @@ def memory_scenario(
 ) -> Scenario:
     """ECC-memory traffic: hot/cold write/RMW/read mix plus scrubbing.
 
-    Every client derives a private memory session from this config (the
+    Every client opens its own memory session of this config (the
     store is per-session state; sharing one would interleave two
     clients' transaction streams) and mirrors it with a seeded
     :class:`~repro.memory.reference.ReferenceMemory`, asserting every
@@ -461,79 +462,67 @@ def render(report: LoadReport) -> str:
 
 async def _run_stream_client(
     index: int,
-    host: str,
-    port: int,
+    client: CodecClient,
     scenario: Scenario,
     requests: int,
     frames_per_request: int,
     rng: np.random.Generator,
     report: LoadReport,
     soft_sigma: float = 0.0,
-    client: Optional[CodecClient] = None,
 ) -> None:
     base = scenario.sessions[index % len(scenario.sessions)]
-    # Streams are per-session state, so each client privatises its
-    # config with a seed unique across the fleet (draw ⊕ index keeps
-    # two clients from colliding onto one session).
+    # Streams are per-session state, so each client opens its own
+    # session, seeded uniquely across the fleet (draw ⊕ index).
     config = replace(base, seed=int(rng.integers(0, 2**20)) * 4096 + index)
-    owns_connection = client is None
-    if owns_connection:
-        client = await CodecClient.connect(host, port)
-    try:
-        session = await client.open_session(**config.to_dict())
-        depth = int(config.stream_depth)
-        shift = int(config.stream_shift)
-        count = requests * frames_per_request
-        messages = rng.integers(0, 2, (count, session.k)).astype(np.uint8)
-        words = np.empty((count, session.n), dtype=np.uint8)
-        for start in range(0, count, frames_per_request):
-            stop = start + frames_per_request
-            t0 = time.perf_counter()
-            words[start:stop] = await session.encode(messages[start:stop])
-            report.encode_latency.record((time.perf_counter() - t0) * 1e6)
-        channel_frames = interleave_stream(words, depth, shift=shift)
-        confidences = 1.0 - 2.0 * channel_frames.astype(np.float64)
-        if soft_sigma > 0:
-            confidences += rng.normal(0.0, soft_sigma, confidences.shape)
-        # Pipelined pushes: await only the *send* of each chunk (wire
-        # order is the stream order); decisions resolve span frames
-        # later and are collected after the final push drains them all.
-        total = len(channel_frames)
-        decisions = []
+    session = await client.open_session(**config.to_dict())
+    depth = int(config.stream_depth)
+    shift = int(config.stream_shift)
+    count = requests * frames_per_request
+    messages = rng.integers(0, 2, (count, session.k)).astype(np.uint8)
+    words = np.empty((count, session.n), dtype=np.uint8)
+    for start in range(0, count, frames_per_request):
+        stop = start + frames_per_request
         t0 = time.perf_counter()
-        for start in range(0, total, frames_per_request):
-            stop = min(start + frames_per_request, total)
-            if scenario.interval_s and start:
-                await asyncio.sleep(scenario.interval_s)
-            decisions.append(
-                await session.push_stream(
-                    confidences[start:stop], start, final=stop >= total
-                )
+        words[start:stop] = await session.encode(messages[start:stop])
+        report.encode_latency.record((time.perf_counter() - t0) * 1e6)
+    channel_frames = interleave_stream(words, depth, shift=shift)
+    confidences = 1.0 - 2.0 * channel_frames.astype(np.float64)
+    if soft_sigma > 0:
+        confidences += rng.normal(0.0, soft_sigma, confidences.shape)
+    # Pipelined pushes: await only the *send* of each chunk (wire
+    # order is the stream order); decisions resolve span frames
+    # later and are collected after the final push drains them all.
+    total = len(channel_frames)
+    decisions = []
+    t0 = time.perf_counter()
+    for start in range(0, total, frames_per_request):
+        stop = min(start + frames_per_request, total)
+        if scenario.interval_s and start:
+            await asyncio.sleep(scenario.interval_s)
+        decisions.append(
+            await session.push_stream(
+                confidences[start:stop], start, final=stop >= total
             )
-        blocks = [await pending for pending in decisions]
-        # One sample per client: wall time to stream and fully drain.
-        report.decode_latency.record((time.perf_counter() - t0) * 1e6)
-        status = np.concatenate([block.status for block in blocks])
-        decided = np.concatenate([block.messages for block in blocks])
-        detected = np.concatenate(
-            [block.detected_uncorrectable for block in blocks]
         )
-        report.frames_sent += count
-        report.deadline_missed_frames += int(
-            (status == protocol.STREAM_ROW_FORCED).sum()
-        )
-        # Only the first `count` rows carry real codewords (the tail
-        # `span` rows are the drain of partially-filled windows), and
-        # only rows decided on time promise bit-identity to offline.
-        on_time = status[:count] == protocol.STREAM_ROW_ON_TIME
-        report.residual_frames += int(
-            (decided[:count][on_time] != messages[on_time]).any(axis=1).sum()
-        )
-        report.flagged_frames += int(detected[:count][on_time].sum())
-        await session.close()
-    finally:
-        if owns_connection:
-            await client.close()
+    blocks = [await pending for pending in decisions]
+    # One sample per client: wall time to stream and fully drain.
+    report.decode_latency.record((time.perf_counter() - t0) * 1e6)
+    status = np.concatenate([block.status for block in blocks])
+    decided = np.concatenate([block.messages for block in blocks])
+    detected = np.concatenate([block.detected_uncorrectable for block in blocks])
+    report.frames_sent += count
+    report.deadline_missed_frames += int(
+        (status == protocol.STREAM_ROW_FORCED).sum()
+    )
+    # Only the first `count` rows carry real codewords (the tail
+    # `span` rows are the drain of partially-filled windows), and
+    # only rows decided on time promise bit-identity to offline.
+    on_time = status[:count] == protocol.STREAM_ROW_ON_TIME
+    report.residual_frames += int(
+        (decided[:count][on_time] != messages[on_time]).any(axis=1).sum()
+    )
+    report.flagged_frames += int(detected[:count][on_time].sum())
+    await session.close()
 
 
 def _memory_addresses(
@@ -557,18 +546,16 @@ def _memory_addresses(
 
 async def _run_memory_client(
     index: int,
-    host: str,
-    port: int,
+    client: CodecClient,
     scenario: Scenario,
     requests: int,
     frames_per_request: int,
     rng: np.random.Generator,
     report: LoadReport,
-    client: Optional[CodecClient] = None,
 ) -> None:
     base = scenario.sessions[index % len(scenario.sessions)]
-    # Memory stores are per-session state, so each client privatises
-    # its config exactly like the stream scenario does.
+    # Memory stores are per-session state, so each client opens its own
+    # session, seeded (and so rotting) like no other client's.
     config = replace(base, seed=int(rng.integers(0, 2**20)) * 4096 + index)
     lines = int(config.memory_lines)
     code = get_code(config.code)
@@ -585,108 +572,100 @@ async def _run_memory_client(
         if not match:
             raise RuntimeError(f"memory mirror mismatch on {label}")
 
-    owns_connection = client is None
-    if owns_connection:
-        client = await CodecClient.connect(host, port)
-    try:
-        session = await client.open_session(**config.to_dict())
-        for r in range(requests):
-            addresses = _memory_addresses(
-                rng, lines, frames_per_request, scenario.hot_fraction
-            )
-            messages = rng.integers(0, 2, (len(addresses), code.k)).astype(np.uint8)
-            t0 = time.perf_counter()
-            if r % 2 == 0:
-                block = await session.mem_write(addresses, messages)
-                mirror.write(addresses, messages)
-                check(not block.corrected_errors.any(), "write corrected")
-                check(not block.detected_uncorrectable.any(), "write detected")
-                expected[addresses] = messages
-            else:
-                masks = rng.integers(0, 2, messages.shape).astype(np.uint8)
-                block = await session.mem_write_partial(addresses, messages, masks)
-                outcomes = mirror.write_partial(addresses, messages, masks)
-                check(
-                    [
-                        (int(c), bool(d))
-                        for c, d in zip(
-                            block.corrected_errors, block.detected_uncorrectable
-                        )
-                    ]
-                    == outcomes,
-                    "rmw outcomes",
-                )
-                detected = block.detected_uncorrectable
-                report.memory_sec += int(
-                    ((block.corrected_errors > 0) & ~detected).sum()
-                )
-                report.memory_ded += int(detected.sum())
-                report.memory_corrected_bits += int(
-                    block.corrected_errors[~detected].sum()
-                )
-                expected[addresses] = np.where(
-                    masks.astype(bool), messages, expected[addresses]
-                )
-            report.encode_latency.record((time.perf_counter() - t0) * 1e6)
-            report.frames_sent += len(addresses)
-
-            if r % scenario.scrub_every == scenario.scrub_every - 1:
-                if config.memory_rot > 0.0:
-                    window = (
-                        mirror.scrub_position + np.arange(scrub_count)
-                    ) % lines
-                    mirror.inject_rot(rot_rng, config.memory_rot, window)
-                payload = await session.mem_scrub(scrub_count)
-                step = mirror.scrub_step(scrub_count)
-                check(payload["report"] == step, "scrub report")
-                check(payload["position"] == mirror.scrub_position, "scrub position")
-                check(
-                    payload["counters"] == mirror.counters.to_dict(),
-                    "counter ledger",
-                )
-                report.memory_scrub_steps += 1
-                report.memory_repaired_lines += step["repaired_lines"]
-                report.memory_corrected_bits += step["corrected_bits"]
-                report.memory_sec += step["repaired_lines"]
-                report.memory_ded += step["detected"]
-                report.memory_rot_bits += int(payload["rot_bits"])
-
-            t0 = time.perf_counter()
-            decoded = await session.mem_read(addresses)
-            report.decode_latency.record((time.perf_counter() - t0) * 1e6)
-            reference = mirror.read(addresses)
+    session = await client.open_session(**config.to_dict())
+    for r in range(requests):
+        addresses = _memory_addresses(
+            rng, lines, frames_per_request, scenario.hot_fraction
+        )
+        messages = rng.integers(0, 2, (len(addresses), code.k)).astype(np.uint8)
+        t0 = time.perf_counter()
+        if r % 2 == 0:
+            block = await session.mem_write(addresses, messages)
+            mirror.write(addresses, messages)
+            check(not block.corrected_errors.any(), "write corrected")
+            check(not block.detected_uncorrectable.any(), "write detected")
+            expected[addresses] = messages
+        else:
+            masks = rng.integers(0, 2, messages.shape).astype(np.uint8)
+            block = await session.mem_write_partial(addresses, messages, masks)
+            outcomes = mirror.write_partial(addresses, messages, masks)
             check(
-                all(
-                    np.array_equal(decoded.messages[i], result.message)
-                    and int(decoded.corrected_errors[i]) == result.corrected_errors
-                    and bool(decoded.detected_uncorrectable[i])
-                    == result.detected_uncorrectable
-                    for i, result in enumerate(reference)
-                ),
-                "read outcomes",
+                [
+                    (int(c), bool(d))
+                    for c, d in zip(
+                        block.corrected_errors, block.detected_uncorrectable
+                    )
+                ]
+                == outcomes,
+                "rmw outcomes",
             )
-            detected = decoded.detected_uncorrectable
-            report.frames_sent += len(addresses)
-            report.memory_sec += int(((decoded.corrected_errors > 0) & ~detected).sum())
+            detected = block.detected_uncorrectable
+            report.memory_sec += int(
+                ((block.corrected_errors > 0) & ~detected).sum()
+            )
             report.memory_ded += int(detected.sum())
             report.memory_corrected_bits += int(
-                decoded.corrected_errors[~detected].sum()
+                block.corrected_errors[~detected].sum()
             )
-            report.flagged_frames += int(detected.sum())
-            # End-to-end check: the decoded line vs the last write intent.
-            report.residual_frames += int(
-                (decoded.messages != expected[addresses]).any(axis=1).sum()
+            expected[addresses] = np.where(
+                masks.astype(bool), messages, expected[addresses]
             )
-        await session.close()
-    finally:
-        if owns_connection:
-            await client.close()
+        report.encode_latency.record((time.perf_counter() - t0) * 1e6)
+        report.frames_sent += len(addresses)
+
+        if r % scenario.scrub_every == scenario.scrub_every - 1:
+            if config.memory_rot > 0.0:
+                window = (
+                    mirror.scrub_position + np.arange(scrub_count)
+                ) % lines
+                mirror.inject_rot(rot_rng, config.memory_rot, window)
+            payload = await session.mem_scrub(scrub_count)
+            step = mirror.scrub_step(scrub_count)
+            check(payload["report"] == step, "scrub report")
+            check(payload["position"] == mirror.scrub_position, "scrub position")
+            check(
+                payload["counters"] == mirror.counters.to_dict(),
+                "counter ledger",
+            )
+            report.memory_scrub_steps += 1
+            report.memory_repaired_lines += step["repaired_lines"]
+            report.memory_corrected_bits += step["corrected_bits"]
+            report.memory_sec += step["repaired_lines"]
+            report.memory_ded += step["detected"]
+            report.memory_rot_bits += int(payload["rot_bits"])
+
+        t0 = time.perf_counter()
+        decoded = await session.mem_read(addresses)
+        report.decode_latency.record((time.perf_counter() - t0) * 1e6)
+        reference = mirror.read(addresses)
+        check(
+            all(
+                np.array_equal(decoded.messages[i], result.message)
+                and int(decoded.corrected_errors[i]) == result.corrected_errors
+                and bool(decoded.detected_uncorrectable[i])
+                == result.detected_uncorrectable
+                for i, result in enumerate(reference)
+            ),
+            "read outcomes",
+        )
+        detected = decoded.detected_uncorrectable
+        report.frames_sent += len(addresses)
+        report.memory_sec += int(((decoded.corrected_errors > 0) & ~detected).sum())
+        report.memory_ded += int(detected.sum())
+        report.memory_corrected_bits += int(
+            decoded.corrected_errors[~detected].sum()
+        )
+        report.flagged_frames += int(detected.sum())
+        # End-to-end check: the decoded line vs the last write intent.
+        report.residual_frames += int(
+            (decoded.messages != expected[addresses]).any(axis=1).sum()
+        )
+    await session.close()
 
 
 async def _run_client(
     index: int,
-    host: str,
-    port: int,
+    opened: Awaitable[SessionHandle],
     scenario: Scenario,
     requests: int,
     frames_per_request: int,
@@ -694,78 +673,51 @@ async def _run_client(
     report: LoadReport,
     soft: bool = False,
     soft_sigma: float = 0.0,
-    client: Optional[CodecClient] = None,
 ) -> None:
-    if scenario.memory:
-        await _run_memory_client(
-            index, host, port, scenario, requests, frames_per_request,
-            rng, report, client=client,
-        )
-        return
-    if scenario.stream:
-        await _run_stream_client(
-            index, host, port, scenario, requests, frames_per_request,
-            rng, report, soft_sigma=soft_sigma, client=client,
-        )
-        return
     config = scenario.sessions[index % len(scenario.sessions)]
-    # With a shared connection the client multiplexes over it (the
-    # protocol pipelines by request id); otherwise each client owns one.
-    owns_connection = client is None
-    if owns_connection:
-        client = await CodecClient.connect(host, port)
-    try:
-        session = await client.open_session(**config.to_dict())
-        for r in range(requests):
-            if scenario.burst_len and r and r % scenario.burst_len == 0:
-                await asyncio.sleep(scenario.idle_s)
-            messages = rng.integers(
-                0, 2, (frames_per_request, session.k)
-            ).astype(np.uint8)
-            t0 = time.perf_counter()
-            words = await session.encode(messages)
-            t1 = time.perf_counter()
-            if scenario.channel is not None:
-                # Client-side burst corruption: unlike session-injected
-                # noise, the clean words are known here, so corruption
-                # is counted exactly rather than inferred from decoder
-                # telemetry.
-                corrupted = scenario.channel.transmit_batch(words, rng)
-                report.corrupted_frames += int(
-                    (corrupted != words).any(axis=1).sum()
-                )
-                words = corrupted
-            if soft:
-                # BPSK confidences from the (possibly corrupted) words,
-                # optionally jittered to exercise real reliabilities.
-                confidences = 1.0 - 2.0 * words.astype(np.float64)
-                if soft_sigma > 0:
-                    confidences += rng.normal(0.0, soft_sigma, confidences.shape)
-                decoded = await session.decode_soft(confidences)
-            else:
-                decoded = await session.decode(words)
-            t2 = time.perf_counter()
-            report.encode_latency.record((t1 - t0) * 1e6)
-            report.decode_latency.record((t2 - t1) * 1e6)
-            report.frames_sent += len(messages)
-            # End-to-end check: what came back vs what was sent.
-            report.residual_frames += int(
-                (decoded.messages != messages).any(axis=1).sum()
+    # Shared by the clients of this config on this connection.
+    session = await opened
+    for r in range(requests):
+        if scenario.burst_len and r and r % scenario.burst_len == 0:
+            await asyncio.sleep(scenario.idle_s)
+        messages = rng.integers(0, 2, (frames_per_request, session.k)).astype(np.uint8)
+        t0 = time.perf_counter()
+        words = await session.encode(messages)
+        t1 = time.perf_counter()
+        if scenario.channel is not None:
+            # Client-side burst corruption: unlike session-injected
+            # noise, the clean words are known here, so corruption
+            # is counted exactly rather than inferred from decoder
+            # telemetry.
+            corrupted = scenario.channel.transmit_batch(words, rng)
+            report.corrupted_frames += int((corrupted != words).any(axis=1).sum())
+            words = corrupted
+        if soft:
+            # BPSK confidences from the (possibly corrupted) words,
+            # optionally jittered to exercise real reliabilities.
+            confidences = 1.0 - 2.0 * words.astype(np.float64)
+            if soft_sigma > 0:
+                confidences += rng.normal(0.0, soft_sigma, confidences.shape)
+            decoded = await session.decode_soft(confidences)
+        else:
+            decoded = await session.decode(words)
+        t2 = time.perf_counter()
+        report.encode_latency.record((t1 - t0) * 1e6)
+        report.decode_latency.record((t2 - t1) * 1e6)
+        report.frames_sent += len(messages)
+        # End-to-end check: what came back vs what was sent.
+        report.residual_frames += int((decoded.messages != messages).any(axis=1).sum())
+        report.flagged_frames += int(decoded.detected_uncorrectable.sum())
+        if config.p01 or config.p10:
+            # Corruption is only observable against the clean encoding,
+            # which the decoder's codeword view does not expose here;
+            # count frames the decoder had to touch instead (disjoint:
+            # some decoders set both corrected>0 and the flag).
+            detected = decoded.detected_uncorrectable
+            report.corrupted_frames += int(
+                ((decoded.corrected_errors > 0) & ~detected).sum()
+                + detected.sum()
             )
-            report.flagged_frames += int(decoded.detected_uncorrectable.sum())
-            if config.p01 or config.p10:
-                # Corruption is only observable against the clean encoding,
-                # which the decoder's codeword view does not expose here;
-                # count frames the decoder had to touch instead (disjoint:
-                # some decoders set both corrected>0 and the flag).
-                detected = decoded.detected_uncorrectable
-                report.corrupted_frames += int(
-                    ((decoded.corrected_errors > 0) & ~detected).sum()
-                    + detected.sum()
-                )
-    finally:
-        if owns_connection:
-            await client.close()
 
 
 async def run_scenario(
@@ -790,9 +742,13 @@ async def run_scenario(
     ``i`` multiplexes over connection ``i % connections`` — the wire
     protocol pipelines by request id), which is what lets 512-4096
     client drills run without exhausting file descriptors; the default
-    is one connection per client.  Returns the aggregate
-    :class:`LoadReport`; when ``scrape_stats`` is set the server's JSON
-    telemetry snapshot is attached as ``report.server_stats``.
+    is one connection per client.  Each connection opens each config
+    its batch clients use once, and they share that session; stream
+    and memory clients open their own.  Sessions close with their
+    connection.  Returns the aggregate :class:`LoadReport`; when
+    ``scrape_stats`` is set the server's JSON telemetry snapshot, taken
+    on the first connection before any closes, is attached as
+    ``report.server_stats``.
     """
     report = LoadReport(
         scenario=scenario.name,
@@ -802,38 +758,46 @@ async def run_scenario(
         soft=soft,
     )
     rngs = spawn_generators(seed, clients)
-    shared: List[CodecClient] = []
-    if connections is not None and connections < clients:
-        shared = [
-            await CodecClient.connect(host, port)
-            for _ in range(max(1, connections))
-        ]
+    count = max(1, clients if connections is None else min(connections, clients))
+    conns: List[CodecClient] = []
+    opened: Dict[Tuple[int, SessionConfig], asyncio.Future] = {}
+
+    def run_client(i: int) -> Awaitable[None]:
+        conn = conns[i % count]
+        if scenario.memory:
+            return _run_memory_client(
+                i, conn, scenario, requests, frames_per_request, rngs[i], report
+            )
+        if scenario.stream:
+            return _run_stream_client(
+                i, conn, scenario, requests, frames_per_request, rngs[i], report,
+                soft_sigma=soft_sigma,
+            )
+        config = scenario.sessions[i % len(scenario.sessions)]
+        key = (i % count, config)
+        if key not in opened:
+            opened[key] = asyncio.ensure_future(conn.open_session(**config.to_dict()))
+        return _run_client(
+            i, opened[key], scenario, requests, frames_per_request, rngs[i], report,
+            soft=soft, soft_sigma=soft_sigma,
+        )
+
     try:
+        for _ in range(count):
+            conns.append(await CodecClient.connect(host, port))
         start = time.perf_counter()
         outcomes = await asyncio.gather(
-            *(
-                _run_client(
-                    i, host, port, scenario, requests, frames_per_request,
-                    rngs[i], report, soft=soft, soft_sigma=soft_sigma,
-                    client=shared[i % len(shared)] if shared else None,
-                )
-                for i in range(clients)
-            ),
-            return_exceptions=True,
+            *(run_client(i) for i in range(clients)), return_exceptions=True
         )
         report.wall_s = time.perf_counter() - start
+        if scrape_stats:
+            report.server_stats = await conns[0].stats()
     finally:
-        for connection in shared:
-            await connection.close()
+        for conn in conns:
+            await conn.close()
     # One dying client must not discard the whole run's report; record
     # which clients failed and keep the partial aggregate.
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, BaseException):
             report.client_errors.append(f"client {i}: {outcome!r}")
-    if scrape_stats:
-        client = await CodecClient.connect(host, port)
-        try:
-            report.server_stats = await client.stats()
-        finally:
-            await client.close()
     return report

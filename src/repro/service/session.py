@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Container, Dict, Optional, Tuple
+from typing import Container, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class SessionConfig:
 
     A config is canonical from construction: without ``stream_depth``
     the other stream fields change nothing and take their defaults, so
-    configs that serve alike compare (and dedupe) alike everywhere.
+    configs that serve alike compare alike everywhere.
 
     Attributes
     ----------
@@ -228,6 +228,11 @@ class SessionConfig:
         )
 
 
+def _refusal(exc: Exception) -> SessionError:
+    """A config mistake as a SessionError; ``str`` of a KeyError quotes it."""
+    return SessionError(exc.args[0] if isinstance(exc, KeyError) else str(exc))
+
+
 class CodecSession:
     """One served (code, decoder, channel-policy) binding.
 
@@ -257,7 +262,7 @@ class CodecSession:
         try:
             name = canonical_code_name(config.code)
         except _config_errors as exc:
-            raise SessionError(str(exc)) from exc
+            raise _refusal(exc) from exc
         # Composite codes can be deep (k·depth up to hundreds of bits);
         # the tabulating strategies (coset tables are 2^(n-k) rows,
         # codebooks 2^k) would let one session config OOM the server.
@@ -272,7 +277,7 @@ class CodecSession:
         try:
             self.code, self.decoder = get_codec(name, config.decoder)
         except _config_errors as exc:
-            raise SessionError(str(exc)) from exc
+            raise _refusal(exc) from exc
         if config.stream_depth is not None and config.stream_depth < 1:
             raise SessionError(
                 f"stream_depth must be >= 1, got {config.stream_depth}"
@@ -320,7 +325,7 @@ class CodecSession:
                 self.channel = BinaryChannel(p01=config.p01, p10=config.p10)
                 self._rng = as_generator(config.seed)
             except _config_errors as exc:
-                raise SessionError(str(exc)) from exc
+                raise _refusal(exc) from exc
         self.telemetry = (
             SessionTelemetry()
             if service is None
@@ -417,34 +422,36 @@ class CodecSession:
 
 
 class SessionRegistry:
-    """Id-indexed store of live sessions, deduplicating identical configs.
+    """Id-indexed store of live sessions; every open builds a new one.
 
     Each session records into ``telemetry`` (a private one by default)
     from its first request on; closing the session folds its series.
+    A session opened with an ``owner`` set is listed in it while live,
+    so the connection that opened it can close it when it ends.
     """
 
     def __init__(self, telemetry: Optional[ServiceTelemetry] = None):
         self._sessions: Dict[int, CodecSession] = {}
-        self._by_config: Dict[SessionConfig, int] = {}
+        self._owners: Dict[int, Set[int]] = {}
         self._next_id = 1
         self._telemetry = telemetry if telemetry is not None else ServiceTelemetry()
 
     def open(
-        self, config: SessionConfig, session_id: Optional[int] = None
+        self,
+        config: SessionConfig,
+        session_id: Optional[int] = None,
+        owner: Optional[Set[int]] = None,
     ) -> CodecSession:
-        """Open (or return the existing) session for ``config``.
+        """Open a new session for ``config``.
 
-        Identical config tuples share one session — and, for noisy
-        configs, one injection stream — so repeated opens from a fleet
-        of clients (or a long-lived server's worth of loadgen runs)
-        cannot grow the registry without bound.  Clients that need
-        *independent* injection streams must pass distinct seeds; an
-        unseeded noisy config draws fresh entropy once, at first open.
+        Two opens of one config are two sessions, each with its own
+        injection stream, stream window and memory lane.  ``owner``, if
+        given, gets the new id now and loses it on :meth:`close`.
 
         Without ``session_id`` the session gets the first free id after
         the last one handed out (:func:`free_session_id`).
         ``session_id`` forces the id instead; it must lie in
-        ``[1, MAX_SESSION_ID]``.  The pooled front end
+        ``[1, MAX_SESSION_ID]`` and not be live.  The pooled front end
         owns the id space and uses this to rebuild sessions in a
         respawned worker under their original wire ids; the public
         ``OPEN`` opcode never forces one.
@@ -453,18 +460,8 @@ class SessionRegistry:
             raise SessionError(
                 f"session id {session_id} lies outside [1, {MAX_SESSION_ID}]"
             )
-        if config in self._by_config:
-            existing = self._sessions[self._by_config[config]]
-            if session_id is not None and existing.session_id != session_id:
-                raise SessionError(
-                    f"config already open as session {existing.session_id}, "
-                    f"cannot reopen as {session_id}"
-                )
-            return existing
-        if session_id is not None and session_id in self._sessions:
-            raise SessionError(
-                f"session id {session_id} is already bound to a different config"
-            )
+        if session_id in self._sessions:
+            raise SessionError(f"session id {session_id} is already bound")
         if len(self._sessions) >= MAX_SESSIONS:
             raise SessionError(
                 f"session limit reached ({MAX_SESSIONS}); close the server"
@@ -475,7 +472,9 @@ class SessionRegistry:
         session = CodecSession(session_id, config, self._telemetry)
         self._next_id = session_id + 1
         self._sessions[session_id] = session
-        self._by_config[config] = session_id
+        if owner is not None:
+            owner.add(session_id)
+            self._owners[session_id] = owner
         return session
 
     def get(self, session_id: int) -> CodecSession:
@@ -496,17 +495,17 @@ class SessionRegistry:
         return session
 
     def close(self, session_id: int) -> CodecSession:
-        """Remove a session from the registry, freeing its id and config.
+        """Remove a session from the registry and from its owner's set.
 
-        The config mapping is dropped too, so a later open of the same
-        config builds a *fresh* session (new injection stream, new
-        stream state) under a new id, and the session's telemetry series
-        fold into the service's ``session=""`` totals.  Unknown ids raise
+        Its id is free again, and its telemetry series fold into the
+        service's ``session=""`` totals.  Unknown ids raise
         :class:`~repro.errors.SessionError`.
         """
         session = self.get(session_id)
         del self._sessions[session_id]
-        self._by_config.pop(session.config, None)
+        owner = self._owners.pop(session_id, None)
+        if owner is not None:
+            owner.discard(session_id)
         self._telemetry.drop_session(session.telemetry)
         return session
 

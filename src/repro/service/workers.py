@@ -19,8 +19,8 @@ pick), and the pool records that worker index; routing, replay and the
 status tables read the record.
 The front end owns the session *table*: a
 :class:`~repro.service.session.SessionRegistry`, the same one a
-``workers=0`` server serves from, so config checks, duplicate removal and
-id assignment are identical in both modes.  The workers own the session
+``workers=0`` server serves from, so config checks and id assignment
+are identical in both modes.  The workers own the session
 *state* (lanes, injection streams, counters).  That split is what makes
 crash recovery simple: when a worker dies, the supervisor respawns it and
 replays OP_W_OPEN for every session recorded on it, under the original
@@ -70,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Set
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SessionError
 from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import get_tracer, reset_tracer, trace_scope
 from repro.service import protocol
@@ -127,10 +127,14 @@ class DispatchCore:
         self._memories: Dict[int, "MemoryLane"] = {}
 
     def open_session(
-        self, config: SessionConfig, session_id: Optional[int] = None
+        self,
+        config: SessionConfig,
+        session_id: Optional[int] = None,
+        owner: Optional[Set[int]] = None,
     ) -> CodecSession:
-        """Open (or rejoin) a session recording into this core's telemetry."""
-        return self.registry.open(config, session_id=session_id)
+        """Open a new session recording into this core's telemetry; see
+        :meth:`~repro.service.session.SessionRegistry.open` for ``owner``."""
+        return self.registry.open(config, session_id=session_id, owner=owner)
 
     def stats(self) -> Dict:
         """The STATS payload over this core's registry and session table."""
@@ -140,8 +144,11 @@ class DispatchCore:
             self.telemetry.uptime_s,
         )
 
-    async def dispatch(self, request: protocol.Request) -> bytes:
-        """Serve one parsed request, returning the OK response body."""
+    async def dispatch(
+        self, request: protocol.Request, owner: Optional[Set[int]] = None
+    ) -> bytes:
+        """Serve one parsed request, returning the OK response body; an
+        OPEN adds its session's id to ``owner`` (see :meth:`open_session`)."""
         opcode, body = request.opcode, request.body
         if opcode in protocol.DATA_OPS:
             session = self.registry.admit(opcode, body)
@@ -159,9 +166,14 @@ class DispatchCore:
                 return self._op_mem_read(session, body)
             return self._op_mem_scrub(session, body)
         if opcode == protocol.OP_OPEN:
-            return self._op_open(body)
+            # The body is a plain session config: the server assigns the
+            # id.  Only the pool's worker plane forces ids (OP_W_OPEN).
+            config = SessionConfig.from_dict(protocol.parse_json_body(body))
+            session = self.open_session(config, owner=owner)
+            return protocol.build_json_body(session.describe())
         if opcode == protocol.OP_CLOSE:
-            return self._op_close(body)
+            session_id = protocol.parse_close_body(body)
+            return protocol.build_json_body(self.close_session(session_id))
         if opcode == protocol.OP_STATS:
             return protocol.build_json_body(self.stats())
         if opcode == protocol.OP_METRICS:
@@ -171,12 +183,6 @@ class DispatchCore:
         if opcode == protocol.OP_CODES:
             return protocol.build_json_body(catalog())
         raise protocol.ProtocolError(f"unknown opcode 0x{opcode:02x}")
-
-    def _op_open(self, body: bytes) -> bytes:
-        # The body is a plain session config: the server assigns the id.
-        # Only the pool's worker plane forces ids (OP_W_OPEN).
-        config = SessionConfig.from_dict(protocol.parse_json_body(body))
-        return protocol.build_json_body(self.open_session(config).describe())
 
     async def _op_encode(self, session: CodecSession, body: bytes) -> bytes:
         _, messages = protocol.parse_batch_body(body, lambda _: session.k)
@@ -310,10 +316,6 @@ class DispatchCore:
             "stream_closed": lane is not None,
             "memory_closed": memory_lane is not None,
         }
-
-    def _op_close(self, body: bytes) -> bytes:
-        session_id = protocol.parse_close_body(body)
-        return protocol.build_json_body(self.close_session(session_id))
 
     def close_streams(self) -> None:
         """Close every stream lane, resolving its open windows as flushed."""
@@ -507,6 +509,10 @@ async def _worker_main(index, conn, faults):  # pragma: no cover - child
         if opcode == protocol.OP_W_OPEN:
             payload = protocol.parse_json_body(request.body)
             config = SessionConfig.from_dict(payload["config"])
+            # The front owns the ids: an open retried across a crash
+            # replaces the session that the replay already built.
+            with contextlib.suppress(SessionError):
+                core.close_session(payload["session_id"])
             session = core.open_session(config, session_id=payload["session_id"])
             return protocol.build_json_body(session.describe())
         if opcode == protocol.OP_W_METRICS:
@@ -644,10 +650,10 @@ class WorkerPool:
 
     The front's session table is :attr:`registry`, the same
     :class:`~repro.service.session.SessionRegistry` a ``workers=0``
-    server serves from: it validates configs, removes duplicates and
-    assigns ids.  Each session's worker index is chosen when it opens
-    (:meth:`_place`) and recorded; routing, replay and the status tables
-    read that record.
+    server serves from: it validates configs, assigns ids and records
+    which connection opened each session.  Each session's worker index
+    is chosen when it opens (:meth:`_place`) and recorded; routing,
+    replay and the status tables read that record.
     """
 
     def __init__(self, workers: int, faults: Optional[WorkerFaults] = None):
@@ -664,10 +670,6 @@ class WorkerPool:
         self._worker_of: Dict[int, int] = {}
         self._last_pick = -1
         self._supervisors: List[asyncio.Task] = []
-        # Serialises open -> worker open -> commit: a concurrent open of
-        # the same config waits, so it never rejoins a session its
-        # worker has not built yet.
-        self._open_lock = asyncio.Lock()
         self._closed = False
 
     @property
@@ -677,6 +679,7 @@ class WorkerPool:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> "WorkerPool":
         """Spawn every worker and begin supervising them."""
+        self._closed = False
         for handle in self.handles:
             await handle.spawn()
             handle.ready.set()
@@ -768,23 +771,23 @@ class WorkerPool:
         self._last_pick = min(after_last, key=lambda index: load[index])
         return self._last_pick
 
-    async def open_session(self, config: SessionConfig) -> Dict:
-        """Open (or rejoin) a session; a new one goes to the least-loaded worker.
+    async def open_session(
+        self, config: SessionConfig, owner: Optional[Set[int]] = None
+    ) -> Dict:
+        """Open a new session on the least-loaded worker.
 
-        :attr:`registry` opens it first, exactly as at ``workers=0``;
-        the worker then builds it under the registry's id.  If the
-        worker refuses, the registry entry is closed again.  The reply
-        is the session's description plus its ``worker`` index.
+        :attr:`registry` opens it first, exactly as at ``workers=0``, and
+        adds its id to ``owner`` before any worker round trip; the
+        worker then builds it under the registry's id.  If the worker
+        refuses, the registry entry is closed again.  The reply is the
+        session's description plus its ``worker`` index.
         """
-        async with self._open_lock:
-            session = self.registry.open(config)
-            session_id = session.session_id
-            if session_id not in self._worker_of:
-                self._worker_of[session_id] = self._place()
-                # Shielded: an opener cancelled after the worker got the
-                # open must not drop a session that the worker then holds.
-                await asyncio.shield(self._build_session(session_id, config))
-            return dict(session.describe(), worker=self._worker_of[session_id])
+        session = self.registry.open(config, owner=owner)
+        worker = self._worker_of[session.session_id] = self._place()
+        # Shielded: an opener cancelled after the worker got the open
+        # must not drop a session that the worker then holds.
+        await asyncio.shield(self._build_session(session.session_id, config))
+        return dict(session.describe(), worker=worker)
 
     async def _build_session(self, session_id: int, config: SessionConfig) -> None:
         """Build a registered session on its worker; unregister it if refused."""
@@ -810,6 +813,12 @@ class WorkerPool:
         still succeeds.
         """
         self.registry.get(session_id)  # unknown ids fail here
+        # Shielded: a closer cancelled once the worker has the close must
+        # still drop the front's entry, which no later CLOSE could.
+        return await asyncio.shield(self._close_on_worker(session_id))
+
+    async def _close_on_worker(self, session_id: int) -> Dict:
+        """Close a session on its worker; once it has, at the front too."""
         response_body = await self.forward(
             session_id,
             protocol.OP_CLOSE,

@@ -24,7 +24,7 @@ from repro.service import CodecClient, CodecServer, protocol
 
 #: Session configs the stream opens.  The last one is the first in
 #: another spelling: a stream field without ``stream_depth`` changes
-#: nothing, so both fronts must rejoin session 1 for it.
+#: nothing, and both fronts open a fresh session for it.
 CONFIGS = [
     {"code": "hamming84", "seed": 1},
     {"code": "hamming74", "p01": 0.05, "p10": 0.05, "seed": 2},

@@ -1,21 +1,21 @@
 """The steps a ``workers=0`` server runs for one request, pinned.
 
-Each test feeds request frames to :func:`~repro.service.workers.serve_connection`
-through a ``StreamReader`` and a writer that keeps what is written, as
-a TCP connection of a ``CodecServer(workers=0)`` would, and counts the
-calls made and Python lines run (:class:`stepcount.StepCounter`) from
-the moment the frames reach the connection loop to the write of the
-last reply.  The count takes in everything on the way: framing,
-parsing, dispatch, the batcher's turn flush, the kernel, telemetry and
-the reply build.  A warm-up round first builds what the server
+Each test feeds request frames to the handler a ``CodecServer(workers=0)``
+runs for each TCP connection (its per-connection dispatch records the
+sessions the connection opens) through a ``StreamReader`` and a writer
+that keeps what is written, and counts the calls made and Python lines
+run (:class:`stepcount.StepCounter`) from the moment the frames reach
+the connection loop to the write of the last reply.  The count takes in
+everything on the way: framing, parsing, dispatch, session ownership,
+the batcher's turn flush, the kernel, telemetry and the reply build.  A warm-up round first builds what the server
 memoises (tables, lanes, telemetry series), so the counted round is
 the steady state.  Counts are exact on one interpreter; no clock is
 read.  The loop runs with asyncio's debug mode off (``-X dev`` turns it
 on), because its checks add thousands of steps.
 
-On CPython 3.11 (NumPy 2.4) the counts are 708 for a one-frame DECODE,
-546 for a 4,096-frame DECODE (it fills a lane, so it flushes inline
-and skips the loop turn a lone frame waits for) and 1,000 for an OPEN
+On CPython 3.11 (NumPy 2.4) the counts are 724 for a one-frame DECODE,
+561 for a 4,096-frame DECODE (it fills a lane, so it flushes inline
+and skips the loop turn a lone frame waits for) and 1,010 for an OPEN
 then a CLOSE.  About half of each count is asyncio and ``json``.  A
 pure-asyncio stand-in of these paths ran within 2% of the same step
 counts on CPython 3.11, 3.12 and 3.13, so each bound leaves
@@ -33,14 +33,13 @@ import pytest
 
 from repro.coding import get_code
 from repro.service import CodecServer, protocol
-from repro.service.workers import serve_connection
 from stepcount import StepCounter
 
 #: Share of a count its bound adds for interpreter differences.
 HEADROOM = 0.05
 
 #: Steps each request takes on CPython 3.11, before headroom.
-STEPS = {"decode-1": 708, "decode-4096": 546, "open-close": 1000}
+STEPS = {"decode-1": 724, "decode-4096": 561, "open-close": 1010}
 
 #: Most steps a 4,096-frame DECODE may run past a one-frame DECODE.
 BULK_EXTRA_STEPS = 16
@@ -79,9 +78,7 @@ async def _serve(server: CodecServer, payloads, counter: StepCounter) -> list:
     """Feed ``payloads`` to one connection; the replies, counted by ``counter``."""
     reader = asyncio.StreamReader()
     writer = _ReplyWriter(counter, len(payloads))
-    connection = asyncio.ensure_future(
-        serve_connection(reader, writer, server.dispatch, server.telemetry)
-    )
+    connection = asyncio.ensure_future(server._handle_connection(reader, writer))
     await asyncio.sleep(0)  # the loop now waits for its first frame
     counter.start()
     reader.feed_data(b"".join(protocol.frame_bytes(p) for p in payloads))

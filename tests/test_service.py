@@ -20,7 +20,7 @@ from repro.service import (
     make_scenario,
     run_scenario,
 )
-from repro.service import DispatchCore, LatencyReservoir, protocol
+from repro.service import DispatchCore, LatencyReservoir, SessionHandle, protocol
 from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES
 from repro.service.session import MAX_SESSION_ID, CodecSession
 from stepcount import count_steps
@@ -136,23 +136,27 @@ class TestSessions:
         assert (info["n"], info["k"], info["d_min"]) == (8, 4, 4)
         assert info["decoder"] == "sec-ded"
 
-    def test_identical_noiseless_configs_are_shared(self):
+    def test_identical_noiseless_configs_open_separate_sessions(self):
         registry = SessionRegistry()
         first = registry.open(SessionConfig(code="rm13"))
         second = registry.open(SessionConfig(code="rm13"))
-        assert first is second
-        assert len(registry) == 1
+        assert first is not second
+        assert (first.session_id, second.session_id) == (1, 2)
+        assert len(registry) == 2
 
-    def test_noisy_configs_are_shared_and_bounded(self):
-        # Identical configs (even unseeded noisy ones) share a session;
-        # a client fleet re-opening the same tuple cannot grow the
-        # registry without bound.  Distinct seeds get distinct sessions.
+    def test_noisy_configs_open_separate_sessions(self):
+        # Every open builds a new session, so two opens of one seeded
+        # noisy config inject from two streams that start alike.
         registry = SessionRegistry()
-        config = SessionConfig(code="rm13", p01=0.1, p10=0.1)
-        assert registry.open(config) is registry.open(config)
-        seeded = SessionConfig(code="rm13", p01=0.1, p10=0.1, seed=1)
+        config = SessionConfig(code="rm13", p01=0.1, p10=0.1, seed=1)
+        first, second = registry.open(config), registry.open(config)
+        assert first is not second and first._rng is not second._rng
+        messages = np.zeros((64, 4), dtype=np.uint8)
+        assert np.array_equal(
+            first.encode_frames(messages), second.encode_frames(messages)
+        )
         other = SessionConfig(code="rm13", p01=0.1, p10=0.1, seed=2)
-        assert registry.open(seeded) is not registry.open(other)
+        assert registry.open(other) is not first
         assert len(registry) == 3
 
     def test_unknown_code_and_id(self):
@@ -1180,17 +1184,27 @@ class TestServiceLifecycle:
         error: Event loop is closed", and a non-final push to an older
         depth-4 stream with an internal error naming a future attached
         to a different loop.
+
+        The sessions open in-process, through :meth:`CodecServer.dispatch`,
+        so that no connection owns them and they outlive the first life.
         """
         code = get_code("hamming84")
         words = code.encode_batch(np.array([[1, 0, 1, 1]], dtype=np.uint8))
         confidences = 1.0 - 2.0 * np.repeat(words, 4, axis=0).astype(np.float64)
         server = CodecServer(workers=0)
 
+        async def open_in_process(client, **config):
+            body = protocol.build_json_body(config)
+            reply = await server.dispatch(protocol.Request(protocol.OP_OPEN, 1, body))
+            return SessionHandle(client, json.loads(reply))
+
         async def first_life():
             await server.start()
             client = await CodecClient.connect(port=server.port)
-            batch = await client.open_session("hamming84", seed=1)
-            stream = await client.open_session("hamming84", seed=2, stream_depth=4)
+            batch = await open_in_process(client, code="hamming84", seed=1)
+            stream = await open_in_process(
+                client, code="hamming84", seed=2, stream_depth=4
+            )
             decoded = await batch.decode(words)
             await stream.decode_stream(confidences[:1], 0, final=True)
             await client.close()

@@ -71,13 +71,11 @@ class TestPoolPlumbing:
         # Fresh allocations continue past the forced id.
         other = registry.open(SessionConfig(code="hamming74"))
         assert other.session_id == 18
-        # Same config + same id rejoins; conflicting rebinds are refused.
-        again = registry.open(SessionConfig(code="hamming84"), session_id=17)
-        assert again is session
-        with pytest.raises(SessionError, match="cannot reopen"):
-            registry.open(SessionConfig(code="hamming84"), session_id=3)
-        with pytest.raises(SessionError, match="already bound"):
-            registry.open(SessionConfig(code="rm13"), session_id=18)
+        # A live id is refused, whatever the config.
+        for config, session_id in (("hamming84", 17), ("rm13", 18)):
+            with pytest.raises(SessionError, match="already bound"):
+                registry.open(SessionConfig(code=config), session_id=session_id)
+        assert len(registry) == 2
 
 
 # ---------------------------------------------------------------------
@@ -134,7 +132,7 @@ class TestWorkerPoolBasics:
         block = run(scenario())
         assert np.array_equal(block.messages, direct.messages)
 
-    def test_sessions_route_by_load_and_dedup(self):
+    def test_sessions_route_by_load_and_a_reopen_is_new(self):
         # Each new session goes to the worker with the fewest live
         # sessions, ties rotating from the last pick.
         expected = [0, 1, 2, 0, 1, 2]
@@ -145,30 +143,35 @@ class TestWorkerPoolBasics:
                 infos = [
                     await client.open_session("hamming84", seed=i) for i in range(6)
                 ]
-                # Reopening an identical config joins the same session.
-                rejoined = await client.open_session("hamming84", seed=0)
+                # Reopening an open config opens a new session, placed
+                # like any other: a three-way tie after worker 2 picks 0.
+                reopened = await client.open_session("hamming84", seed=0)
                 status = await client.admin("status")
                 await client.close()
-                return infos, rejoined, status
+                return infos, reopened, status
 
-        infos, rejoined, status = run(scenario())
+        infos, reopened, status = run(scenario())
         assert [s.session_id for s in infos] == [1, 2, 3, 4, 5, 6]
-        assert rejoined.session_id == infos[0].session_id
-        assert rejoined.info["worker"] == infos[0].info["worker"]
+        assert (reopened.session_id, reopened.info["worker"]) == (7, 0)
         assert [info.info["worker"] for info in infos] == expected
         by_worker = {w["index"]: w["sessions"] for w in status["workers"]}
-        for worker, info in zip(expected, infos):
+        for worker, info in zip(expected + [0], infos + [reopened]):
             assert info.session_id in by_worker[worker]
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_bad_configs_and_unknown_sessions_stay_clean_errors(self, workers):
-        """Regression: at workers=0 the refused open used up id 1."""
+        """Regression: at workers=0 the refused open used up id 1, and an
+        unknown code or decoder came back in literal double quotes."""
 
         async def scenario():
             async with CodecServer(workers=workers) as server:
                 client = await CodecClient.connect(port=server.port)
-                with pytest.raises(protocol.ProtocolError, match="[Uu]nknown code"):
-                    await client.open_session("golay")
+                for fields in ({"code": "golay"},
+                               {"code": "hamming84", "decoder": "nope"}):
+                    with pytest.raises(protocol.ProtocolError) as refused:
+                        await client.open_session(**fields)
+                    text = str(refused.value).split(": ", 1)[1]
+                    assert text.startswith("unknown"), text
                 # Data plane for a session nobody opened.
                 body = protocol.build_batch_body(
                     99, np.zeros((1, 8), dtype=np.uint8)
@@ -243,11 +246,12 @@ class TestWorkerPoolBasics:
         assert np.array_equal(block.messages, reference.messages)
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_configs_that_serve_alike_share_one_session(self, workers):
+    def test_configs_that_serve_alike_open_alike_at_both_fronts(self, workers):
         """Regression: a pool refused the second OPEN ("config already
         open as session 1, cannot reopen as 2") and used up id 2; a local
         server opened two sessions.  ``stream_shift`` means nothing
-        without ``stream_depth``, so both must rejoin session 1."""
+        without ``stream_depth``; every open is a new session, so both
+        fronts open four."""
 
         async def scenario():
             async with CodecServer(workers=workers) as server:
@@ -267,7 +271,7 @@ class TestWorkerPoolBasics:
                 await client.close()
                 return ids, live
 
-        assert run(scenario()) == ([1, 1, 1, 2], 2)
+        assert run(scenario()) == ([1, 2, 3, 4], 4)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_a_stream_window_past_the_bound_is_refused_at_open(self, workers):
@@ -352,7 +356,8 @@ class TestWorkerPoolBasics:
     def test_cancelled_open_leaves_no_session_on_the_worker_alone(self):
         """Regression: an opener cancelled once its OP_W_OPEN was on the
         pipe dropped the session at the front while the worker built it,
-        so every later open of that config was refused."""
+        so every later open of that config was refused.  The front and
+        the worker must agree on what is live."""
 
         async def scenario():
             async with CodecServer(workers=1) as server:
@@ -372,10 +377,44 @@ class TestWorkerPoolBasics:
                 client.send_request = send_request
                 other = await server.pool.open_session(SessionConfig(code="rm13"))
                 again = await server.pool.open_session(config)
-                return other, again, len(server.registry)
+                worker = await server.pool.handles[0].request(protocol.OP_STATS)
+                on_worker = protocol.parse_json_body(worker.body)["sessions"]
+                front = server.registry.table()
+                return other, again, sorted(front), sorted(map(int, on_worker))
 
-        other, again, live = run(scenario())
-        assert (again["session_id"], other["session_id"], live) == (1, 2, 2)
+        other, again, front, on_worker = run(scenario())
+        assert (other["session_id"], again["session_id"]) == (2, 3)
+        assert front == on_worker == [1, 2, 3]
+
+    def test_cancelled_close_still_closes_at_the_front(self):
+        """Regression: a closer cancelled once its CLOSE was on the pipe
+        left the session at the front, closed on the worker: no later
+        CLOSE could remove it, and it still counted toward the limit."""
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                config = SessionConfig(code="hamming84", seed=1)
+                session_id = (await server.pool.open_session(config))["session_id"]
+                closer = asyncio.ensure_future(server.pool.close_session(session_id))
+                client = server.pool.handles[0].client
+                send_request = client.send_request
+
+                async def send_then_cancel(opcode, body=b""):
+                    future = await send_request(opcode, body)
+                    closer.cancel()
+                    return future
+
+                client.send_request = send_then_cancel
+                with pytest.raises(asyncio.CancelledError):
+                    await closer
+                client.send_request = send_request
+                await chaos.eventually(lambda: len(server.registry) == 0)
+                worker = await server.pool.handles[0].request(protocol.OP_STATS)
+                return server.pool.status(), protocol.parse_json_body(worker.body)
+
+        status, on_worker = run(scenario())
+        assert status["workers"][0]["sessions"] == []
+        assert on_worker["sessions"] == {}
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_session_churn_keeps_every_table_bounded(self, workers):
@@ -1177,6 +1216,70 @@ class TestChaos:
         assert np.array_equal(block.messages, reference.messages)
         assert respawned <= first, (first, respawned)
 
+    def test_a_crash_during_an_open_leaves_the_session_on_both_sides(self):
+        """A worker killed once an OPEN is on its pipe is replayed with the
+        session, and the retried OPEN must not be refused as a live id."""
+        words, reference = chaos.seeded_words("hamming84", frames=8, seed=15)
+
+        async def scenario():
+            async with CodecServer(workers=1) as server:
+                handle = server.pool.handles[0]
+                send_request = handle.client.send_request
+
+                async def send_then_kill(opcode, body=b""):
+                    future = await send_request(opcode, body)
+                    if opcode == protocol.OP_W_OPEN:
+                        handle.process.kill()
+                    return future
+
+                handle.client.send_request = send_then_kill
+                config = SessionConfig(code="hamming84", seed=1)
+                opened = await server.pool.open_session(config)
+                client = await CodecClient.connect(port=server.port)
+                body = protocol.build_batch_body(opened["session_id"], words)
+                decoded = await client.request(protocol.OP_DECODE, body)
+                await client.close()
+                worker = await handle.request(protocol.OP_STATS)
+                on_worker = protocol.parse_json_body(worker.body)["sessions"]
+                return opened, decoded, sorted(server.registry.table()), on_worker
+
+        opened, decoded, front, on_worker = run(scenario())
+        messages, _, _ = protocol.parse_decode_response_body(decoded.body, 4)
+        assert np.array_equal(messages, reference.messages)
+        assert front == [opened["session_id"]] and list(on_worker) == ["1"]
+
+    def test_a_pool_started_again_respawns_a_dead_worker(self):
+        """Regression: a pooled server stopped and started again never
+        respawned a killed worker; ``close`` left the pool marked closed,
+        and the next request failed after every retry."""
+        words, reference = chaos.seeded_words("hamming84", frames=8, seed=14)
+        server = CodecServer(workers=1)
+        handle = server.pool.handles[0]
+
+        async def first_life():
+            await server.start()
+            await server.stop()
+
+        async def second_life():
+            await server.start()
+            try:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                before = await session.decode(words)
+                await server.pool.kill_worker(0)
+                await chaos.eventually(
+                    lambda: handle.restarts == 1 and handle.ready.is_set()
+                )
+                after = await session.decode(words)
+                await client.close()
+            finally:
+                await server.stop()
+            return before, after
+
+        run(first_life())
+        for block in run(second_life()):
+            assert np.array_equal(block.messages, reference.messages)
+
     def test_loadgen_512_clients_over_shared_connections(self):
         # The ISSUE's loadgen scale drill, in-tree: 512 concurrent
         # clients multiplexed over 16 TCP connections against a 2-worker
@@ -1220,10 +1323,9 @@ class TestChaos:
         report = run(scenario())
         assert report.client_errors == []
         assert report.residual_frames == 0
-        # Least-loaded placement spreads the scenario's sessions over
-        # distinct workers, as far as there are workers.
-        sessions = len(make_scenario("mixed").sessions)
-        observed = {
+        # Each of the 4 connections opens the 3 configs its clients use,
+        # and least-loaded placement spreads the 12 sessions evenly.
+        workers = [
             entry["worker"] for entry in report.server_stats["sessions"].values()
-        }
-        assert observed == set(range(min(4, sessions)))
+        ]
+        assert sorted(workers) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
