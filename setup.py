@@ -4,9 +4,8 @@ Plain ``setup.py`` (no pyproject.toml) so the legacy editable-install
 path (``pip install -e . --no-use-pep517``) works in offline
 environments where the ``wheel`` package is unavailable.
 
-The package accelerates its soft-decision kernels with C compiled at
-first use when a system ``cc`` exists, falling back to the NumPy
-reference otherwise; no extra is needed for either.
+Every kernel, the soft-decision ones included, is vectorised NumPy:
+nothing is compiled, at install or at first use, and no extra exists.
 """
 
 import os
@@ -34,7 +33,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
-    # numpy 2.0 brings np.bitwise_count, which the kernel engine uses.
+    # numpy 2 is the line CI installs and the step counts of
+    # tests/test_request_steps.py were taken on.
     # scipy serves margin calibration (system/calibration.py) and the
     # tests' reference tails; the codec service never imports it.
     install_requires=[

@@ -126,6 +126,19 @@ def _engine_from_args(args):
     )
 
 
+#: Each loadgen scenario's own flags: argparse dest -> factory keyword.
+_SCENARIO_FLAGS = {
+    "burst": {"burst_len": "burst_len", "burst_density": "density",
+              "burst_depth": "depth"},
+    "stream": {"stream_depth": "depth", "stream_shift": "shift",
+               "stream_deadline_us": "deadline_us",
+               "stream_interval_us": "interval_us"},
+    "memory": {"memory_lines": "lines", "memory_rot": "rot",
+               "hot_fraction": "hot_fraction", "scrub_every": "scrub_every",
+               "scrub_lines": "scrub_lines"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -324,9 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          metavar="SIGMA",
                          help="Gaussian jitter RMS added to the soft "
                               "confidences (only with --soft)")
-    # Defaults are applied in the handler so passing any of these with
-    # a non-burst scenario can be detected and rejected (mirroring the
-    # --soft-sigma-without---soft guard).
+    # The flags of _SCENARIO_FLAGS default to None, so that one given
+    # with another scenario can be refused (as --soft-sigma without
+    # --soft is); the scenario factory supplies each default.
     loadgen.add_argument("--burst-len", type=_burst_length, default=None,
                          metavar="BITS",
                          help="mean burst length of the 'burst' scenario's "
@@ -555,6 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "serve":
         import asyncio
         import os as _os
+        import signal
 
         from repro.service import CodecServer
 
@@ -579,6 +593,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             reset_tracer()
 
         async def _serve() -> None:
+            # SIGINT and SIGTERM stop the server cleanly, even where the
+            # shell started it with SIGINT ignored (a background job).
+            # The first removes both handlers, so a second one ends a stop
+            # that hangs: SIGINT as KeyboardInterrupt, SIGTERM by default.
+            stopping = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            stop_signals = (signal.SIGINT, signal.SIGTERM)
+
+            def _stop() -> None:
+                for signum in stop_signals:
+                    loop.remove_signal_handler(signum)
+                stopping.set()
+
+            for signum in stop_signals:
+                loop.add_signal_handler(signum, _stop)
             server = CodecServer(
                 host=args.host, port=args.port, workers=args.workers
             )
@@ -598,20 +627,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                     flush=True,
                 )
             try:
-                await server.serve_forever()
+                await stopping.wait()
             finally:
                 await server.stop()
 
         try:
             asyncio.run(_serve())
         except KeyboardInterrupt:
-            print("codec service stopped")
+            pass  # a second SIGINT, or one before the handlers were set
         except OSError as exc:
             print(
                 f"repro serve: error: cannot bind {args.host}:{args.port} ({exc})",
                 file=sys.stderr,
             )
             return 1
+        print("codec service stopped")
     elif args.command == "metrics":
         import asyncio
 
@@ -723,65 +753,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
 
-        burst_flags = (args.burst_len, args.burst_density, args.burst_depth)
-        if args.scenario != "burst" and any(v is not None for v in burst_flags):
-            print(
-                "repro loadgen: error: --burst-len/--burst-density/--burst-depth "
-                "only make sense with --scenario burst (the 'bursty' scenario's "
-                "request bursts are shaped by the scenario itself)",
-                file=sys.stderr,
-            )
-            return 2
-        stream_flags = (
-            args.stream_depth, args.stream_shift, args.stream_deadline_us,
-            args.stream_interval_us,
-        )
-        if args.scenario != "stream" and any(v is not None for v in stream_flags):
-            print(
-                "repro loadgen: error: --stream-depth/--stream-shift/"
-                "--stream-deadline-us/--stream-interval-us only make sense "
-                "with --scenario stream",
-                file=sys.stderr,
-            )
-            return 2
-        memory_flags = (
-            args.memory_lines, args.memory_rot, args.hot_fraction,
-            args.scrub_every, args.scrub_lines,
-        )
-        if args.scenario != "memory" and any(v is not None for v in memory_flags):
-            print(
-                "repro loadgen: error: --memory-lines/--memory-rot/"
-                "--hot-fraction/--scrub-every/--scrub-lines only make sense "
-                "with --scenario memory",
-                file=sys.stderr,
-            )
-            return 2
+        # Only the flags given reach the factory, so its defaults apply.
         scenario_kwargs = dict(code=args.code, decoder=args.decoder)
-        if args.scenario == "burst":
-            scenario_kwargs.update(
-                burst_len=args.burst_len if args.burst_len is not None else 4.0,
-                density=(
-                    args.burst_density if args.burst_density is not None else 0.10
-                ),
-                depth=args.burst_depth if args.burst_depth is not None else 8,
-            )
-        if args.scenario == "stream":
-            scenario_kwargs.update(
-                depth=args.stream_depth if args.stream_depth is not None else 4,
-                shift=args.stream_shift if args.stream_shift is not None else 1,
-                deadline_us=args.stream_deadline_us,
-                interval_us=args.stream_interval_us,
-            )
-        if args.scenario == "memory":
-            scenario_kwargs.update(
-                lines=args.memory_lines if args.memory_lines is not None else 64,
-                rot=args.memory_rot if args.memory_rot is not None else 0.0,
-                hot_fraction=(
-                    args.hot_fraction if args.hot_fraction is not None else 0.8
-                ),
-                scrub_every=args.scrub_every if args.scrub_every is not None else 4,
-                scrub_lines=args.scrub_lines if args.scrub_lines is not None else 8,
-            )
+        for scenario, flags in _SCENARIO_FLAGS.items():
+            for dest, keyword in flags.items():
+                value = getattr(args, dest)
+                if value is None:
+                    continue
+                if scenario != args.scenario:
+                    print(
+                        f"repro loadgen: error: --{dest.replace('_', '-')} only "
+                        f"makes sense with --scenario {scenario}",
+                        file=sys.stderr,
+                    )
+                    return 2
+                scenario_kwargs[keyword] = value
         try:
             scenario = loadgen_mod.make_scenario(args.scenario, **scenario_kwargs)
         except ValueError as exc:

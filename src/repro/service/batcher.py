@@ -29,7 +29,8 @@ Batches are concatenated in arrival order and results are sliced back
 row-for-row, so each request's answer is bit-identical to calling the
 lane kernel on that request alone (decoding is deterministic; batch
 composition cannot change it).  The ``decode`` lane takes packed
-received words and answers with DECODE reply rows
+received words and the ``decode_soft`` lane float confidences, and both
+answer with DECODE reply rows
 (:meth:`~repro.service.session.CodecSession.decode_frames`), so a reply
 is written without unpacking anything.
 """
@@ -39,11 +40,10 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from repro.coding.decoders.base import BatchDecodeResult
 from repro.obs.tracing import current_trace_id, get_tracer
 from repro.service.session import CodecSession
 
@@ -53,12 +53,13 @@ MAX_BATCH = 256
 #: Largest block one submit enqueues; bigger requests are split.
 MAX_CHUNK_FRAMES = 8192
 
-#: A lane kernel: a block of frame rows in, array or BatchDecodeResult out.
-LaneKernel = Callable[[np.ndarray], object]
+#: A lane kernel: a block of frame rows in, one result row per frame out.
+LaneKernel = Callable[[np.ndarray], np.ndarray]
 
 
 class _Lane:
-    """One (session, op) queue with its pending turn flush.
+    """One (session, op) queue with its pending turn flush; it lives in
+    its session's :attr:`~repro.service.session.CodecSession.lanes`.
 
     A lane outlives any one event loop (a server may be stopped and
     started again under a new one), so it takes the running loop
@@ -120,8 +121,7 @@ class _Lane:
                 if not future.done():
                     future.set_exception(exc)
             return
-        if self.telemetry is not None:
-            self.telemetry.record_batch(self.op, len(batch), reason)
+        self.telemetry.record_batch(self.op, len(batch), reason)
         completed = time.perf_counter()
         if traced:
             tracer = get_tracer()
@@ -149,52 +149,20 @@ class _Lane:
             rows = slice(offset, offset + len(frames))
             offset += len(frames)
             if not future.done():
-                future.set_result(_slice_result(result, rows))
-            if self.telemetry is not None:
-                self.telemetry.record_latency_us(
-                    (completed - enqueued) * 1e6, self.op
-                )
-
-
-def _slice_result(result: object, rows: slice) -> object:
-    """Row-slice a kernel result (plain array or BatchDecodeResult)."""
-    if isinstance(result, BatchDecodeResult):
-        return BatchDecodeResult(
-            messages=result.messages[rows],
-            codewords=result.codewords[rows],
-            corrected_errors=result.corrected_errors[rows],
-            detected_uncorrectable=result.detected_uncorrectable[rows],
-        )
-    return result[rows]
-
-
-def _concat_results(parts: list) -> object:
-    """Row-concatenate chunked kernel results (inverse of chunked submit)."""
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], BatchDecodeResult):
-        return BatchDecodeResult(
-            messages=np.concatenate([p.messages for p in parts]),
-            codewords=np.concatenate([p.codewords for p in parts]),
-            corrected_errors=np.concatenate([p.corrected_errors for p in parts]),
-            detected_uncorrectable=np.concatenate(
-                [p.detected_uncorrectable for p in parts]
-            ),
-        )
-    return np.concatenate(parts, axis=0)
+                future.set_result(result[rows])
+            self.telemetry.record_latency_us((completed - enqueued) * 1e6, self.op)
 
 
 class MicroBatcher:
     """Route per-request frame blocks into coalesced kernel calls.
 
-    One scheduler serves every session hosted by a server; lanes are
-    created lazily per (session id, op) pair, so different codes and the
-    encode/decode directions batch independently (they must — their
-    frame widths differ).
+    One scheduler serves every session hosted by a server and holds no
+    state of its own: each session keeps its lanes, one per op, in its
+    :attr:`~repro.service.session.CodecSession.lanes`, made here on
+    first use, so different codes and the encode/decode directions
+    batch independently (they must — their frame widths differ), and
+    the session's close flushes and drops them.
     """
-
-    def __init__(self):
-        self._lanes: Dict[Tuple[int, str], _Lane] = {}
 
     #: Lane ops and the session kernel each dispatches to.
     _OP_KERNELS = {
@@ -203,31 +171,24 @@ class MicroBatcher:
         "decode_soft": "decode_soft_frames",
     }
 
-    def _lane(self, session: CodecSession, op: str) -> _Lane:
-        key = (session.session_id, op)
-        lane = self._lanes.get(key)
-        if lane is None:
-            kernel = getattr(session, self._OP_KERNELS[op])
-            lane = _Lane(kernel, session.telemetry, op)
-            self._lanes[key] = lane
-        return lane
-
     async def submit(
         self, session: CodecSession, op: str, frames: np.ndarray
-    ) -> object:
-        """Queue ``frames`` on the (session, op) lane and await the result.
+    ) -> np.ndarray:
+        """Queue ``frames`` on the session's ``op`` lane and await the result.
 
         Awaits the flush that carries this request and returns the
         request's row-slice of the batch result: ``(len(frames), n)``
-        codewords for encode (``frames`` holds k-bit messages), DECODE
-        reply rows for decode (``frames`` holds packed received words,
-        see :meth:`~repro.service.session.CodecSession.decode_frames`),
-        and a :class:`~repro.coding.decoders.base.BatchDecodeResult`
-        for decode_soft (``frames`` holds float confidence rows).
+        codewords for encode (``frames`` holds k-bit messages), and
+        DECODE reply rows for decode (``frames`` holds packed received
+        words, see :meth:`~repro.service.session.CodecSession.decode_frames`)
+        and decode_soft (``frames`` holds float confidence rows).
         """
-        if op not in self._OP_KERNELS:
-            raise ValueError(f"unknown op {op!r}")
-        lane = self._lane(session, op)
+        lane = session.lanes.get(op)
+        if lane is None:
+            if op not in self._OP_KERNELS:
+                raise ValueError(f"unknown op {op!r}")
+            kernel = getattr(session, self._OP_KERNELS[op])
+            lane = session.lanes[op] = _Lane(kernel, session.telemetry, op)
         session.telemetry.record_request(op, len(frames))
         if len(frames) == 0:
             # Nothing to queue; complete immediately with an empty result.
@@ -243,39 +204,4 @@ class MicroBatcher:
         for start in range(0, len(frames), MAX_CHUNK_FRAMES):
             chunk = frames[start:start + MAX_CHUNK_FRAMES]
             parts.append(await lane.enqueue(chunk, arrival, trace))
-        return _concat_results(parts)
-
-    def close_session(self, session_id: int) -> int:
-        """Drop every lane of ``session_id``, flushing queued items first.
-
-        The session-lifecycle counterpart of lane creation: without it a
-        front end serving session churn grows ``_lanes`` without bound
-        (each closed session leaves up to one dead lane per op).
-        Flushing before removal answers every queued frame — close
-        never strands a future — and cancels the lane's pending turn
-        flush, so no stale callback can run against a recycled
-        (session, op) key.  Looks up one key per op, so a close costs
-        the same whatever the number of other live sessions.  Returns
-        the number of lanes removed.
-        """
-        removed = 0
-        for op in self._OP_KERNELS:
-            lane = self._lanes.pop((session_id, op), None)
-            if lane is not None:
-                lane.flush("close")
-                removed += 1
-        return removed
-
-    def flush_all(self) -> None:
-        """Flush every lane immediately (server shutdown path).
-
-        Iterates a snapshot of the lane map: a flush completes futures
-        synchronously, and a completion callback may open a *new* lane
-        (or close one) before the loop advances — mutating the dict
-        mid-iteration would raise ``RuntimeError`` otherwise.
-        """
-        for lane in list(self._lanes.values()):
-            lane.flush("drain")
-
-    def pending_frames(self) -> int:
-        return sum(lane.pending_frames for lane in self._lanes.values())
+        return np.concatenate(parts)

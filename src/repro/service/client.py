@@ -324,7 +324,12 @@ class CodecClient:
         except BaseException:
             # Nobody will await this future now; deregister it so the
             # reader's teardown doesn't set an exception no one retrieves.
+            # A teardown that ran first (a drain fails after the read does)
+            # has set one already: retrieve it, or it is logged when the
+            # future is collected.
             self._inflight.pop(request_id, None)
+            if future.done() and not future.cancelled():
+                future.exception()
             raise
         return future
 
@@ -384,13 +389,13 @@ class CodecClient:
         return SessionHandle(self, protocol.parse_json_body(response.body))
 
     async def close_session(self, session_id: int) -> Dict:
-        """Close a session server-side, releasing its lanes and stream.
+        """Close a session server-side, releasing its lanes, stream and store.
 
         Flushes the session's micro-batch lanes, drains any open stream
-        windows (their rows resolve with status ``STREAM_ROW_FLUSHED``),
-        and removes the session's lane-map entries so long-running
-        servers don't accumulate state for sessions nobody will use
-        again.  Returns the server's JSON report.
+        windows (their rows resolve with status ``STREAM_ROW_FLUSHED``)
+        and drops its memory store, so long-running servers don't
+        accumulate state for sessions nobody will use again.  Returns
+        the server's JSON report.
         """
         body = protocol.build_json_body({"session_id": int(session_id)})
         response = await self.request(protocol.OP_CLOSE, body)

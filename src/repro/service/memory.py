@@ -1,7 +1,7 @@
 """Per-session memory lane: an ECC frontend + scrubber behind the wire.
 
 Sessions opened with ``memory_lines`` get one of these, created lazily
-by :meth:`~repro.service.workers.DispatchCore.memory_lane` exactly like
+by :meth:`~repro.service.session.CodecSession.memory_lane` exactly like
 the streaming lane.  Memory transactions bypass the micro-batcher: the
 store is stateful and order-dependent (an RMW's read phase must see the
 preceding write), so requests are applied synchronously in arrival

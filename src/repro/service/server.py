@@ -108,23 +108,21 @@ class CodecServer:
         )
         return self
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
-        if self.core is not None:
-            self.core.batcher.flush_all()
+        for session in self.registry:  # answer every queued frame first
+            for lane in list(session.lanes.values()):
+                lane.flush("drain")
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        # Connections end before the listener is awaited: from Python
+        # 3.12 on, ``wait_closed`` waits for every connection to end.
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         if self.pool is not None:
             await self.pool.close()
 
@@ -243,17 +241,17 @@ class CodecServer:
         to route and to refuse a reply over the frame cap (with the
         session's n and k), never enough to rebuild arrays.
         """
-        session_id = self.registry.admit(request.opcode, request.body).session_id
+        session = self.registry.admit(request.opcode, request.body)
         trace_id = current_trace_id()
         if trace_id is not None:
             # Sampled requests ride an OP_W_TRACED envelope so the worker
             # can continue the trace; unsampled forwards stay byte-identical.
             return await self.pool.forward(
-                session_id,
+                session,
                 protocol.OP_W_TRACED,
                 protocol.build_traced_body(trace_id, request.opcode, request.body),
             )
-        return await self.pool.forward(session_id, request.opcode, request.body)
+        return await self.pool.forward(session, request.opcode, request.body)
 
     async def _op_admin(self, body: bytes) -> bytes:
         """The admin plane: ``status`` / ``restart`` / ``kill``."""

@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Container, Dict, Optional, Set, Tuple
+from typing import Container, Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.coding.registry import (
     get_codec,
 )
 from repro.coding.stream import stream_span
-from repro.errors import CodingError, SessionError
+from repro.errors import CodingError, ServiceError, SessionError
 from repro.gf2.vectors import read_only
 from repro.link.channel import BinaryChannel
 from repro.service import protocol
@@ -234,16 +234,21 @@ def _refusal(exc: Exception) -> SessionError:
 
 
 class CodecSession:
-    """One served (code, decoder, channel-policy) binding.
+    """One served (code, decoder, channel-policy) binding and its state.
 
     The code and decoder are the process-wide pair
     :func:`~repro.coding.registry.get_codec` memoises, shared with every
-    other session of that code; a session owns only its mutable state —
-    the injection channel's RNG and its telemetry series here, its
-    stream window and memory lane in the dispatch core.  The series are
-    created on ``service`` (a private recorder when ``None``) and
-    labelled with the code's canonical name, so every spelling of one
-    code shares its ``code`` label.
+    other session of that code.  Everything else that lives and dies
+    with the session is its own: the injection channel's RNG, its
+    telemetry series, its batch lanes (:attr:`lanes`, one per op, made
+    by :meth:`~repro.service.batcher.MicroBatcher.submit`), its stream
+    window and memory lane (made on first use by :meth:`stream_lane` and
+    :meth:`memory_lane`), the id set of the connection that opened it
+    (:attr:`owner`) and, at a pool's front, the index of the worker
+    that hosts it (:attr:`worker`).  :meth:`close` ends all of it.  The
+    series are created on ``service`` (a private recorder when ``None``)
+    and labelled with the code's canonical name, so every spelling of
+    one code shares its ``code`` label.
     """
 
     def __init__(
@@ -331,6 +336,11 @@ class CodecSession:
             if service is None
             else service.session(session_id, code=name)
         )
+        self.owner: Optional[Set[int]] = None
+        self.lanes: Dict[str, "_Lane"] = {}
+        self.stream: Optional["StreamLane"] = None
+        self.memory: Optional["MemoryLane"] = None
+        self.worker: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -405,34 +415,102 @@ class CodecSession:
             result.messages, result.corrected_errors, result.detected_uncorrectable
         )
 
-    def decode_soft_frames(self, confidences: np.ndarray):
-        """Soft-decode a ``(batch, n)`` float confidence block.
+    def decode_soft_frames(self, confidences: np.ndarray) -> np.ndarray:
+        """Soft-decode a ``(batch, n)`` float confidence block into reply rows.
 
         Runs the decoder's vectorised soft kernel
-        (:meth:`~repro.coding.decoders.base.Decoder.decode_soft_batch_detailed`)
-        and records the outcome under the telemetry's soft counters, so
-        the stats endpoint can report how many frames the soft path
-        repaired.
+        (:meth:`~repro.coding.decoders.base.Decoder.decode_soft_batch_detailed`),
+        records the outcome under the telemetry's soft counters, so the
+        stats endpoint can report how many frames the soft path
+        repaired, and returns its
+        :func:`~repro.service.protocol.decode_reply_rows`, as
+        :meth:`decode_frames` does.
         """
         result = self.decoder.decode_soft_batch_detailed(confidences)
         self.telemetry.record_decode_outcome(
             result.corrected_errors, result.detected_uncorrectable, soft=True
         )
-        return result
+        return protocol.decode_reply_rows(
+            result.messages, result.corrected_errors, result.detected_uncorrectable
+        )
+
+    # -- lanes that bypass the batcher, and the close -------------------
+    def stream_lane(self) -> "StreamLane":
+        """The session's streaming lane, created on first use.
+
+        Its deadline is the session config's ``stream_deadline_us``;
+        ``None`` leaves the stream unbounded.
+        """
+        if self.stream is None:
+            from repro.service.stream import StreamLane
+
+            config = self.config
+            if config.stream_depth is None:
+                raise ServiceError(
+                    f"session {self.session_id} is not configured for "
+                    "streaming; open it with stream_depth set"
+                )
+            self.stream = StreamLane(
+                self,
+                depth=config.stream_depth,
+                shift=config.stream_shift,
+                deadline_us=config.stream_deadline_us,
+            )
+        return self.stream
+
+    def memory_lane(self) -> "MemoryLane":
+        """The session's memory lane, created on first use.
+
+        Like :meth:`stream_lane`, the lane is built deterministically
+        from the session config (store zeroed, rot stream reseeded), so
+        a respawned pool worker replaying OP_W_OPEN recovers an
+        identical lane for an identical transaction history.
+        """
+        if self.memory is None:
+            from repro.service.memory import MemoryLane
+
+            self.memory = MemoryLane(self)
+        return self.memory
+
+    def close(self) -> Dict:
+        """End the session's state and return the CLOSE reply.
+
+        Flushes every batch lane (reason ``close``), so no queued frame
+        is stranded and no turn flush stays armed; drains the stream,
+        whose open windows resolve ``STREAM_ROW_FLUSHED``; and drops the
+        memory store.  The session lets go of all three: a lane's kernel
+        is a bound method of the session, so holding them would keep a
+        closed session alive until the cyclic collector ran.
+        """
+        lanes, self.lanes = self.lanes, {}
+        for lane in lanes.values():
+            lane.flush("close")
+        stream, self.stream = self.stream, None
+        if stream is not None:
+            stream.close()
+        memory, self.memory = self.memory, None
+        return {
+            "closed": self.session_id,
+            "code": self.code.name,
+            "lanes_closed": len(lanes),
+            "stream_closed": stream is not None,
+            "memory_closed": memory is not None,
+        }
 
 
 class SessionRegistry:
     """Id-indexed store of live sessions; every open builds a new one.
 
-    Each session records into ``telemetry`` (a private one by default)
-    from its first request on; closing the session folds its series.
-    A session opened with an ``owner`` set is listed in it while live,
-    so the connection that opened it can close it when it ends.
+    The one table keyed by session id: all else a session holds lives
+    on the :class:`CodecSession` itself.  Each session records into
+    ``telemetry`` (a private one by default) from its first request on;
+    closing the session folds its series.  A session opened with an
+    ``owner`` set is listed in it while live, so the connection that
+    opened it can close it when it ends.
     """
 
     def __init__(self, telemetry: Optional[ServiceTelemetry] = None):
         self._sessions: Dict[int, CodecSession] = {}
-        self._owners: Dict[int, Set[int]] = {}
         self._next_id = 1
         self._telemetry = telemetry if telemetry is not None else ServiceTelemetry()
 
@@ -474,7 +552,7 @@ class SessionRegistry:
         self._sessions[session_id] = session
         if owner is not None:
             owner.add(session_id)
-            self._owners[session_id] = owner
+            session.owner = owner
         return session
 
     def get(self, session_id: int) -> CodecSession:
@@ -494,23 +572,30 @@ class SessionRegistry:
         protocol.check_reply_fits(opcode, n_frames, session.n, session.k)
         return session
 
-    def close(self, session_id: int) -> CodecSession:
-        """Remove a session from the registry and from its owner's set.
+    def close(self, session_id: int) -> Dict:
+        """Close a session and return its CLOSE reply (:meth:`CodecSession.close`).
 
-        Its id is free again, and its telemetry series fold into the
-        service's ``session=""`` totals.  Unknown ids raise
+        The session is removed from the registry and from its owner's
+        set, so its id is free again, and its telemetry series, the
+        close's flushes included, fold into the service's
+        ``session=""`` totals.  Unknown ids raise
         :class:`~repro.errors.SessionError`.
         """
         session = self.get(session_id)
+        reply = session.close()
         del self._sessions[session_id]
-        owner = self._owners.pop(session_id, None)
-        if owner is not None:
-            owner.discard(session_id)
+        if session.owner is not None:
+            session.owner.discard(session_id)
         self._telemetry.drop_session(session.telemetry)
-        return session
+        return reply
 
     def __len__(self) -> int:
         return len(self._sessions)
+
+    def __iter__(self) -> Iterator[CodecSession]:
+        """The live sessions, as a snapshot: opens and closes made while
+        it is iterated do not disturb it."""
+        return iter(list(self._sessions.values()))
 
     def table(self) -> Dict[int, Dict]:
         """Each live session's config label and uptime, for STATS."""

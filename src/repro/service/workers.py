@@ -15,8 +15,9 @@ connections and every worker's pipe are served by one connection loop,
 
 Ownership is decided once, when a session opens: the session goes to
 the worker with the fewest live sessions (ties rotate from the last
-pick), and the pool records that worker index; routing, replay and the
-status tables read the record.
+pick), and the pool records that worker index on the front's session
+(:attr:`~repro.service.session.CodecSession.worker`); routing, replay
+and the status tables read it there.
 The front end owns the session *table*: a
 :class:`~repro.service.session.SessionRegistry`, the same one a
 ``workers=0`` server serves from, so config checks and id assignment
@@ -63,6 +64,7 @@ import itertools
 import logging
 import multiprocessing
 import os
+import signal
 import socket
 import stat
 import time
@@ -115,16 +117,17 @@ class DispatchCore:
 
     One core serves either the whole single-process server or one decode
     worker of the pool — shared-nothing either way: a core owns its
-    sessions, lanes and counters outright, so no locks and no cross-core
-    coordination exist anywhere below the routing layer.
+    sessions and counters outright, so no locks and no cross-core
+    coordination exist anywhere below the routing layer.  Each session
+    carries its own lanes, stream window and memory store
+    (:class:`~repro.service.session.CodecSession`), so the registry is
+    the core's only table keyed by session id.
     """
 
     def __init__(self, telemetry: Optional[ServiceTelemetry] = None):
         self.telemetry = telemetry if telemetry is not None else ServiceTelemetry()
         self.registry = SessionRegistry(telemetry=self.telemetry)
         self.batcher = MicroBatcher()
-        self._streams: Dict[int, "StreamLane"] = {}
-        self._memories: Dict[int, "MemoryLane"] = {}
 
     def open_session(
         self,
@@ -196,57 +199,14 @@ class DispatchCore:
 
     async def _op_decode_soft(self, session: CodecSession, body: bytes) -> bytes:
         _, confidences = protocol.parse_soft_batch_body(body, lambda _: session.n)
-        result = await self.batcher.submit(session, "decode_soft", confidences)
-        return protocol.build_decode_response_body(
-            result.messages, result.corrected_errors, result.detected_uncorrectable
-        )
-
-    def stream_lane(self, session: CodecSession) -> "StreamLane":
-        """The session's streaming lane, created on first use.
-
-        Its deadline is the session config's ``stream_deadline_us``;
-        ``None`` leaves the stream unbounded.
-        """
-        lane = self._streams.get(session.session_id)
-        if lane is None:
-            from repro.service.stream import StreamLane
-
-            config = session.config
-            if config.stream_depth is None:
-                raise ServiceError(
-                    f"session {session.session_id} is not configured for "
-                    "streaming; open it with stream_depth set"
-                )
-            lane = StreamLane(
-                session,
-                depth=config.stream_depth,
-                shift=config.stream_shift,
-                deadline_us=config.stream_deadline_us,
-            )
-            self._streams[session.session_id] = lane
-        return lane
-
-    def memory_lane(self, session: CodecSession) -> "MemoryLane":
-        """The session's memory lane, created on first use.
-
-        Mirrors :meth:`stream_lane`: the lane is rebuilt deterministically
-        from the session config (store zeroed, rot stream reseeded), so
-        a respawned pool worker replaying OP_W_OPEN recovers an
-        identical lane for an identical transaction history.
-        """
-        lane = self._memories.get(session.session_id)
-        if lane is None:
-            from repro.service.memory import MemoryLane
-
-            lane = MemoryLane(session)
-            self._memories[session.session_id] = lane
-        return lane
+        replies = await self.batcher.submit(session, "decode_soft", confidences)
+        return protocol.build_decode_reply_body(replies)
 
     def _op_mem_write(self, session: CodecSession, body: bytes) -> bytes:
         _, addresses, messages, masks = protocol.parse_mem_write_body(
             body, lambda _: session.k
         )
-        lane = self.memory_lane(session)
+        lane = session.memory_lane()
         op = "mem_write" if masks is None else "mem_rmw"
         session.telemetry.record_request(op, len(addresses))
         try:
@@ -258,7 +218,7 @@ class DispatchCore:
 
     def _op_mem_read(self, session: CodecSession, body: bytes) -> bytes:
         _, addresses = protocol.parse_mem_read_body(body)
-        lane = self.memory_lane(session)
+        lane = session.memory_lane()
         session.telemetry.record_request("mem_read", len(addresses))
         try:
             result = lane.read(addresses)
@@ -270,7 +230,7 @@ class DispatchCore:
 
     def _op_mem_scrub(self, session: CodecSession, body: bytes) -> bytes:
         _, count = protocol.parse_mem_scrub_body(body)
-        step = self.memory_lane(session).scrub_step(count)
+        step = session.memory_lane().scrub_step(count)
         # The lines the step swept: a count of 0 means the default
         # width, and a count past the store is clamped to it.
         session.telemetry.record_request("mem_scrub", step["report"]["count"])
@@ -282,7 +242,7 @@ class DispatchCore:
         _, first_index, final, frames = protocol.parse_stream_push_body(
             body, lambda _: session.n
         )
-        lane = self.stream_lane(session)
+        lane = session.stream_lane()
         session.telemetry.record_request("decode_stream", len(frames))
         messages, corrected, detected, status = await lane.push(
             first_index, frames, final=final, trace=current_trace_id()
@@ -292,35 +252,16 @@ class DispatchCore:
         )
 
     def close_session(self, session_id: int) -> Dict:
-        """Close a session: drain its stream, free its lanes and telemetry.
+        """Close a session and return the CLOSE reply.
 
-        The lifecycle counterpart of :meth:`open_session` — without it,
-        batcher lanes keyed by (session, op) and per-session metric
-        series grow without bound under session churn.  Pending batch
-        items are flushed (answered, not dropped) and open stream
+        The lifecycle counterpart of :meth:`open_session`, one call to
+        :meth:`~repro.service.session.SessionRegistry.close`: pending
+        batch items are flushed (answered, not dropped) and open stream
         windows drain with ``STREAM_ROW_FLUSHED`` status before the
         session's series fold into the closed-session totals; unknown
         ids raise :class:`~repro.errors.SessionError`.
         """
-        session = self.registry.get(session_id)
-        lane = self._streams.pop(session_id, None)
-        if lane is not None:
-            lane.close()
-        memory_lane = self._memories.pop(session_id, None)
-        lanes_closed = self.batcher.close_session(session_id)
-        self.registry.close(session_id)
-        return {
-            "closed": session_id,
-            "code": session.code.name,
-            "lanes_closed": lanes_closed,
-            "stream_closed": lane is not None,
-            "memory_closed": memory_lane is not None,
-        }
-
-    def close_streams(self) -> None:
-        """Close every stream lane, resolving its open windows as flushed."""
-        for lane in self._streams.values():
-            lane.close()
+        return self.registry.close(session_id)
 
 
 # ---------------------------------------------------------------------
@@ -444,10 +385,14 @@ def _worker_entry(index, conn, faults):  # pragma: no cover - child process
 
     The child may have been forked from inside a running event loop (the
     front end spawns workers from async code); the inherited loop object
-    is unusable here, so detach from it before ``asyncio.run``.  A fork
-    also copies every socket the front held (its listener, each client
-    connection, the other workers' pipes); the child closes all of them
-    but its own pipe and the standard streams.  Exit with ``os._exit``
+    is unusable here, so detach from it before ``asyncio.run``.  The
+    fork also inherits the front's signal handling, which would route a
+    signal to the front's loop: the child resets it, so SIGTERM kills it
+    and SIGINT, which a terminal sends the whole process group, leaves
+    it to exit when the front closes its pipe.  And the fork copies
+    every socket the front held (its listener, each client connection,
+    the other workers' pipes); the child closes all of them but its own
+    pipe and the standard streams.  Exit with ``os._exit``
     so the child never runs the parent's inherited atexit/test-harness
     machinery.
     """
@@ -456,6 +401,9 @@ def _worker_entry(index, conn, faults):  # pragma: no cover - child process
         asyncio.set_event_loop(None)
     except Exception:
         pass
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # The fork may have copied a tracer built before the front end's
     # environment was final; rebuild from the (inherited) env here.
     reset_tracer()
@@ -488,7 +436,9 @@ async def _worker_main(index, conn, faults):  # pragma: no cover - child
         # CLOSE), so no held push waits for frames that will never come;
         # then await every held request (batch lanes flush on the next
         # loop turn) and acknowledge.  The pool closes the pipe on the ack.
-        core.close_streams()
+        for session in core.registry:
+            if session.stream is not None:
+                session.stream.close()
         if held:
             await asyncio.wait(held)
         return protocol.build_json_body({"drained": True, "worker": index})
@@ -645,6 +595,13 @@ class WorkerHandle:
             process.close()
 
 
+def _w_open_body(session: CodecSession) -> bytes:
+    """The OP_W_OPEN body that builds ``session`` on a worker under its id."""
+    return protocol.build_json_body(
+        {"session_id": session.session_id, "config": session.config.to_dict()}
+    )
+
+
 class WorkerPool:
     """N decode worker processes with routing, supervision and replay.
 
@@ -652,8 +609,9 @@ class WorkerPool:
     :class:`~repro.service.session.SessionRegistry` a ``workers=0``
     server serves from: it validates configs, assigns ids and records
     which connection opened each session.  Each session's worker index
-    is chosen when it opens (:meth:`_place`) and recorded; routing,
-    replay and the status tables read that record.
+    is chosen when it opens (:meth:`_place`) and kept on the front's
+    session as :attr:`~repro.service.session.CodecSession.worker`;
+    routing, replay and the status tables read it there.
     """
 
     def __init__(self, workers: int, faults: Optional[WorkerFaults] = None):
@@ -667,7 +625,6 @@ class WorkerPool:
         self.faults = faults
         self.handles = [WorkerHandle(self, index) for index in range(workers)]
         self.registry = SessionRegistry()
-        self._worker_of: Dict[int, int] = {}
         self._last_pick = -1
         self._supervisors: List[asyncio.Task] = []
         self._closed = False
@@ -741,23 +698,17 @@ class WorkerPool:
         session ids they already hold.  Sessions with error injection
         restart their seeded streams from the seed (documented caveat).
         """
-        owned = [
-            (session_id, self.registry.get(session_id).config)
-            for session_id, index in sorted(self._worker_of.items())
-            if index == handle.index
-        ]
-        for session_id, config in owned:
-            body = {"session_id": session_id, "config": config.to_dict()}
+        for session in self.registry:
+            if session.worker != handle.index:
+                continue
             response = await handle.request(
-                protocol.OP_W_OPEN,
-                protocol.build_json_body(body),
-                timeout=SPAWN_TIMEOUT_S,
+                protocol.OP_W_OPEN, _w_open_body(session), timeout=SPAWN_TIMEOUT_S
             )
             if response.status != protocol.ST_OK:
                 logger.error(
                     "worker %d refused replay of session %d: %s",
                     handle.index,
-                    session_id,
+                    session.session_id,
                     response.body.decode("utf-8", "replace"),
                 )
 
@@ -765,7 +716,7 @@ class WorkerPool:
     def _place(self) -> int:
         """The worker for a new session: the one with the fewest live
         sessions, ties going to the first one after the last pick."""
-        load = Counter(self._worker_of.values())
+        load = Counter(session.worker for session in self.registry)
         n = self.n_workers
         after_last = [(self._last_pick + step) % n for step in range(1, n + 1)]
         self._last_pick = min(after_last, key=lambda index: load[index])
@@ -783,22 +734,18 @@ class WorkerPool:
         session's description plus its ``worker`` index.
         """
         session = self.registry.open(config, owner=owner)
-        worker = self._worker_of[session.session_id] = self._place()
+        session.worker = self._place()
         # Shielded: an opener cancelled after the worker got the open
         # must not drop a session that the worker then holds.
-        await asyncio.shield(self._build_session(session.session_id, config))
-        return dict(session.describe(), worker=worker)
+        await asyncio.shield(self._build_session(session))
+        return dict(session.describe(), worker=session.worker)
 
-    async def _build_session(self, session_id: int, config: SessionConfig) -> None:
+    async def _build_session(self, session: CodecSession) -> None:
         """Build a registered session on its worker; unregister it if refused."""
-        body = {"session_id": session_id, "config": config.to_dict()}
         try:
-            await self.forward(
-                session_id, protocol.OP_W_OPEN, protocol.build_json_body(body)
-            )
+            await self.forward(session, protocol.OP_W_OPEN, _w_open_body(session))
         except BaseException:
-            del self._worker_of[session_id]
-            self.registry.close(session_id)
+            self.registry.close(session.session_id)
             raise
 
     async def close_session(self, session_id: int) -> Dict:
@@ -812,23 +759,22 @@ class WorkerPool:
         whose replayed session has a fresh (empty) stream — the close
         still succeeds.
         """
-        self.registry.get(session_id)  # unknown ids fail here
+        session = self.registry.get(session_id)  # unknown ids fail here
         # Shielded: a closer cancelled once the worker has the close must
         # still drop the front's entry, which no later CLOSE could.
-        return await asyncio.shield(self._close_on_worker(session_id))
+        return await asyncio.shield(self._close_on_worker(session))
 
-    async def _close_on_worker(self, session_id: int) -> Dict:
+    async def _close_on_worker(self, session: CodecSession) -> Dict:
         """Close a session on its worker; once it has, at the front too."""
         response_body = await self.forward(
-            session_id,
+            session,
             protocol.OP_CLOSE,
-            protocol.build_json_body({"session_id": session_id}),
+            protocol.build_json_body({"session_id": session.session_id}),
         )
-        self.registry.close(session_id)
-        del self._worker_of[session_id]
+        self.registry.close(session.session_id)
         return protocol.parse_json_body(response_body)
 
-    async def forward(self, session_id: int, opcode: int, body: bytes) -> bytes:
+    async def forward(self, session: CodecSession, opcode: int, body: bytes) -> bytes:
         """Send to the session's worker, retrying across worker deaths.
 
         Retries are sound because every pooled opcode is a deterministic
@@ -836,7 +782,7 @@ class WorkerPool:
         retried on the respawned worker returns the bit-identical answer
         the dead worker never sent.
         """
-        handle = self.handles[self._worker_of[session_id]]
+        handle = self.handles[session.worker]
         last_error: Optional[WorkerDied] = None
         for _ in range(RETRIES):
             if not handle.ready.is_set():  # a ready worker costs no wait_for
@@ -940,7 +886,7 @@ class WorkerPool:
     def session_table(self) -> Dict[int, Dict]:
         """The registry's table with each session's worker, for STATS."""
         return {
-            session_id: dict(row, worker=self._worker_of[session_id])
+            session_id: dict(row, worker=self.registry.get(session_id).worker)
             for session_id, row in self.registry.table().items()
         }
 
@@ -959,9 +905,9 @@ class WorkerPool:
                     "spawns": handle.spawns,
                     "uptime_s": round(handle.uptime_s, 3),
                     "sessions": sorted(
-                        session_id
-                        for session_id, index in self._worker_of.items()
-                        if index == handle.index
+                        session.session_id
+                        for session in self.registry
+                        if session.worker == handle.index
                     ),
                 }
                 for handle in self.handles

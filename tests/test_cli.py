@@ -206,3 +206,71 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+#: Every scenario-specific loadgen flag, its scenario and a valid value.
+_SCENARIO_FLAGS = [
+    ("--burst-len", "burst", "6"),
+    ("--burst-density", "burst", "0.2"),
+    ("--burst-depth", "burst", "4"),
+    ("--stream-depth", "stream", "2"),
+    ("--stream-shift", "stream", "2"),
+    ("--stream-deadline-us", "stream", "500"),
+    ("--stream-interval-us", "stream", "50"),
+    ("--memory-lines", "memory", "16"),
+    ("--memory-rot", "memory", "0.01"),
+    ("--hot-fraction", "memory", "0.5"),
+    ("--scrub-every", "memory", "2"),
+    ("--scrub-lines", "memory", "4"),
+]
+
+
+class TestLoadgenScenarioFlags:
+    """The loadgen handler passes only the flags given, so each scenario
+    factory's own defaults apply, and refuses a flag of another scenario."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from repro.service import loadgen
+
+        scenarios = []
+
+        async def unreachable(host, port, scenario, **kwargs):
+            scenarios.append(scenario)
+            raise OSError("not started")
+
+        monkeypatch.setattr(loadgen, "run_scenario", unreachable)
+        return scenarios
+
+    @pytest.mark.parametrize(
+        "name", ["steady", "bursty", "mixed", "adversarial", "burst", "stream", "memory"]
+    )
+    def test_no_flags_take_the_factory_defaults(self, name, captured):
+        from repro.service.loadgen import make_scenario
+
+        assert main(["loadgen", "--scenario", name]) == 1
+        assert captured == [make_scenario(name, code="hamming84", decoder=None)]
+
+    def test_given_flags_reach_the_factory(self, captured):
+        from repro.service.loadgen import make_scenario
+
+        argv = ["loadgen", "--scenario", "memory", "--code", "hamming74",
+                "--memory-lines", "16", "--scrub-every", "2"]
+        assert main(argv) == 1
+        expected = make_scenario(
+            "memory", code="hamming74", decoder=None, lines=16, scrub_every=2
+        )
+        assert captured == [expected]
+
+    @pytest.mark.parametrize("flag, scenario, value", _SCENARIO_FLAGS)
+    def test_a_flag_of_another_scenario_is_refused(
+        self, flag, scenario, value, captured, capsys
+    ):
+        for other in ("steady", "bursty", "mixed", "adversarial", "burst", "stream",
+                      "memory"):
+            if other == scenario:
+                continue
+            assert main(["loadgen", "--scenario", other, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert flag in err and f"--scenario {scenario}" in err, err
+        assert captured == []

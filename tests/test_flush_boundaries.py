@@ -68,7 +68,7 @@ def _submit_in_rounds(rounds, messages):
                 tasks.append(asyncio.ensure_future(submit))
             # Let the round enqueue, then yield until its turn flush ran.
             await asyncio.sleep(0)
-            while batcher.pending_frames():
+            while any(lane.pending_frames for lane in session.lanes.values()):
                 await asyncio.sleep(0)
         return await asyncio.gather(*tasks)
 

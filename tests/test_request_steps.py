@@ -13,9 +13,9 @@ the steady state.  Counts are exact on one interpreter; no clock is
 read.  The loop runs with asyncio's debug mode off (``-X dev`` turns it
 on), because its checks add thousands of steps.
 
-On CPython 3.11 (NumPy 2.4) the counts are 724 for a one-frame DECODE,
-561 for a 4,096-frame DECODE (it fills a lane, so it flushes inline
-and skips the loop turn a lone frame waits for) and 1,010 for an OPEN
+On CPython 3.11 (NumPy 2.4) the counts are 711 for a one-frame DECODE,
+548 for a 4,096-frame DECODE (it fills a lane, so it flushes inline
+and skips the loop turn a lone frame waits for) and 996 for an OPEN
 then a CLOSE.  About half of each count is asyncio and ``json``.  A
 pure-asyncio stand-in of these paths ran within 2% of the same step
 counts on CPython 3.11, 3.12 and 3.13, so each bound leaves
@@ -39,7 +39,7 @@ from stepcount import StepCounter
 HEADROOM = 0.05
 
 #: Steps each request takes on CPython 3.11, before headroom.
-STEPS = {"decode-1": 724, "decode-4096": 561, "open-close": 1010}
+STEPS = {"decode-1": 711, "decode-4096": 548, "open-close": 996}
 
 #: Most steps a 4,096-frame DECODE may run past a one-frame DECODE.
 BULK_EXTRA_STEPS = 16

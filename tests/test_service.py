@@ -21,7 +21,7 @@ from repro.service import (
     run_scenario,
 )
 from repro.service import DispatchCore, LatencyReservoir, SessionHandle, protocol
-from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES
+from repro.service.batcher import MAX_BATCH, MAX_CHUNK_FRAMES, _Lane
 from repro.service.session import MAX_SESSION_ID, CodecSession
 from stepcount import count_steps
 
@@ -341,6 +341,16 @@ def _reply_rows(code, words) -> np.ndarray:
     )
 
 
+def _soft_reply_rows(confidences) -> np.ndarray:
+    """The reference: DECODE reply rows of the direct soft batch decode."""
+    direct = get_decoder(get_code("hamming84")).decode_soft_batch_detailed(
+        confidences
+    )
+    return protocol.decode_reply_rows(
+        direct.messages, direct.corrected_errors, direct.detected_uncorrectable
+    )
+
+
 def _flush_reasons(core, session) -> dict:
     """The session's STATS flush-reason tally."""
     return core.stats()["sessions"][str(session.session_id)]["flush_reasons"]
@@ -492,7 +502,7 @@ class TestMicroBatcher:
                 batcher.submit(closing, "encode", np.ones((3, 4), dtype=np.uint8))
             )
             await asyncio.sleep(0)  # let submit enqueue
-            assert batcher.close_session(closing.session_id) == 1
+            assert closing.close()["lanes_closed"] == 1
             closed = await within(queued, 2)
             for _ in range(3):  # the cancelled turn flush must stay cancelled
                 await asyncio.sleep(0)
@@ -592,7 +602,7 @@ class TestMicroBatcher:
                 batcher.submit(session, "encode", np.zeros((2, 4), np.uint8))
             )
             await asyncio.sleep(0)
-            lane = batcher._lanes[(session.session_id, "encode")]
+            lane = session.lanes["encode"]
             bad_future = lane.enqueue(np.zeros((2, 7), np.uint8))  # wrong width
             outcomes = await asyncio.wait_for(
                 asyncio.gather(good, bad_future, return_exceptions=True), timeout=2.0
@@ -897,6 +907,49 @@ class TestServerEndToEnd:
 
         run(scenario())
 
+    def test_requests_cut_off_by_a_reset_leave_no_unretrieved_future(self, caplog):
+        """Regression: requests queued behind a drain when the peer reset
+        the connection left futures whose exception, set by the reader's
+        teardown, was logged as never retrieved once collected."""
+        import gc
+        import logging
+
+        body = bytes(protocol.MAX_FRAME_BYTES // 2)
+
+        async def scenario():
+            reset = asyncio.Event()
+
+            async def never_read(reader, writer):
+                await reset.wait()
+                writer.transport.abort()  # unread data: the peer gets a reset
+
+            listener = await asyncio.start_server(never_read, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            client = await CodecClient.connect(port=port)
+            sends = [
+                asyncio.ensure_future(client.send_request(protocol.OP_ENCODE, body))
+                for _ in range(64)
+            ]
+            await asyncio.sleep(0.05)
+            blocked = sum(not send.done() for send in sends)
+            reset.set()
+            results = await asyncio.gather(*sends, return_exceptions=True)
+            for sent in results:  # a request that made the wire fails later
+                if isinstance(sent, asyncio.Future):
+                    with pytest.raises(ConnectionError):
+                        await sent
+            await client.close()
+            listener.close()
+            await listener.wait_closed()
+            del sends, results
+            gc.collect()
+            return blocked
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            blocked = run(scenario())
+        assert blocked > 1  # requests were queued behind a full socket
+        assert [r.getMessage() for r in caplog.records] == []
+
     def test_codes_endpoint(self):
         async def scenario(server):
             client = await CodecClient.connect(port=server.port)
@@ -1013,20 +1066,8 @@ class TestSoftOp:
             return results, confidences
 
         results, confidences = run(scenario())
-        direct = get_decoder(get_code("hamming84")).decode_soft_batch_detailed(
-            confidences
-        )
-        assert np.array_equal(
-            np.concatenate([r.messages for r in results]), direct.messages
-        )
-        assert np.array_equal(
-            np.concatenate([r.corrected_errors for r in results]),
-            direct.corrected_errors,
-        )
-        assert np.array_equal(
-            np.concatenate([r.detected_uncorrectable for r in results]),
-            direct.detected_uncorrectable,
-        )
+        assert [len(r) for r in results] == [5] * 8
+        assert np.array_equal(np.concatenate(results), _soft_reply_rows(confidences))
 
     def test_empty_soft_request_completes_immediately(self):
         async def scenario():
@@ -1037,8 +1078,10 @@ class TestSoftOp:
             )
 
         empty = run(scenario())
-        assert len(empty) == 0
-        assert empty.messages.shape == (0, 4)
+        assert np.array_equal(
+            empty, _soft_reply_rows(np.zeros((0, 8), dtype=np.float64))
+        )
+        assert empty.shape == (0, 3)  # a packed k=4 message and two flags
 
     def test_soft_round_trip_over_wire(self):
         async def scenario(server):
@@ -1093,6 +1136,32 @@ class TestSoftOp:
         assert np.array_equal(
             np.concatenate([b.detected_uncorrectable for b in blocks]),
             direct.detected_uncorrectable,
+        )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_chunked_soft_request_matches_the_direct_reply(self, workers):
+        """A DECODE_SOFT of two chunks and a tail answers, byte for byte,
+        what ``build_decode_response_body`` writes for the direct decode."""
+        frames = 2 * MAX_CHUNK_FRAMES + 37
+        confidences = np.random.default_rng(13).normal(0.0, 1.0, (frames, 8))
+
+        async def scenario():
+            async with CodecServer(workers=workers) as server:
+                client = await CodecClient.connect(port=server.port)
+                session = await client.open_session("hamming84")
+                body = protocol.build_soft_batch_body(session.session_id, confidences)
+                response = await client.request(protocol.OP_DECODE_SOFT, body)
+                await client.close()
+                return response.body
+
+        # The wire quantises to float32, so the direct call does too.
+        quantised = confidences.astype(np.float32).astype(np.float64)
+        direct = get_decoder(get_code("hamming84")).decode_soft_batch_detailed(
+            quantised
+        )
+        assert direct.corrected_errors.any()
+        assert run(scenario()) == protocol.build_decode_response_body(
+            direct.messages, direct.corrected_errors, direct.detected_uncorrectable
         )
 
     def test_soft_corrected_frames_counted(self):
@@ -1252,38 +1321,41 @@ class TestServiceLifecycle:
                 session = core.open_session(SessionConfig(code="hamming84", seed=i))
                 await core.batcher.submit(session, "encode", msgs)
                 await core.batcher.submit(session, "decode", words)
-                assert len(core.batcher._lanes) == 2
+                assert len(session.lanes) == 2
                 report = core.close_session(session.session_id)
                 assert report["lanes_closed"] == 2
-                assert len(core.batcher._lanes) == 0
+                assert len(session.lanes) == 0
                 with pytest.raises(SessionError):
                     core.registry.get(session.session_id)
-            return len(core.batcher._lanes)
+            return sum(len(live.lanes) for live in core.registry)
 
         assert run(scenario()) == 0
 
     def test_close_session_steps_do_not_grow_with_live_sessions(self):
-        """A close looks up its own lanes; it never scans every lane."""
-        ops = ("encode", "decode", "decode_soft")
+        """A close touches its own session's lanes; it never scans the others."""
+        frames = {
+            "encode": np.ones((1, 4), dtype=np.uint8),
+            "decode": np.zeros((1, 1), dtype=np.uint8),
+            "decode_soft": np.ones((1, 8)),
+        }
 
         def close_steps(others):
-            batcher = MicroBatcher()
+            core = DispatchCore()
 
             async def open_lanes():
-                for session_id in range(1, others + 2):
-                    session = CodecSession(session_id, SessionConfig(code="hamming84"))
-                    for op in ops:
-                        batcher._lane(session, op)
+                # Sessions 1 and 2 close, the first as the warm-up.
+                for _ in range(others + 2):
+                    session = core.open_session(SessionConfig(code="hamming84"))
+                    for op, block in frames.items():
+                        await core.batcher.submit(session, op, block)
 
             asyncio.run(open_lanes())
-            closing = {(1, op): batcher._lanes[(1, op)] for op in ops}
-
-            def close():
-                batcher._lanes.update(closing)
-                assert batcher.close_session(1) == len(ops)
-
-            steps = count_steps(close)
-            assert len(batcher._lanes) == others * len(ops)
+            closing, replies = iter([1, 2]), []
+            steps = count_steps(
+                lambda: replies.append(core.close_session(next(closing)))
+            )
+            assert [reply["lanes_closed"] for reply in replies] == [len(frames)] * 2
+            assert len(core.registry) == others
             return steps
 
         assert close_steps(512) == close_steps(1)
@@ -1358,8 +1430,8 @@ class TestServiceLifecycle:
                 batcher.submit(session, "encode", np.ones((2, 4), dtype=np.uint8))
             )
             await asyncio.sleep(0)  # let submit enqueue
-            assert batcher.pending_frames() == 2
-            assert batcher.close_session(session.session_id) == 1
+            assert session.lanes["encode"].pending_frames == 2
+            assert session.close()["lanes_closed"] == 1
             result = await asyncio.wait_for(pending, timeout=2.0)
             return result, _flush_reasons(core, session)
 
@@ -1368,7 +1440,7 @@ class TestServiceLifecycle:
         assert reasons == {"close": 1}
 
     def test_no_stale_turn_flush_after_close_reuses_key(self):
-        """A recycled (session, op) key must not inherit a dead lane's flush."""
+        """A lane made after a close must not inherit the closed lane's flush."""
 
         async def scenario():
             batcher = MicroBatcher()
@@ -1377,17 +1449,17 @@ class TestServiceLifecycle:
                 batcher.submit(session, "encode", np.ones((1, 4), dtype=np.uint8))
             )
             await asyncio.sleep(0)
-            lane = batcher._lanes[(session.session_id, "encode")]
+            lane = session.lanes["encode"]
             scheduled = lane.scheduled
             assert scheduled is not None
-            batcher.close_session(session.session_id)
+            session.close()
             assert scheduled.cancelled() and lane.scheduled is None
-            # Reuse the key before the closed lane's turn flush would run.
+            # Reuse the op before the closed lane's turn flush would run.
             second = asyncio.ensure_future(
                 batcher.submit(session, "encode", np.ones((3, 4), dtype=np.uint8))
             )
             await asyncio.sleep(0)
-            reused = batcher._lanes[(session.session_id, "encode")]
+            reused = session.lanes["encode"]
             assert reused is not lane and reused.pending_frames == 3
             await first
             result = await asyncio.wait_for(second, timeout=2.0)
@@ -1400,32 +1472,41 @@ class TestServiceLifecycle:
         assert reasons == {"close": 1, "turn": 1}
 
     def test_flush_all_survives_lane_opened_by_kernel_side_effect(self):
-        """flush_all iterates a snapshot: a kernel opening a lane mid-drain
-        must not blow up the iteration with a mutated-dict RuntimeError."""
+        """The shutdown flush iterates snapshots: a kernel opening a session
+        and a lane mid-drain must not blow up the iteration with a
+        mutated-dict RuntimeError."""
 
         async def scenario():
-            batcher = MicroBatcher()
-            session_a = _session()
-            session_b = CodecSession(2, SessionConfig(code="hamming84", seed=99))
+            server = CodecServer(workers=0)
+            session_a = server.core.open_session(SessionConfig(code="hamming84"))
             kernel = session_a.encode_frames
+            opened = []
 
             def opening_kernel(batch):
-                # Synchronously open a brand-new lane during the flush.
-                batcher._lane(session_b, "encode")
+                # Synchronously open a brand-new session and lane during the flush.
+                session_b = server.core.open_session(
+                    SessionConfig(code="hamming84", seed=99)
+                )
+                session_b.lanes["encode"] = _Lane(
+                    session_b.encode_frames, session_b.telemetry, "encode"
+                )
+                opened.append(session_b)
                 return kernel(batch)
 
             session_a.encode_frames = opening_kernel
             pending = asyncio.ensure_future(
-                batcher.submit(session_a, "encode", np.ones((2, 4), dtype=np.uint8))
+                server.core.batcher.submit(
+                    session_a, "encode", np.ones((2, 4), dtype=np.uint8)
+                )
             )
             await asyncio.sleep(0)
-            batcher.flush_all()
+            await server.stop()
             result = await asyncio.wait_for(pending, timeout=2.0)
-            return result, set(batcher._lanes)
+            return result, [set(session.lanes) for session in opened]
 
         result, lanes = run(scenario())
         assert result.shape == (2, 8)
-        assert (2, "encode") in lanes
+        assert lanes == [{"encode"}]
 
     def test_telemetry_clocks_default_to_perf_counter(self):
         """Pin the timebase: batcher/tracer stamp with perf_counter, so the

@@ -9,6 +9,7 @@ table), never on a guessed sleep.
 """
 
 import asyncio
+import gc
 import logging
 
 import numpy as np
@@ -16,6 +17,10 @@ import pytest
 
 import chaos
 from repro.service import CodecClient, CodecServer, DispatchCore, protocol
+from repro.service.batcher import _Lane
+from repro.service.memory import MemoryLane
+from repro.service.session import CodecSession
+from repro.service.stream import StreamLane
 
 FRONTS = [0, 2]
 
@@ -24,6 +29,12 @@ DROPPED = 2000
 
 #: Connections open at once while they are dropped.
 WAVE = 50
+
+#: Session lifetimes the every-lane churn runs.
+LIFETIMES = 500
+
+#: What a session holds while it lives, in the process that serves it.
+SESSION_STATE = (CodecSession, _Lane, StreamLane, MemoryLane)
 
 
 def run(coro, timeout: float = 60.0):
@@ -61,6 +72,28 @@ async def _live_everywhere(server: CodecServer) -> dict:
     return live
 
 
+def _connections(server: CodecServer) -> tuple:
+    """The front's (accepted, open) connection counts."""
+    families = server.telemetry.families
+    return (
+        families["connections"].labels().value,
+        families["connections_open"].labels().value,
+    )
+
+
+def _series(scrape: str) -> int:
+    return sum(1 for line in scrape.splitlines() if line and not line.startswith("#"))
+
+
+def _session_state(exclude=()) -> list:
+    """Every live :data:`SESSION_STATE` object but those in ``exclude``."""
+    gc.collect()
+    return [
+        held for held in gc.get_objects()
+        if isinstance(held, SESSION_STATE) and not any(held is old for old in exclude)
+    ]
+
+
 def _decode_frames(scrape: str) -> int:
     return sum(
         int(line.rsplit(" ", 1)[1])
@@ -81,6 +114,9 @@ def test_dropped_connections_leave_no_session(workers, caplog):
                     _open_then_drop(server.port, seed, await_reply=seed % 4 != 0)
                     for seed in range(first, first + WAVE)
                 ))
+            # A connection may be dropped before the server accepts it:
+            # wait until every one was accepted and has ended.
+            await chaos.eventually(lambda: _connections(server) == (DROPPED, 0))
             await chaos.eventually(lambda: len(server.registry) == 0)
             live = await _live_everywhere(server)
             client = await CodecClient.connect(port=server.port)
@@ -194,9 +230,10 @@ def test_a_dropped_connection_closes_through_the_dispatch_core(monkeypatch):
             client = await CodecClient.connect(port=server.port)
             session = await client.open_session("hamming84", seed=1)
             await session.decode(words)
+            served = server.registry.get(session.session_id)
             await client.close()
             await chaos.eventually(lambda: len(server.registry) == 0)
-            return session.session_id, len(server.core.batcher._lanes)
+            return session.session_id, len(served.lanes)
 
     session_id, lanes = run(scenario())
     assert (closed, lanes) == ([session_id], 0)
@@ -244,7 +281,7 @@ def test_a_disconnect_closes_only_what_its_connection_opened(workers):
                 for reply in closes:
                     (await reply).raise_for_status()
             kept = await a.open_session("rm13", seed=cycles)
-            owned = set(server.registry._owners[kept.session_id])
+            owned = set(server.registry.get(kept.session_id).owner)
             await a.close()
             await chaos.eventually(lambda: len(server.registry) == 1)
             await b.close()
@@ -254,3 +291,75 @@ def test_a_disconnect_closes_only_what_its_connection_opened(workers):
     assert reborn.session_id == first.session_id != other.session_id
     assert np.array_equal(block.messages, reference.messages)
     assert owned == {kept.session_id}
+
+
+@pytest.mark.parametrize("workers", FRONTS)
+def test_churn_through_every_lane_leaves_nothing_behind(workers):
+    """Session churn through every lane leaves no state behind.
+
+    Each of :data:`LIFETIMES` connections opens a hamming84 session with
+    a stream window and a memory store, and sends ENCODE, DECODE,
+    DECODE_SOFT, a final stream push, a whole and a partial MEM_WRITE,
+    MEM_READ and MEM_SCRUB.  Even lifetimes end with CLOSE, odd ones by
+    dropping their connection.  Afterwards no session is live at the
+    front or on any worker, the scrape has the series it had once every
+    worker had served one lifetime (the first lifetime places on worker
+    0, the second on worker 1), STATS counts every frame sent, and the
+    serving process holds no session, batch lane, stream lane or memory
+    lane.
+    """
+    rng = np.random.default_rng(4)
+    messages = rng.integers(0, 2, (3, 4), dtype=np.uint8)
+    words, _ = chaos.seeded_words("hamming84", frames=4, seed=4)
+    confidences = 1.0 - 2.0 * words
+    mask = np.array([[1, 0, 0, 1]], dtype=np.uint8)
+    # encode 3, decode 4, soft 4, stream 3, write 3, partial write 1,
+    # read 4, and the 4 lines the scrub sweeps.
+    frames_per_lifetime = 26
+
+    async def lifetime(port, index):
+        client = await CodecClient.connect(port=port)
+        session = await client.open_session(
+            "hamming84", seed=index, stream_depth=2, memory_lines=8
+        )
+        await session.encode(messages)
+        await session.decode(words)
+        await session.decode_soft(confidences)
+        await session.decode_stream(confidences[:3], 0, final=True)
+        await session.mem_write([0, 1, 2], messages)
+        await session.mem_write_partial([3], messages[:1], mask)
+        await session.mem_read([0, 1, 2, 3])
+        await session.mem_scrub(4)
+        reply = await session.close() if index % 2 == 0 else None
+        await client.close()
+        return reply
+
+    async def scenario():
+        async with CodecServer(workers=workers) as server:
+            observer = await CodecClient.connect(port=server.port)
+            first = await lifetime(server.port, 0)
+            for index in range(1, max(workers, 1)):
+                await lifetime(server.port, index)
+            await chaos.eventually(lambda: len(server.registry) == 0)
+            series = _series(await observer.metrics())
+            for index in range(max(workers, 1), LIFETIMES):
+                await lifetime(server.port, index)
+            await chaos.eventually(lambda: len(server.registry) == 0)
+            live = await _live_everywhere(server)
+            status = await observer.admin("status")
+            after = _series(await observer.metrics())
+            stats = await observer.stats()
+            held = _session_state(exclude=before)
+            await observer.close()
+            return first, series, live, status, after, stats, held
+
+    before = _session_state()
+    first, series, live, status, after, stats, held = run(scenario())
+    assert first["lanes_closed"] == 3
+    assert first["stream_closed"] and first["memory_closed"]
+    assert all(ids == [] for ids in live.values()), live
+    assert status["sessions"] == 0
+    assert [w["sessions"] for w in status["workers"]] == [[]] * workers
+    assert after == series
+    assert stats["frames_total"] == LIFETIMES * frames_per_lifetime
+    assert held == []
