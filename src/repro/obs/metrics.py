@@ -233,24 +233,6 @@ class MetricFamily:
         """Every instantiated child, in creation order."""
         return self._children.values()
 
-    def fold(self, child, **labelvalues: str) -> None:
-        """Remove ``child``, adding its observations into a sibling.
-
-        The sibling is the child whose labels are ``child``'s with
-        ``labelvalues`` substituted (created on demand).  Counter values
-        and histogram buckets add exactly, so totals over the family
-        never drop; a gauge is a level, not a total, and is only
-        removed.  Costs O(1) in the number of children.
-        """
-        labels = dict(child.labels, **labelvalues)
-        if labels == child.labels:
-            return
-        self._children.pop(tuple(child.labels[n] for n in self.labelnames), None)
-        if self.kind == "counter":
-            self.labels(**labels).inc(child.value)
-        elif self.kind == "histogram":
-            self.labels(**labels).merge(child)
-
     def snapshot(self) -> Dict:
         """JSON-able dump of this family (sorted, deterministic)."""
         series = []

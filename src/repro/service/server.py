@@ -12,7 +12,7 @@ With ``workers=N`` the server becomes the front end of a shared-nothing
 process pool (:mod:`repro.service.workers`): each new session goes to
 the decode worker process with the fewest live sessions, data-plane
 bodies are forwarded as the preserialized bytes they arrived in, STATS
-and METRICS read one merge of every worker's registry, and the ADMIN
+and METRICS read one merge of every worker's telemetry, and the ADMIN
 opcode drives graceful drain/restart and chaos kills.  With
 ``workers=0`` (the default) everything runs in-process on a single
 :class:`~repro.service.workers.DispatchCore` — the degenerate pool of
@@ -34,11 +34,11 @@ import time
 from typing import Dict, Optional, Set
 
 from repro.errors import ServiceError
-from repro.obs.metrics import merge_snapshots, render_prometheus
+from repro.obs.metrics import render_prometheus
 from repro.obs.tracing import current_trace_id, get_tracer, trace_scope
 from repro.service import protocol
 from repro.service.session import SessionConfig, catalog
-from repro.service.telemetry import ServiceTelemetry, stats_view
+from repro.service.telemetry import ServiceTelemetry, merge_telemetry, stats_view
 from repro.service.workers import (
     DispatchCore,
     WorkerFaults,
@@ -220,7 +220,7 @@ class CodecServer:
         raise protocol.ProtocolError(f"unknown opcode 0x{opcode:02x}")
 
     async def _merged_metrics(self) -> Dict:
-        """Pooled METRICS and STATS: the front's and every worker's registries.
+        """Pooled METRICS and STATS: the front's and every worker's snapshots.
 
         Each worker snapshot arrives tagged with its index (see
         :meth:`WorkerPool.collect_metrics`); the tag becomes the
@@ -228,11 +228,9 @@ class CodecServer:
         while bucket sums across workers remain exact.
         """
         snapshots = [self.telemetry.metrics_snapshot()]
-        extra = [{"worker": "front"}]
-        for worker_snapshot in await self.pool.collect_metrics():
-            extra.append({"worker": worker_snapshot.pop("worker", "")})
-            snapshots.append(worker_snapshot)
-        return merge_snapshots(snapshots, extra_labels=extra)
+        snapshots += await self.pool.collect_metrics()
+        workers = [snapshot.pop("worker", "front") for snapshot in snapshots]
+        return merge_telemetry(snapshots, workers)
 
     async def _forward(self, request: protocol.Request) -> bytes:
         """Route a data-plane body to its worker, bytes in, bytes out.

@@ -240,15 +240,15 @@ class CodecSession:
     :func:`~repro.coding.registry.get_codec` memoises, shared with every
     other session of that code.  Everything else that lives and dies
     with the session is its own: the injection channel's RNG, its
-    telemetry series, its batch lanes (:attr:`lanes`, one per op, made
+    telemetry row, its batch lanes (:attr:`lanes`, one per op, made
     by :meth:`~repro.service.batcher.MicroBatcher.submit`), its stream
     window and memory lane (made on first use by :meth:`stream_lane` and
     :meth:`memory_lane`), the id set of the connection that opened it
     (:attr:`owner`) and, at a pool's front, the index of the worker
     that hosts it (:attr:`worker`).  :meth:`close` ends all of it.  The
-    series are created on ``service`` (a private recorder when ``None``)
-    and labelled with the code's canonical name, so every spelling of
-    one code shares its ``code`` label.
+    row lives on ``service`` (a recorder of its own when ``None``) under
+    the :func:`~repro.service.telemetry.code_label` of the code's
+    canonical name, so every spelling and depth of one code shares it.
     """
 
     def __init__(
@@ -502,9 +502,9 @@ class SessionRegistry:
     """Id-indexed store of live sessions; every open builds a new one.
 
     The one table keyed by session id: all else a session holds lives
-    on the :class:`CodecSession` itself.  Each session records into
-    ``telemetry`` (a private one by default) from its first request on;
-    closing the session folds its series.  A session opened with an
+    on the :class:`CodecSession` itself.  Each session records into a
+    row of ``telemetry`` (a private one by default); closing the session
+    adds the row into its label's closed row.  A session opened with an
     ``owner`` set is listed in it while live, so the connection that
     opened it can close it when it ends.
     """
@@ -576,9 +576,10 @@ class SessionRegistry:
         """Close a session and return its CLOSE reply (:meth:`CodecSession.close`).
 
         The session is removed from the registry and from its owner's
-        set, so its id is free again, and its telemetry series, the
-        close's flushes included, fold into the service's
-        ``session=""`` totals.  Unknown ids raise
+        set, so its id is free again, and its telemetry row, the close's
+        flushes included, adds into its label's closed row
+        (:meth:`~repro.service.telemetry.ServiceTelemetry.drop_session`).
+        Unknown ids raise
         :class:`~repro.errors.SessionError`.
         """
         session = self.get(session_id)

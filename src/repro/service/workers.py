@@ -180,7 +180,7 @@ class DispatchCore:
         if opcode == protocol.OP_STATS:
             return protocol.build_json_body(self.stats())
         if opcode == protocol.OP_METRICS:
-            return render_prometheus(self.telemetry.metrics_snapshot()).encode(
+            return render_prometheus(self.telemetry.families_snapshot()).encode(
                 "utf-8"
             )
         if opcode == protocol.OP_CODES:
@@ -258,7 +258,7 @@ class DispatchCore:
         :meth:`~repro.service.session.SessionRegistry.close`: pending
         batch items are flushed (answered, not dropped) and open stream
         windows drain with ``STREAM_ROW_FLUSHED`` status before the
-        session's series fold into the closed-session totals; unknown
+        session's counter row adds into its label's closed row; unknown
         ids raise :class:`~repro.errors.SessionError`.
         """
         return self.registry.close(session_id)
@@ -860,11 +860,14 @@ class WorkerPool:
 
     # -- telemetry ------------------------------------------------------
     async def collect_metrics(self) -> List[Dict]:
-        """Per-worker metrics-registry snapshots, each tagged ``worker``.
+        """Per-worker telemetry snapshots, each tagged ``worker``.
 
         Workers that are down or mid-respawn are skipped — their series
         reappear (with counters intact only since the respawn; restarts
-        are shared-nothing) on the next scrape.
+        are shared-nothing) on the next scrape.  A ready worker that
+        answers with an error fails the whole collection with a
+        :class:`~repro.errors.ServiceError` naming it, so no scrape
+        silently leaves a worker out.
         """
         snapshots = []
         for handle in self.handles:
@@ -877,7 +880,10 @@ class WorkerPool:
             except WorkerDied:
                 continue
             if response.status != protocol.ST_OK:
-                continue
+                raise ServiceError(
+                    f"decode worker {handle.index} could not report its "
+                    f"telemetry: {response.body.decode('utf-8', 'replace')}"
+                )
             snapshot = protocol.parse_json_body(response.body)
             snapshot["worker"] = str(handle.index)
             snapshots.append(snapshot)

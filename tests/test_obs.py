@@ -376,7 +376,7 @@ class TestServiceTelemetryRegressions:
             return first, code_labels_and_series_count()
 
         first, last = asyncio.run(asyncio.wait_for(scenario(), 60.0))
-        assert first[0] == last[0] == {"interleaved:hamming84:8"}
+        assert first[0] == last[0] == {"interleaved:hamming84"}
         assert last[1] == first[1]
 
     def test_session_latency_snapshot_carries_buckets(self):
@@ -440,17 +440,16 @@ class TestMetricsScrape:
         series = parse_prometheus(text)
 
         # Per-{op, worker} labelled counters are all present, and no
-        # series carries a backend label (there is one kernel engine).
+        # series carries a backend label (there is one kernel engine)
+        # or a session label (sessions are rows, summed per code).
         frame_series = [
             (dict(labels), value)
             for (name, labels), value in series.items()
             if name == "repro_service_frames_total"
         ]
-        assert all(
-            {"op", "worker", "session"} <= set(labels)
-            for labels, _ in frame_series
-        )
+        assert all({"op", "worker"} <= set(labels) for labels, _ in frame_series)
         assert not any("backend" in dict(labels) for _, labels in series)
+        assert not any("session" in dict(labels) for _, labels in series)
         assert sum(value for _, value in frame_series) == stats["frames_total"] > 0
 
         # Per-worker frame counters match the rollup exactly.

@@ -37,9 +37,8 @@ from repro.service import (
     make_scenario,
     run_scenario,
 )
-from repro.obs.metrics import merge_snapshots
 from repro.service import ServiceTelemetry, protocol, stats_view
-from repro.service.telemetry import LATENCY_BUCKETS_US
+from repro.service.telemetry import LATENCY_BUCKETS_US, merge_telemetry
 
 #: Hard wall-clock bound on every async scenario in this file (chaos
 #: scenarios spawn and reap real processes, so the bound is generous).
@@ -697,9 +696,9 @@ class TestStatsView:
     @given(n_workers=st.integers(1, 3), events=st.lists(_EVENTS, max_size=60))
     def test_stats_equal_sums_over_the_event_log(self, n_workers, events):
         services, live, log = _replay(n_workers, events)
-        merged = merge_snapshots(
-            [service.registry.snapshot() for service in services],
-            extra_labels=[{"worker": str(i)} for i in range(n_workers)],
+        merged = merge_telemetry(
+            [service.metrics_snapshot() for service in services],
+            [str(i) for i in range(n_workers)],
         )
         sessions = {
             sid: {"config": f"config-{sid}", "uptime_s": 1.0, "worker": worker}
