@@ -1,11 +1,13 @@
-"""Process-local metrics: counters, gauges, and mergeable histograms.
+"""Metric snapshots: fixed log buckets, an exact merge and a Prometheus renderer.
 
-The registry is deliberately tiny and dependency-free: a
-:class:`MetricsRegistry` holds metric *families* (one per metric name),
-each family holds labelled *children* (one per label-value combination),
-and every child is a plain Python object mutated in place — no locks on
-the hot path, which is safe because each registry lives on one event
-loop (or one worker process) and is scraped from the same thread.
+A *snapshot* is a plain JSON-able dict, ``{"families": [...]}``.  Each
+family has a ``name``, a ``type`` (``counter``, ``gauge`` or
+``histogram``), a ``help`` text, its ``labelnames`` and its ``series``.
+A series is ``{"labels": {...}, "value": v}``, or for a histogram
+``{"labels": {...}, "counts": [...], "sum": s}`` with one count per
+finite bucket edge in the family's ``buckets`` plus one for +Inf.
+:class:`~repro.service.telemetry.ServiceTelemetry` builds them from its
+counter rows.
 
 Histograms use **fixed log-spaced buckets** rather than sample
 reservoirs.  The bucket layout is part of the family's identity, so two
@@ -15,18 +17,16 @@ the worker-pool rollup needs: percentiles estimated from the merged
 buckets are within one bucket width of the truth, whereas percentiles
 of reservoir percentiles are not meaningful at all.
 
-Cross-process flow: each worker serialises ``registry.snapshot()`` (a
-JSON-able dict) over its pipe; the front end merges the snapshots with
-:func:`merge_snapshots` (tagging each with a ``worker`` label) and
-renders the result with :func:`render_prometheus`.
+Cross-process flow: each worker serialises its snapshot over its pipe;
+the front end merges the snapshots with :func:`merge_snapshots`
+(tagging each with a ``worker`` label) and renders the result with
+:func:`render_prometheus`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def log_buckets(
@@ -49,115 +49,19 @@ def log_buckets(
 #: Default bucket layout for microsecond timings: 1 µs .. ~8.4 s (+Inf).
 DEFAULT_TIME_BUCKETS_US = log_buckets(1.0, 2.0, 24)
 
-#: Wider layout for second-scale durations (engine shards): 1 µs .. ~9 min.
-WIDE_TIME_BUCKETS_US = log_buckets(1.0, 2.0, 30)
-
-_NAME_ALLOWED = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:"
-_LABEL_ALLOWED = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
-
-
-def _check_name(name: str, allowed: str, what: str) -> str:
-    if not name or name[0].isdigit() or any(c not in allowed for c in name):
-        raise ValueError(f"invalid {what} {name!r}")
-    return name
-
-
-class Counter:
-    """A monotonically increasing value (one labelled child)."""
-
-    __slots__ = ("labels", "value")
-
-    def __init__(self, labels: Dict[str, str]):
-        self.labels = labels
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (>= 0) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counters only go up, got {amount}")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up, down, or be set (one labelled child)."""
-
-    __slots__ = ("labels", "value")
-
-    def __init__(self, labels: Dict[str, str]):
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the gauge value."""
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` to the gauge."""
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount`` from the gauge."""
-        self.value -= amount
-
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum of observed values."""
-        if value > self.value:
-            self.value = value
-
-
-class Histogram:
-    """Fixed-bucket histogram child: counts per bucket, sum, and count.
-
-    ``bounds`` are the finite upper edges (ascending); ``counts`` has one
-    extra slot for the +Inf overflow bucket.  ``observe`` is O(log
-    buckets); bucket ``i`` counts values ``v <= bounds[i]`` (Prometheus
-    ``le`` semantics).
-    """
-
-    __slots__ = ("labels", "bounds", "counts", "sum")
-
-    def __init__(self, labels: Dict[str, str], bounds: Sequence[float]):
-        self.labels = labels
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one sample into its ``le`` bucket."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-
-    @property
-    def count(self) -> int:
-        """Total samples observed (sum over every bucket)."""
-        return sum(self.counts)
-
-    def percentile(self, q: float) -> float:
-        """Estimate the ``q``-th percentile (0-100) from the buckets.
-
-        Returns the upper edge of the bucket holding the nearest-rank
-        sample — within one bucket width of the exact order statistic
-        for in-range samples.  Overflow samples report the last finite
-        edge (the estimate saturates); an empty histogram reports 0.0.
-        """
-        return bucket_percentile(self.counts, self.bounds, q)
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this child, exactly."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum += other.sum
-
 
 def bucket_percentile(
     counts: Sequence[int], bounds: Sequence[float], q: float
 ) -> float:
-    """Percentile estimate over raw ``counts``/``bounds`` arrays.
+    """Estimate the ``q``-th percentile (0-100) of a histogram's bucket counts.
 
-    Shared by live :class:`Histogram` children and by rollup code that
-    works on merged snapshot counts without rebuilding child objects.
+    ``counts`` has one slot per finite edge in ``bounds`` (ascending;
+    slot ``i`` counts values ``v <= bounds[i]``, Prometheus ``le``
+    semantics) plus one for +Inf.  Returns the upper edge of the bucket
+    holding the nearest-rank sample — within one bucket width of the
+    exact order statistic for in-range samples.  Overflow samples
+    report the last finite edge (the estimate saturates); no samples
+    report 0.0.
     """
     total = sum(counts)
     if total == 0:
@@ -175,149 +79,6 @@ def bucket_percentile(
     return float(bounds[-1]) if bounds else 0.0
 
 
-_CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
-class MetricFamily:
-    """One named metric and all of its labelled children."""
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-    ):
-        _check_name(name, _NAME_ALLOWED, "metric name")
-        for label in labelnames:
-            _check_name(label, _LABEL_ALLOWED, "label name")
-        if kind not in _CHILD_TYPES:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        if kind == "histogram":
-            buckets = tuple(float(b) for b in (buckets or DEFAULT_TIME_BUCKETS_US))
-            if list(buckets) != sorted(set(buckets)):
-                raise ValueError("histogram buckets must be strictly ascending")
-        elif buckets is not None:
-            raise ValueError(f"{kind} metrics take no buckets")
-        self.name = name
-        self.kind = kind
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self.buckets = buckets
-        self._children: Dict[Tuple[str, ...], object] = {}
-
-    def signature(self) -> Tuple:
-        """Identity tuple used for idempotent re-registration checks."""
-        return (self.name, self.kind, self.labelnames, self.buckets)
-
-    def labels(self, **labelvalues: str):
-        """The child for one label-value combination (created on demand)."""
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labelvalues))}"
-            )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            labels = dict(zip(self.labelnames, key))
-            if self.kind == "histogram":
-                child = Histogram(labels, self.buckets)
-            else:
-                child = _CHILD_TYPES[self.kind](labels)
-            self._children[key] = child
-        return child
-
-    def children(self) -> Iterable:
-        """Every instantiated child, in creation order."""
-        return self._children.values()
-
-    def snapshot(self) -> Dict:
-        """JSON-able dump of this family (sorted, deterministic)."""
-        series = []
-        for key in sorted(self._children):
-            child = self._children[key]
-            entry: Dict = {"labels": dict(zip(self.labelnames, key))}
-            if self.kind == "histogram":
-                entry["counts"] = list(child.counts)
-                entry["sum"] = child.sum
-            else:
-                entry["value"] = child.value
-            series.append(entry)
-        family: Dict = {
-            "name": self.name,
-            "type": self.kind,
-            "help": self.help,
-            "labelnames": list(self.labelnames),
-            "series": series,
-        }
-        if self.kind == "histogram":
-            family["buckets"] = list(self.buckets)
-        return family
-
-
-class MetricsRegistry:
-    """A named collection of metric families.
-
-    Families register idempotently: asking for an existing name with the
-    same kind/labels/buckets returns the existing family, so modules can
-    declare their metrics wherever they use them; a conflicting
-    redefinition raises.
-    """
-
-    def __init__(self):
-        self._families: Dict[str, MetricFamily] = {}
-        self._lock = threading.Lock()
-
-    def _family(
-        self, name: str, kind: str, help: str, labelnames, buckets=None
-    ) -> MetricFamily:
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                candidate = MetricFamily(name, kind, help, labelnames, buckets)
-                if candidate.signature() != existing.signature():
-                    raise ValueError(
-                        f"metric {name!r} already registered with a "
-                        "different kind, labels, or buckets"
-                    )
-                return existing
-            family = MetricFamily(name, kind, help, labelnames, buckets)
-            self._families[name] = family
-            return family
-
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        """Register (or fetch) a counter family."""
-        return self._family(name, "counter", help, labelnames)
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        """Register (or fetch) a gauge family."""
-        return self._family(name, "gauge", help, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-    ) -> MetricFamily:
-        """Register (or fetch) a fixed-bucket histogram family."""
-        return self._family(name, "histogram", help, labelnames, buckets)
-
-    def families(self) -> List[MetricFamily]:
-        """Registered families, sorted by name."""
-        return [self._families[n] for n in sorted(self._families)]
-
-    def snapshot(self) -> Dict:
-        """JSON-able dump of every family — the cross-process wire form."""
-        return {"families": [f.snapshot() for f in self.families()]}
-
-
 # ---------------------------------------------------------------------
 # Snapshot merging (pool rollup) and Prometheus rendering
 # ---------------------------------------------------------------------
@@ -325,7 +86,7 @@ def merge_snapshots(
     snapshots: Sequence[Dict],
     extra_labels: Optional[Sequence[Optional[Dict[str, str]]]] = None,
 ) -> Dict:
-    """Merge registry snapshots into one, summing matching series.
+    """Merge snapshots into one, summing matching series.
 
     ``extra_labels[i]`` (e.g. ``{"worker": "3"}``) is added to every
     series of ``snapshots[i]`` before merging, which is how per-worker
@@ -433,7 +194,7 @@ def _render_labels(labels: Dict[str, str], extra: str = "") -> str:
 
 
 def render_prometheus(snapshot: Dict) -> str:
-    """Render a registry (or merged) snapshot as Prometheus text format.
+    """Render a snapshot (or a merge of several) as Prometheus text format.
 
     Empty-string label values are elided — they mark "label not
     applicable to this series" (e.g. ``op`` on a connection counter).
@@ -468,27 +229,3 @@ def render_prometheus(snapshot: Dict) -> str:
                     f"{_format_value(entry['value'])}"
                 )
     return "\n".join(lines) + "\n" if lines else ""
-
-
-# ---------------------------------------------------------------------
-# The process-default registry (experiment-engine and cache metrics)
-# ---------------------------------------------------------------------
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry for non-service metrics.
-
-    Service counters live on each server's own registry (so tests can
-    run many servers in one process without cross-talk); experiment-engine
-    and cache metrics are process-global facts and live here.
-    A metrics scrape renders the merge of both.
-    """
-    return _DEFAULT_REGISTRY
-
-
-def reset_default_registry() -> MetricsRegistry:
-    """Replace the process-default registry (test isolation hook)."""
-    global _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = MetricsRegistry()
-    return _DEFAULT_REGISTRY

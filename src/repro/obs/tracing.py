@@ -35,11 +35,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterator, List, Optional, TextIO
 
-from repro.obs.metrics import DEFAULT_TIME_BUCKETS_US, Histogram
+from repro.obs.metrics import DEFAULT_TIME_BUCKETS_US, bucket_percentile
 
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
@@ -249,8 +250,8 @@ def tail_events(path: str, count: int = 20) -> List[Dict]:
 def summarize_events(events) -> Dict[str, Dict]:
     """Per-span duration summary: count, p50/p99 µs, max µs, traces.
 
-    Percentiles come from the same log-bucket histogram the live
-    metrics use, so offline summaries and scraped histograms agree.
+    Percentiles come from the same log buckets the live latency
+    histograms use, so offline summaries and scraped histograms agree.
     """
     spans: Dict[str, Dict] = {}
     for event in events:
@@ -261,7 +262,7 @@ def summarize_events(events) -> Dict[str, Dict]:
                 "count": 0,
                 "traces": set(),
                 "max_us": 0.0,
-                "_hist": Histogram({}, DEFAULT_TIME_BUCKETS_US),
+                "buckets": [0] * (len(DEFAULT_TIME_BUCKETS_US) + 1),
             }
             spans[span] = entry
         entry["count"] += 1
@@ -269,17 +270,17 @@ def summarize_events(events) -> Dict[str, Dict]:
             entry["traces"].add(event["trace"])
         dur = event.get("dur_us")
         if dur is not None:
-            entry["_hist"].observe(float(dur))
+            entry["buckets"][bisect_left(DEFAULT_TIME_BUCKETS_US, float(dur))] += 1
             entry["max_us"] = max(entry["max_us"], float(dur))
     summary = {}
     for span in sorted(spans):
         entry = spans[span]
-        hist = entry.pop("_hist")
+        buckets = entry["buckets"]
         summary[span] = {
             "count": entry["count"],
             "traces": len(entry["traces"]),
-            "p50_us": hist.percentile(50.0),
-            "p99_us": hist.percentile(99.0),
+            "p50_us": bucket_percentile(buckets, DEFAULT_TIME_BUCKETS_US, 50.0),
+            "p99_us": bucket_percentile(buckets, DEFAULT_TIME_BUCKETS_US, 99.0),
             "max_us": round(entry["max_us"], 3),
         }
     return summary

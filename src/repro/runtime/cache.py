@@ -35,19 +35,9 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro._version import __version__
-from repro.obs.metrics import default_registry
 from repro.runtime.spec import CACHE_SCHEMA_VERSION, ExperimentSpec, Shard
 
 _SHARD_FILE = re.compile(r"^(\d+)-(\d+)\.npy$")
-
-
-def _cache_events():
-    """The cache's event counter on the current process-default registry."""
-    return default_registry().counter(
-        "repro_cache_events_total",
-        "Result-cache operations: result_{hit,miss,store}, shard_{store,resumed}.",
-        ("event",),
-    )
 
 
 def default_cache_root() -> Path:
@@ -87,23 +77,16 @@ class ResultCache:
     # ------------------------------------------------------------------
     def load_result(self, spec: ExperimentSpec) -> Optional[np.ndarray]:
         """The cached ``(n_chips,)`` counts, or ``None`` on any mismatch."""
-        events = _cache_events()
         entry = self.entry_dir(spec)
         result_path = entry / "result.npz"
         if not result_path.exists() or not self._meta_matches(entry, spec):
-            events.labels(event="result_miss").inc()
             return None
         try:
             with np.load(result_path) as payload:
                 counts = np.asarray(payload["counts"], dtype=np.int64)
         except (OSError, ValueError, KeyError, BadZipFile):
-            events.labels(event="result_miss").inc()
             return None
-        if counts.shape != (spec.n_chips,):
-            events.labels(event="result_miss").inc()
-            return None
-        events.labels(event="result_hit").inc()
-        return counts
+        return counts if counts.shape == (spec.n_chips,) else None
 
     def store_result(self, spec: ExperimentSpec, counts: np.ndarray) -> Path:
         counts = np.asarray(counts, dtype=np.int64)
@@ -115,7 +98,6 @@ class ResultCache:
         self._write_meta(entry, spec)
         _atomic_write(entry / "result.npz", lambda fh: np.savez(fh, counts=counts))
         self.clear_shards(spec)
-        _cache_events().labels(event="result_store").inc()
         return entry
 
     # ------------------------------------------------------------------
@@ -132,7 +114,6 @@ class ResultCache:
         self._write_meta(entry, spec)
         path = entry / "shards" / f"{shard.start}-{shard.stop}.npy"
         _atomic_write(path, lambda fh: np.save(fh, counts))
-        _cache_events().labels(event="shard_store").inc()
 
     def load_shards(self, spec: ExperimentSpec) -> Dict[Tuple[int, int], np.ndarray]:
         """All checkpointed ranges of ``spec``, keyed ``(start, stop)``."""
@@ -154,8 +135,6 @@ class ResultCache:
                 continue
             if counts.shape == (stop - start,):
                 checkpoints[(start, stop)] = counts
-        if checkpoints:
-            _cache_events().labels(event="shard_resumed").inc(len(checkpoints))
         return checkpoints
 
     def clear_shards(self, spec: ExperimentSpec) -> None:

@@ -32,55 +32,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.obs.metrics import WIDE_TIME_BUCKETS_US, default_registry
 from repro.runtime import worker
 from repro.runtime.cache import ResultCache
 from repro.runtime.progress import ProgressEvent
 from repro.runtime.spec import DEFAULT_SHARD_SIZE, ExperimentSpec, Shard, ShardPlan
 
 ProgressCallback = Callable[[ProgressEvent], None]
-
-
-def _engine_metrics():
-    """The engine's families on the *current* process-default registry.
-
-    Fetched per ``run_many`` call (not cached at import) so
-    :func:`repro.obs.metrics.reset_default_registry` isolates tests.
-    """
-    registry = default_registry()
-    return (
-        registry.counter(
-            "repro_engine_shards_total",
-            "Shards accounted for by the engine, by outcome.",
-            ("outcome", "kind"),
-        ),
-        registry.counter(
-            "repro_engine_chips_total",
-            "Chips accounted for by the engine, by outcome.",
-            ("outcome", "kind"),
-        ),
-        registry.histogram(
-            "repro_engine_shard_time_us",
-            "Wall time of one executed shard, microseconds.",
-            ("kind",),
-            WIDE_TIME_BUCKETS_US,
-        ),
-        registry.gauge(
-            "repro_engine_chips_per_second",
-            "Executed-chip throughput of the most recent engine run.",
-        ).labels(),
-    )
-
-
-def _timed_run_shard(spec: ExperimentSpec, shard: Shard):
-    """Run one shard and report its wall time (pool submission target).
-
-    The duration is measured inside the worker process so pool-queue
-    wait never inflates the shard-time histogram.
-    """
-    started = time.perf_counter()
-    counts = worker.run_shard(spec, shard)
-    return counts, (time.perf_counter() - started) * 1e6
 
 
 @dataclass
@@ -146,7 +103,6 @@ class MonteCarloEngine:
         chips_total = sum(spec.n_chips for spec in specs)
         chips_done = 0
         chips_executed = 0
-        shards_metric, chips_metric, shard_time, chips_rate = _engine_metrics()
 
         for index, spec in enumerate(specs):
             if self.cache is not None:
@@ -160,9 +116,6 @@ class MonteCarloEngine:
                         shards_resumed=0,
                     )
                     chips_done += spec.n_chips
-                    chips_metric.labels(outcome="cached", kind=spec.kind).inc(
-                        spec.n_chips
-                    )
                     continue
             plan = ShardPlan.split(spec.n_chips, self.shard_size)
             state = _SpecState(
@@ -182,10 +135,6 @@ class MonteCarloEngine:
                     state.remaining.discard(shard)
                     state.shards_resumed += 1
                     chips_done += shard.n_chips
-                    shards_metric.labels(outcome="resumed", kind=spec.kind).inc()
-                    chips_metric.labels(outcome="resumed", kind=spec.kind).inc(
-                        shard.n_chips
-                    )
             states[index] = state
             if state.complete:
                 results[index] = self._finalize(state)
@@ -198,12 +147,7 @@ class MonteCarloEngine:
             if shard in state.remaining
         ]
 
-        def absorb(
-            index: int,
-            shard: Shard,
-            counts: np.ndarray,
-            dur_us: Optional[float] = None,
-        ) -> None:
+        def absorb(index: int, shard: Shard, counts: np.ndarray) -> None:
             nonlocal chips_done, chips_executed
             state = states[index]
             state.counts[shard.start : shard.stop] = counts
@@ -211,11 +155,6 @@ class MonteCarloEngine:
             state.shards_executed += 1
             chips_done += shard.n_chips
             chips_executed += shard.n_chips
-            kind = state.spec.kind
-            shards_metric.labels(outcome="executed", kind=kind).inc()
-            chips_metric.labels(outcome="executed", kind=kind).inc(shard.n_chips)
-            if dur_us is not None:
-                shard_time.labels(kind=kind).observe(dur_us)
             if self.cache is not None and not state.complete:
                 self.cache.store_shard(state.spec, shard, counts)
             if state.complete:
@@ -232,18 +171,13 @@ class MonteCarloEngine:
         if tasks:
             if self.jobs == 1:
                 for index, shard in tasks:
-                    shard_started = time.perf_counter()
-                    counts = worker.run_shard(specs[index], shard)
-                    absorb(
-                        index, shard, counts,
-                        (time.perf_counter() - shard_started) * 1e6,
-                    )
+                    absorb(index, shard, worker.run_shard(specs[index], shard))
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(tasks))
                 ) as pool:
                     futures = {
-                        pool.submit(_timed_run_shard, specs[index], shard): (index, shard)
+                        pool.submit(worker.run_shard, specs[index], shard): (index, shard)
                         for index, shard in tasks
                     }
                     pending = set(futures)
@@ -251,12 +185,8 @@ class MonteCarloEngine:
                         finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                         for future in finished:
                             index, shard = futures[future]
-                            counts, dur_us = future.result()
-                            absorb(index, shard, counts, dur_us)
+                            absorb(index, shard, future.result())
 
-        elapsed = time.perf_counter() - started
-        if chips_executed and elapsed > 0:
-            chips_rate.set(chips_executed / elapsed)
         label = specs[0].display_label if len(specs) == 1 else f"{len(specs)} specs"
         self._emit(label, chips_done, chips_total, chips_executed, started, done=True)
         return results  # type: ignore[return-value]  # every slot is filled above

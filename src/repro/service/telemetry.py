@@ -1,12 +1,13 @@
 """Service telemetry: one fixed-width counter row per session.
 
 Each :class:`ServiceTelemetry` (one per dispatch core) owns the counter
-rows of its live sessions and one closed-sessions row per ``code``
-label.  A row is a fixed layout of int64 columns, one per counter
-field, histogram bucket and gauge, plus a float block with the
-histograms' sums.  Recording is ``row[column] += n``.  A close adds the
-row into its label's closed row in one vector add, and from then on the
-closed session's recorder writes into that closed row.
+rows of its live sessions, one closed-sessions row per ``code`` label
+and a core row with its connection and protocol-error counters.  A
+session row is a fixed layout of int64 columns, one per counter field,
+histogram bucket and gauge, plus a float block with the histograms'
+sums.  Recording is ``row[column] += n``.  A close adds the row into
+its label's closed row in one vector add, and from then on the closed
+session's recorder writes into that closed row.
 
 The ``code`` label takes a fixed set that client input cannot grow
 (:func:`code_label`), and no label names a session, so the scrape does
@@ -30,13 +31,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS_US,
-    MetricsRegistry,
-    bucket_percentile,
-    default_registry,
-    merge_snapshots,
-)
+from repro.obs.metrics import DEFAULT_TIME_BUCKETS_US, bucket_percentile, merge_snapshots
 
 #: Request-latency bucket edges (µs); pooled STATS sums them across workers.
 LATENCY_BUCKETS_US = DEFAULT_TIME_BUCKETS_US
@@ -133,7 +128,8 @@ _TOGETHER = {
     },
 }
 
-#: The core's own families, outside the rows.
+#: The core's own families: (key, kind, name, help), one column each of
+#: its core row, outside the session rows.
 _SERVICE_FAMILIES = (
     ("connections", "counter", "repro_service_connections_total",
      "Client connections accepted."),
@@ -142,6 +138,7 @@ _SERVICE_FAMILIES = (
     ("protocol_errors", "counter", "repro_service_protocol_errors_total",
      "Malformed frames, unknown opcodes, and oversized payloads."),
 )
+_CONNECTIONS, _CONNECTIONS_OPEN, _PROTOCOL_ERRORS = range(len(_SERVICE_FAMILIES))
 
 
 def _layout():
@@ -380,14 +377,7 @@ class ServiceTelemetry:
         # perf_counter, like the batcher and tracer, so uptime and
         # throughput share the latency attributions' timebase.
         self.started_at = time.perf_counter()
-        self.registry = MetricsRegistry()
-        self.families = {
-            key: getattr(self.registry, kind)(name, help_text)
-            for key, kind, name, help_text in _SERVICE_FAMILIES
-        }
-        self._connections_total = self.families["connections"].labels()
-        self._connections_open = self.families["connections_open"].labels()
-        self._protocol_errors = self.families["protocol_errors"].labels()
+        self._core = [0] * len(_SERVICE_FAMILIES)
         self._live: Dict[int, SessionTelemetry] = {}
         self._closed: Dict[str, _ClosedRow] = defaultdict(_ClosedRow)
 
@@ -420,15 +410,17 @@ class ServiceTelemetry:
         telemetry.row, telemetry.sums = closed.row, closed.sums
 
     def connection_opened(self) -> None:
-        self._connections_total.inc()
-        self._connections_open.inc()
+        core = self._core
+        core[_CONNECTIONS] += 1
+        core[_CONNECTIONS_OPEN] += 1
 
     def connection_closed(self) -> None:
         # Clamp at zero: crash teardown may report one socket twice.
-        self._connections_open.set(max(self._connections_open.value - 1, 0))
+        core = self._core
+        core[_CONNECTIONS_OPEN] = max(core[_CONNECTIONS_OPEN] - 1, 0)
 
     def record_protocol_error(self, count: int = 1) -> None:
-        self._protocol_errors.inc(count)
+        self._core[_PROTOCOL_ERRORS] += count
 
     def families_snapshot(self) -> Dict:
         """What ``OP_METRICS`` renders: the ``families`` of :meth:`metrics_snapshot`."""
@@ -439,11 +431,9 @@ class ServiceTelemetry:
 
         ``families`` holds the row families as sums per ``code`` label
         over the live and closed rows (histograms per ``op`` over every
-        row), beside this core's connection counters and the
-        process-default registry's families (experiment-engine and
-        cache metrics; the names are disjoint).  ``sessions`` maps each
-        live session id (a string) to its row's nonzero columns, as
-        ``[columns, values]``.
+        row), beside this core's connection and protocol-error counters.
+        ``sessions`` maps each live session id (a string) to its row's
+        nonzero columns, as ``[columns, values]``.
         """
         snapshot, live, ints = self._snapshot()
         snapshot["sessions"] = _sparse_rows(live, ints[: len(live)])
@@ -456,9 +446,11 @@ class ServiceTelemetry:
         rows = live + list(self._closed.values())
         ints = _stack([telemetry.row for telemetry in rows], np.int64, WIDTH)
         sums = _stack([telemetry.sums for telemetry in rows], np.float64, len(_SUM))
-        families = _row_families(codes, ints, sums)
-        for registry in (self.registry, default_registry()):
-            families += registry.snapshot()["families"]
+        families = _row_families(codes, ints, sums) + [
+            {"name": name, "type": kind, "help": help_text, "labelnames": [],
+             "series": [{"labels": {}, "value": value}]}
+            for (_, kind, name, help_text), value in zip(_SERVICE_FAMILIES, self._core)
+        ]
         families.sort(key=lambda family: family["name"])
         return {"families": families}, live, ints
 

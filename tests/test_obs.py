@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry, tracing, and scrapes.
+"""Observability layer: metric snapshots, tracing, and scrapes.
 
 The load-bearing property under test is **exact mergeability**: the
 fixed-log-bucket histograms must merge across pool workers by summing
@@ -17,8 +17,6 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS_US,
-    Histogram,
-    MetricsRegistry,
     bucket_percentile,
     log_buckets,
     merge_snapshots,
@@ -35,6 +33,13 @@ from repro.obs.tracing import (
 )
 from repro.service import CodecClient, CodecServer, DispatchCore, SessionConfig, protocol
 from repro.service.telemetry import LATENCY_BUCKETS_US
+
+#: The core row's families and their types, listed even at 0.
+CORE_FAMILIES = {
+    "repro_service_connections_total": "counter",
+    "repro_service_connections_open": "gauge",
+    "repro_service_protocol_errors_total": "counter",
+}
 
 #: Hard wall-clock bound on every async scenario in this file.
 SCENARIO_TIMEOUT_S = 30.0
@@ -66,8 +71,39 @@ def parse_prometheus(text):
     return series
 
 
+def _bucket_counts(samples, bounds):
+    """Each ``le`` bucket's sample count, +Inf last."""
+    return np.bincount(
+        np.searchsorted(bounds, samples, side="left"), minlength=len(bounds) + 1
+    ).tolist()
+
+
+def _family(name, kind, series, labelnames=(), buckets=None, help_text="d"):
+    """A literal snapshot family."""
+    family = {
+        "name": name,
+        "type": kind,
+        "help": help_text,
+        "labelnames": list(labelnames),
+        "series": series,
+    }
+    if buckets is not None:
+        family["buckets"] = list(buckets)
+    return family
+
+
+def _histogram(name, buckets, values):
+    """A one-series histogram family holding ``values``."""
+    series = {
+        "labels": {},
+        "counts": _bucket_counts(values, buckets),
+        "sum": float(sum(values)),
+    }
+    return _family(name, "histogram", [series], buckets=buckets)
+
+
 # ---------------------------------------------------------------------
-# Histograms (bucket layout, edges, exact mergeability)
+# Bucket layout, edges and percentiles
 # ---------------------------------------------------------------------
 class TestLogBuckets:
     def test_layout(self):
@@ -82,69 +118,30 @@ class TestLogBuckets:
             log_buckets(1.0, 2.0, 0)
 
 
-class TestHistogram:
-    def test_empty_histogram(self):
-        hist = Histogram({}, (1.0, 2.0, 4.0))
-        assert hist.count == 0
-        assert hist.sum == 0.0
-        assert hist.percentile(50.0) == 0.0
-        assert hist.percentile(99.0) == 0.0
+class TestBucketPercentile:
+    BOUNDS = (1.0, 2.0, 4.0)
+
+    def test_empty_counts(self):
+        assert bucket_percentile([0, 0, 0, 0], self.BOUNDS, 50.0) == 0.0
+        assert bucket_percentile([0, 0, 0, 0], self.BOUNDS, 99.0) == 0.0
 
     def test_one_sample(self):
-        hist = Histogram({}, (1.0, 2.0, 4.0))
-        hist.observe(1.5)
-        assert hist.count == 1
         # Every percentile of a single sample is its bucket's upper edge.
         for q in (0.0, 50.0, 100.0):
-            assert hist.percentile(q) == 2.0
+            assert bucket_percentile([0, 1, 0, 0], self.BOUNDS, q) == 2.0
 
-    def test_le_boundary_semantics(self):
-        # A value equal to an edge belongs to that edge's bucket
-        # (Prometheus ``le`` semantics), not the next one.
-        hist = Histogram({}, (1.0, 2.0, 4.0))
-        for value in (1.0, 2.0, 4.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 0]
-
-    def test_overflow_bucket_and_saturated_percentile(self):
-        hist = Histogram({}, (1.0, 2.0, 4.0))
-        hist.observe(1e9)
-        assert hist.counts == [0, 0, 0, 1]
-        # The estimate saturates at the last finite edge.
-        assert hist.percentile(50.0) == 4.0
-
-    def test_merge_is_exact(self):
-        bounds = log_buckets(1.0, 2.0, 10)
-        rng = np.random.default_rng(7)
-        left, right, whole = (
-            Histogram({}, bounds),
-            Histogram({}, bounds),
-            Histogram({}, bounds),
-        )
-        samples = np.exp(rng.uniform(0.0, 8.0, size=500))
-        for i, value in enumerate(samples):
-            (left if i % 2 else right).observe(value)
-            whole.observe(value)
-        left.merge(right)
-        assert left.counts == whole.counts
-        assert left.sum == pytest.approx(whole.sum)
-        assert left.count == 500
-
-    def test_merge_rejects_different_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram({}, (1.0, 2.0)).merge(Histogram({}, (1.0, 3.0)))
+    def test_overflow_saturates_at_the_last_edge(self):
+        assert bucket_percentile([0, 0, 0, 1], self.BOUNDS, 50.0) == 4.0
 
     def test_percentiles_agree_with_numpy_within_one_bucket(self):
         # The nearest-rank bucket estimate must bracket the exact order
         # statistic within one (factor-2) bucket width.
         rng = np.random.default_rng(20260808)
         samples = np.exp(rng.uniform(0.0, math.log(8e6), size=5000))
-        hist = Histogram({}, DEFAULT_TIME_BUCKETS_US)
-        for value in samples:
-            hist.observe(value)
+        counts = _bucket_counts(samples, DEFAULT_TIME_BUCKETS_US)
         for q in (10.0, 50.0, 90.0, 99.0):
             exact = float(np.percentile(samples, q))
-            estimate = hist.percentile(q)
+            estimate = bucket_percentile(counts, DEFAULT_TIME_BUCKETS_US, q)
             assert estimate >= exact / 2.0
             assert estimate <= exact * 2.0
 
@@ -153,87 +150,80 @@ class TestHistogram:
         with pytest.raises(ValueError):
             bucket_percentile([1], [1.0], 150.0)
 
+    def test_le_boundary_semantics(self):
+        # A value equal to an edge belongs to that edge's bucket
+        # (Prometheus ``le`` semantics), not the next one.
+        core = DispatchCore()
+        session = core.open_session(SessionConfig(code="hamming84"))
+        for value in (1.0, 2.0, 4.0):
+            session.telemetry.record_latency_us(value, "decode")
+        buckets = core.stats()["sessions"]["1"]["latency"]["buckets"]
+        assert LATENCY_BUCKETS_US[:3] == (1.0, 2.0, 4.0)
+        assert buckets[:4] == [1, 1, 1, 0]
+
 
 # ---------------------------------------------------------------------
-# Registry, rendering, and snapshot merging
+# Rendering and snapshot merging
 # ---------------------------------------------------------------------
-class TestRegistry:
-    def test_reregistration_is_idempotent(self):
-        registry = MetricsRegistry()
-        first = registry.counter("demo_total", "d", ("op",))
-        assert registry.counter("demo_total", "d", ("op",)) is first
-
-    def test_conflicting_registration_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d", ("op",))
-        with pytest.raises(ValueError):
-            registry.gauge("demo_total", "d", ("op",))
-        with pytest.raises(ValueError):
-            registry.counter("demo_total", "d", ("other",))
-
-    def test_label_validation(self):
-        registry = MetricsRegistry()
-        family = registry.counter("demo_total", "d", ("op",))
-        with pytest.raises(ValueError):
-            family.labels(nope="x")
-        with pytest.raises(ValueError):
-            registry.counter("0bad", "d")
-
-    def test_counter_rejects_negative(self):
-        child = MetricsRegistry().counter("demo_total").labels()
-        with pytest.raises(ValueError):
-            child.inc(-1)
-
-    def test_snapshot_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d", ("op",)).labels(op="x").inc(3)
-        registry.histogram("demo_us", "d", buckets=(1.0, 2.0)).labels().observe(1.5)
-        snapshot = json.loads(json.dumps(registry.snapshot()))
-        assert {f["name"] for f in snapshot["families"]} == {
-            "demo_total", "demo_us",
-        }
-
-
 class TestPrometheusRendering:
     def test_counter_and_label_elision(self):
-        registry = MetricsRegistry()
-        family = registry.counter("demo_total", "a demo", ("op", "code"))
-        family.labels(op="decode", code="").inc(2)
-        text = render_prometheus(registry.snapshot())
+        counter = _family(
+            "demo_total", "counter",
+            [{"labels": {"op": "decode", "code": ""}, "value": 2}],
+            labelnames=("op", "code"),
+            help_text="a demo",
+        )
+        text = render_prometheus({"families": [counter]})
         assert "# HELP demo_total a demo" in text
         assert "# TYPE demo_total counter" in text
         # Empty label values are elided, not rendered as code="".
         assert 'demo_total{op="decode"} 2' in text
 
     def test_histogram_renders_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        child = registry.histogram("demo_us", "d", buckets=(1.0, 2.0)).labels()
-        for value in (0.5, 1.5, 99.0):
-            child.observe(value)
-        series = parse_prometheus(render_prometheus(registry.snapshot()))
+        snapshot = {"families": [_histogram("demo_us", (1.0, 2.0), [0.5, 1.5, 99.0])]}
+        series = parse_prometheus(render_prometheus(snapshot))
         assert series[("demo_us_bucket", (("le", "1"),))] == 1
         assert series[("demo_us_bucket", (("le", "2"),))] == 2
         assert series[("demo_us_bucket", (("le", "+Inf"),))] == 3
         assert series[("demo_us_count", ())] == 3
         assert series[("demo_us_sum", ())] == pytest.approx(101.0)
 
+    def test_label_values_are_escaped(self):
+        counter = _family(
+            "demo_total", "counter",
+            [{"labels": {"path": 'a\\b"c\nd'}, "value": 1}],
+            labelnames=("path",),
+        )
+        text = render_prometheus({"families": [counter]})
+        assert 'demo_total{path="a\\\\b\\"c\\nd"} 1' in text
+
+    def test_snapshot_round_trips_through_json(self):
+        # Pool workers ship their snapshots to the front as JSON.
+        core = DispatchCore()
+        session = core.open_session(SessionConfig(code="hamming84"))
+        session.telemetry.record_request("decode", 2)
+        session.telemetry.record_latency_us(3.0, "decode")
+        core.telemetry.connection_opened()
+        snapshot = core.telemetry.metrics_snapshot()
+        shipped = json.loads(json.dumps(snapshot))
+        assert shipped["families"] == snapshot["families"]
+        assert render_prometheus(shipped) == render_prometheus(snapshot)
+
 
 class TestMergeSnapshots:
-    def _registry(self, decode_count, latency_values):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d", ("op",)).labels(op="decode").inc(
-            decode_count
+    def _snapshot(self, decode_count, latency_values):
+        counter = _family(
+            "demo_total", "counter",
+            [{"labels": {"op": "decode"}, "value": decode_count}],
+            labelnames=("op",),
         )
-        hist = registry.histogram("demo_us", "d", buckets=(1.0, 2.0, 4.0)).labels()
-        for value in latency_values:
-            hist.observe(value)
-        return registry
+        return {"families": [counter, _histogram("demo_us", (1.0, 2.0, 4.0), latency_values)]}
 
     def test_merge_sums_exactly_and_tags_sources(self):
-        left = self._registry(3, [0.5, 3.0])
-        right = self._registry(4, [1.5])
+        left = self._snapshot(3, [0.5, 3.0])
+        right = self._snapshot(4, [1.5])
         merged = merge_snapshots(
-            [left.snapshot(), right.snapshot()],
+            [left, right],
             extra_labels=[{"worker": "0"}, {"worker": "1"}],
         )
         by_name = {f["name"]: f for f in merged["families"]}
@@ -244,22 +234,35 @@ class TestMergeSnapshots:
         assert counters[(("op", "decode"), ("worker", "0"))] == 3
         assert counters[(("op", "decode"), ("worker", "1"))] == 4
         # Without the tag the same series would have summed to 7.
-        untagged = merge_snapshots([left.snapshot(), right.snapshot()])
+        untagged = merge_snapshots([left, right])
         assert untagged["families"][0]["series"][0]["value"] == 7
         hist = {f["name"]: f for f in untagged["families"]}["demo_us"]
         assert hist["series"][0]["counts"] == [1, 1, 1, 0]
 
+    def test_merge_is_exact(self):
+        bounds = log_buckets(1.0, 2.0, 10)
+        rng = np.random.default_rng(7)
+        samples = np.exp(rng.uniform(0.0, 8.0, size=500))
+        halves = [_histogram("demo_us", bounds, samples[side::2]) for side in (0, 1)]
+        merged = merge_snapshots([{"families": [half]} for half in halves])
+        (series,) = merged["families"][0]["series"]
+        assert series["counts"] == _bucket_counts(samples, bounds)
+        assert series["sum"] == pytest.approx(samples.sum())
+        assert sum(series["counts"]) == 500
+
     def test_merge_rejects_layout_mismatches(self):
-        registry = MetricsRegistry()
-        registry.histogram("demo_us", "d", buckets=(1.0,)).labels().observe(0.5)
-        other = MetricsRegistry()
-        other.histogram("demo_us", "d", buckets=(2.0,)).labels().observe(0.5)
+        snapshot = {"families": [_histogram("demo_us", (1.0,), [0.5])]}
+        other = {"families": [_histogram("demo_us", (2.0,), [0.5])]}
         with pytest.raises(ValueError):
-            merge_snapshots([registry.snapshot(), other.snapshot()])
-        typed = MetricsRegistry()
-        typed.counter("demo_us").labels().inc()
+            merge_snapshots([snapshot, other])
+        typed = {"families": [_family("demo_us", "counter", [{"labels": {}, "value": 1}])]}
         with pytest.raises(ValueError):
-            merge_snapshots([registry.snapshot(), typed.snapshot()])
+            merge_snapshots([snapshot, typed])
+
+    def test_extra_labels_must_parallel_snapshots(self):
+        snapshot = self._snapshot(1, [0.5])
+        with pytest.raises(ValueError, match="parallel"):
+            merge_snapshots([snapshot, snapshot], extra_labels=[{"worker": "0"}])
 
 
 # ---------------------------------------------------------------------
@@ -313,7 +316,21 @@ class TestTracer:
         assert summary["front.request"]["count"] == 30
         assert summary["front.request"]["traces"] == 3
         assert summary["front.request"]["max_us"] == pytest.approx(300.0)
-        assert summary["front.request"]["p50_us"] > 0
+        # Durations 10..300 us: the 15th of 30 is 150 us, in the
+        # (128, 256] bucket, and the 30th is 300 us, in (256, 512].
+        assert summary["front.request"]["p50_us"] == 256.0
+        assert summary["front.request"]["p99_us"] == 512.0
+
+    def test_summarize_counts_an_edge_duration_in_its_own_bucket(self):
+        # The summary buckets like the live histograms (``le``): 4 us
+        # lands in the (2, 4] bucket, not (4, 8].  An event without a
+        # duration is counted but has no percentile.
+        events = [{"span": "timed", "trace": "t-1", "dur_us": 4.0}] * 3
+        summary = summarize_events(events + [{"span": "untimed"}])
+        assert summary["timed"]["p50_us"] == summary["timed"]["p99_us"] == 4.0
+        assert summary["untimed"] == {
+            "count": 1, "traces": 0, "p50_us": 0.0, "p99_us": 0.0, "max_us": 0.0,
+        }
 
     def test_trace_scope_nesting(self):
         assert current_trace_id() is None
@@ -343,6 +360,31 @@ class TestServiceTelemetryRegressions:
         stats = core.stats()
         assert stats["connections_open"] == 0
         assert stats["connections_total"] == 1
+
+    def test_core_counters_are_listed_at_zero(self):
+        families = DispatchCore().telemetry.families_snapshot()["families"]
+        core = {
+            family["name"]: (family["type"], family["series"])
+            for family in families
+            if family["name"] in CORE_FAMILIES
+        }
+        assert core == {
+            name: (kind, [{"labels": {}, "value": 0}])
+            for name, kind in CORE_FAMILIES.items()
+        }
+
+    def test_core_counters_scrape_as_stats_reports_them(self):
+        core = DispatchCore()
+        telemetry = core.telemetry
+        telemetry.connection_opened()
+        telemetry.connection_opened()
+        telemetry.connection_closed()
+        telemetry.record_protocol_error(3)
+        series = parse_prometheus(render_prometheus(telemetry.families_snapshot()))
+        stats = core.stats()
+        assert series[("repro_service_connections_total", ())] == stats["connections_total"] == 2
+        assert series[("repro_service_connections_open", ())] == stats["connections_open"] == 1
+        assert series[("repro_service_protocol_errors_total", ())] == stats["protocol_errors"] == 3
 
     def test_code_spellings_share_one_telemetry_label(self):
         """Regression: session series were labelled with the client's

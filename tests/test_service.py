@@ -1360,21 +1360,22 @@ class TestServiceLifecycle:
 
         assert close_steps(512) == close_steps(1)
 
-    def test_open_session_builds_no_metrics_registry(self, monkeypatch):
-        """A session's telemetry is built once, on the core's registry."""
-        from repro.obs import metrics
+    def test_open_session_builds_one_telemetry_row(self, monkeypatch):
+        """An open builds one recorder, and it is the core's live row."""
+        from repro.service.telemetry import SessionTelemetry
 
         core = DispatchCore()
         built = []
-        original = metrics.MetricsRegistry.__init__
+        original = SessionTelemetry.__init__
 
-        def counting_init(registry):
-            built.append(registry)
-            original(registry)
+        def counting_init(telemetry, *args, **kwargs):
+            built.append(telemetry)
+            original(telemetry, *args, **kwargs)
 
-        monkeypatch.setattr(metrics.MetricsRegistry, "__init__", counting_init)
+        monkeypatch.setattr(SessionTelemetry, "__init__", counting_init)
         session = core.open_session(SessionConfig(code="hamming84", seed=3))
-        assert built == []
+        assert built == [session.telemetry]
+        assert core.telemetry._live == {session.session_id: session.telemetry}
         session.telemetry.record_request("decode", 2)
         assert core.stats()["sessions"]["1"]["frames"] == {"decode": 2}
 

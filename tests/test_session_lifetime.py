@@ -74,10 +74,14 @@ async def _live_everywhere(server: CodecServer) -> dict:
 
 def _connections(server: CodecServer) -> tuple:
     """The front's (accepted, open) connection counts."""
-    families = server.telemetry.families
+    values = {
+        family["name"]: family["series"][0]["value"]
+        for family in server.telemetry.families_snapshot()["families"]
+        if family["name"].startswith("repro_service_connections")
+    }
     return (
-        families["connections"].labels().value,
-        families["connections_open"].labels().value,
+        values["repro_service_connections_total"],
+        values["repro_service_connections_open"],
     )
 
 

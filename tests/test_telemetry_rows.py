@@ -20,10 +20,14 @@ import pytest
 from repro.coding.registry import MAX_INTERLEAVE_DEPTH, available_codes
 from repro.coding.registry import canonical_code_name, get_code
 from repro.errors import CodingError
-from repro.obs import metrics
+from repro.ppv.margins import MarginModel
+from repro.ppv.spread import SpreadSpec
+from repro.runtime import ExperimentSpec, MonteCarloEngine, ResultCache
 from repro.service import CodecClient, CodecServer, ServiceTelemetry, protocol
+from repro.service import telemetry
 from repro.service.session import MAX_SESSIONS
 from repro.service.telemetry import code_label
+from repro.utils.rng import SeedPlan
 
 FRONTS = [0, 2]
 
@@ -124,14 +128,10 @@ def test_every_code_name_has_one_of_twelve_labels():
 
 
 @pytest.mark.parametrize("workers", FRONTS)
-def test_the_scrape_does_not_grow_with_live_sessions(workers, monkeypatch):
+def test_the_scrape_does_not_grow_with_live_sessions(workers):
     """One every-lane session per code class on each serving process,
     then :data:`MAX_SESSIONS` of them: METRICS has the same series and
     stays under :data:`SCRAPE_BUDGET` per serving process."""
-    # The budget is the service's own: engine and cache metrics that
-    # earlier tests left on this process's default registry, which a
-    # pool's forked workers would copy, are not a server's.
-    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", metrics.MetricsRegistry())
 
     async def scenario():
         async with CodecServer(workers=workers) as server:
@@ -161,6 +161,38 @@ def test_the_scrape_does_not_grow_with_live_sessions(workers, monkeypatch):
         label.split('"')[1] for label in last.split("code=")[1:]
     }
     assert labels == {code_label(name) for name in CODE_CLASSES}
+
+
+@pytest.mark.parametrize("workers", FRONTS)
+def test_a_scrape_lists_only_the_service_families(workers, tmp_path):
+    """Regression: engine and cache metrics counted in the process before
+    a server started were merged into its scrape, once per pool worker
+    (27 families, and a 24-chip run counted 72 chips at workers 2)."""
+    spec = ExperimentSpec(
+        scheme="hamming84",
+        n_chips=24,
+        n_messages=20,
+        spread=SpreadSpec(0.20),
+        margin_model=MarginModel(),
+        seed_plan=SeedPlan.from_random_state(11),
+    )
+    MonteCarloEngine(shard_size=6, cache=ResultCache(tmp_path)).run(spec)
+
+    async def scenario():
+        async with CodecServer(workers=workers) as server:
+            client = await CodecClient.connect(port=server.port)
+            session = await client.open_session("hamming84")
+            await session.decode(np.zeros((2, 8), dtype=np.uint8))
+            scrape = await client.metrics()
+            await client.close()
+            return scrape
+
+    lines = run(scenario()).splitlines()
+    rows = {family[2] for family in telemetry._ROW_FAMILIES}
+    core = {family[2] for family in telemetry._SERVICE_FAMILIES}
+    assert (len(rows), len(core)) == (19, 3)
+    assert {line.split()[2] for line in lines if line.startswith("# TYPE")} == rows | core
+    assert not [line for line in lines if line.startswith(("repro_engine_", "repro_cache_"))]
 
 
 @pytest.mark.parametrize("workers", FRONTS)
